@@ -67,21 +67,16 @@ from repro.runtime.metrics import (
     validate_metrics,
     write_metrics,
 )
-from repro.runtime.resilience import (
-    RetryPolicy,
-    run_resilient_sweep,
-)
-from repro.runtime.resilience import (
-    resume_sweep as _resume_sweep,
-)
 from repro.runtime.runner import (
     OPTIMIZERS,
+    RetryPolicy,
     SweepResult,
     SweepTask,
     default_workers,
     grid_tasks,
     run_sweep,
 )
+from repro.runtime.runner import resume_sweep as _resume_sweep
 from repro.utils.validation import require
 from repro.workloads import (
     chain_query,
@@ -319,11 +314,12 @@ def execute_request(
     The single entry point the service daemon is allowed to call (lint
     rule RPR011): an :class:`OptimizeRequest` runs its optimizer and
     returns a :class:`PlanResult`; a :class:`SweepSpec` runs its grid
-    through the instrumented runner (resilient when the spec sets
-    ``retries > 1`` or ``backoff > 0``) and returns a
-    :class:`SweepResult`.  Results are produced by the same code paths
-    as :func:`optimize` / :func:`sweep`, so a served reply decodes
-    bit-identically to a direct call.
+    through :func:`~repro.runtime.runner.run_sweep` (whose attempts get
+    fresh cost caches when the spec sets ``retries > 1`` or
+    ``backoff > 0``) and returns a :class:`SweepResult`.  Results are
+    produced by the same code paths as :func:`optimize` /
+    :func:`sweep`, so a served reply decodes bit-identically to a
+    direct call.
     """
     if isinstance(request, OptimizeRequest):
         require(
@@ -344,18 +340,6 @@ def execute_request(
         kwargs_for=request.kwargs_for,
         timeout=request.timeout,
     )
-    if request.retries > 1 or request.backoff > 0.0:
-        return run_resilient_sweep(
-            tasks,
-            workers=request.workers,
-            cache=request.cache,
-            cache_maxsize=request.cache_maxsize,
-            timeout=request.timeout,
-            trace=request.trace,
-            retry=RetryPolicy(
-                attempts=max(1, request.retries), backoff=request.backoff
-            ),
-        )
     return run_sweep(
         tasks,
         workers=request.workers,
@@ -363,6 +347,9 @@ def execute_request(
         cache_maxsize=request.cache_maxsize,
         timeout=request.timeout,
         trace=request.trace,
+        retry=RetryPolicy(
+            attempts=max(1, request.retries), backoff=request.backoff
+        ),
     )
 
 
@@ -396,7 +383,6 @@ def sweep(
     journal: Optional[Any] = None,
     resume: bool = False,
     fault_plan: Optional[Any] = None,
-    chunksize: Optional[int] = None,
     registry_maxsize: Optional[int] = None,
 ) -> SweepResult:
     """Run an optimizer x instance grid through the instrumented runner.
@@ -409,11 +395,11 @@ def sweep(
         result = api.sweep(spec)
 
     Only the host-local operational arguments — ``journal``,
-    ``resume``, ``fault_plan``, ``chunksize``, ``registry_maxsize`` —
-    may accompany a spec; they are deliberately not part of the spec
-    (a spec must be safe to accept over a socket, and the executor
-    knobs never change results — only throughput — so they stay out
-    of request fingerprints).
+    ``resume``, ``fault_plan``, ``registry_maxsize`` — may accompany a
+    spec; they are deliberately not part of the spec (a spec must be
+    safe to accept over a socket, and ``registry_maxsize`` never
+    changes results — only memory — so it stays out of request
+    fingerprints).
 
     The historical form still works: ``grid`` as a prepared sequence
     of :class:`~repro.runtime.runner.SweepTask` or a mapping with
@@ -429,20 +415,17 @@ def sweep(
     :meth:`~repro.runtime.runner.SweepResult.trace_records` yields the
     merged ``repro.trace/1`` span tree.
 
-    The resilience arguments route the sweep through
-    :func:`~repro.runtime.resilience.run_resilient_sweep` instead:
+    Everything runs through :func:`~repro.runtime.runner.run_sweep`:
     ``retries`` tries per task with deterministic exponential
     ``backoff``, an fsynced ``journal`` (``repro.journal/1``) of
     completed tasks, and ``resume=True`` to skip tasks the journal
-    already holds (requires ``journal``).  ``fault_plan`` installs a
-    deterministic chaos schedule — test tooling only.  Any of these
-    set to a non-default engages the resilient runner, whose outcomes
-    are task-isolated (fresh cost cache per attempt).
-
-    ``chunksize`` / ``registry_maxsize`` tune the parallel executor:
-    tasks per dispatched chunk (``None`` auto-heuristic, ``0`` legacy
-    per-task dispatch) and the per-worker bound on live decoded
-    instances.  See :mod:`repro.runtime.registry`.
+    already holds (requires ``journal``, then goes through
+    :func:`~repro.runtime.runner.resume_sweep`).  ``fault_plan``
+    installs a deterministic chaos schedule — test tooling only.  Any
+    of these set to a non-default makes outcomes task-isolated (fresh
+    cost cache per attempt); otherwise the sweep shares its cache.
+    ``registry_maxsize`` bounds each pool worker's live decoded
+    instances (see :mod:`repro.runtime.registry`).
     """
     if isinstance(grid, SweepSpec):
         spec = grid
@@ -451,11 +434,11 @@ def sweep(
             and timeout is None and not trace and retries == 1
             and backoff == 0.0,
             "sweep(spec) takes runner settings on the SweepSpec itself; "
-            "only journal/resume/fault_plan/chunksize/registry_maxsize "
-            "may be passed alongside",
+            "only journal/resume/fault_plan/registry_maxsize may be "
+            "passed alongside",
         )
         if (journal is None and not resume and fault_plan is None
-                and chunksize is None and registry_maxsize is None):
+                and registry_maxsize is None):
             result = execute_request(spec)
             assert isinstance(result, SweepResult)
             return result
@@ -484,21 +467,6 @@ def sweep(
                 "deprecated; build an api.SweepSpec instead",
             )
         tasks = _grid_to_tasks(grid)
-    resilient = (
-        journal is not None or resume or retries > 1
-        or backoff > 0.0 or fault_plan is not None
-    )
-    if not resilient:
-        return run_sweep(
-            tasks,
-            workers=workers,
-            cache=cache,
-            cache_maxsize=cache_maxsize,
-            timeout=timeout,
-            trace=trace,
-            chunksize=chunksize,
-            registry_maxsize=registry_maxsize,
-        )
     retry = RetryPolicy(attempts=max(1, retries), backoff=backoff)
     if resume:
         require(journal is not None, "resume requires a journal path")
@@ -512,10 +480,9 @@ def sweep(
             trace=trace,
             retry=retry,
             fault_plan=fault_plan,
-            chunksize=chunksize,
             registry_maxsize=registry_maxsize,
         )
-    return run_resilient_sweep(
+    return run_sweep(
         tasks,
         workers=workers,
         cache=cache,
@@ -525,7 +492,6 @@ def sweep(
         retry=retry,
         fault_plan=fault_plan,
         journal=journal,
-        chunksize=chunksize,
         registry_maxsize=registry_maxsize,
     )
 

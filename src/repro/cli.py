@@ -204,9 +204,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print("--retries must be >= 1", file=sys.stderr)
         return 2
-    if args.chunksize is not None and args.chunksize < 0:
-        print("--chunksize must be >= 0", file=sys.stderr)
-        return 2
     if args.registry_maxsize is not None and args.registry_maxsize < 0:
         print("--registry-maxsize must be >= 0", file=sys.stderr)
         return 2
@@ -231,7 +228,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         spec,
         journal=args.journal,
         resume=args.resume,
-        chunksize=args.chunksize,
         registry_maxsize=args.registry_maxsize,
     )
 
@@ -813,8 +809,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("gap-families", "executor"),
         default="gap-families",
         help="'gap-families' benchmarks the cost kernels; 'executor' "
-        "benchmarks sweep dispatch throughput (serial vs legacy pool "
-        "vs chunked registry dispatch)",
+        "benchmarks sweep dispatch throughput (serial vs chunked "
+        "registry dispatch)",
     )
     bench.add_argument(
         "--out", default=None,
@@ -860,12 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--cache-maxsize", type=int, default=None,
         help="bound the cost cache (LRU) at this many entries",
-    )
-    sweep.add_argument(
-        "--chunksize", type=int, default=None,
-        help="tasks per dispatched chunk (default: deterministic "
-        "auto heuristic; 0 forces legacy per-task dispatch). Never "
-        "changes results, only throughput",
     )
     sweep.add_argument(
         "--registry-maxsize", type=int, default=None,

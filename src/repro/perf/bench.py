@@ -49,15 +49,12 @@ Payload layout::
 A second suite, ``executor`` (:func:`run_executor_bench`, by
 convention ``BENCH_executor.json``), measures sweep *dispatch*
 throughput rather than kernel arithmetic: the same 200-task Theorem-9
-grid with repeated instances is run serially, through the legacy
-per-task pool (``chunksize=0``, full instance pickled per task), and
-through the chunked registry dispatcher.  Machine-dependent numbers
-are tasks/sec per mode; deterministic ones are ``ship_bytes``,
-``registry_hits``, ``kernels_compiled`` and ``chunks`` from
-:class:`~repro.runtime.runner.ExecutorStats`, plus a bit-identity
-cross-check of every parallel mode against the serial reference.  The
-headline ``speedup_vs_legacy`` must reach
-:data:`EXECUTOR_SPEEDUP_TARGET` on the committed baseline.
+grid with repeated instances is run serially and through the chunked
+registry dispatcher.  Machine-dependent numbers are tasks/sec per mode
+and the headline ``speedup_vs_serial``; deterministic ones are
+``ship_bytes``, ``registry_hits``, ``kernels_compiled`` and ``chunks``
+from :class:`~repro.runtime.runner.ExecutorStats`, plus a bit-identity
+cross-check of the chunked run against the serial reference.
 """
 
 from __future__ import annotations
@@ -92,11 +89,6 @@ SCHEMA = "repro.bench/1"
 #: per neighbor evaluation must shrink by at least this factor on the
 #: EXP-T9 grid at n >= 12.
 MULT_REDUCTION_TARGET = 5.0
-
-#: Executor-suite acceptance target: chunked registry dispatch must
-#: reach this many times the legacy per-task pool's tasks/sec on the
-#: committed (non-smoke) baseline.
-EXECUTOR_SPEEDUP_TARGET = 2.0
 
 #: Default artifact location, next to the EXP tables.
 DEFAULT_OUT = Path("benchmarks") / "results" / "BENCH_perf.json"
@@ -417,15 +409,13 @@ def run_executor_bench(
     """Run the executor throughput suite; validates, optionally writes,
     and returns the ``repro.bench/1`` payload (``suite: "executor"``).
 
-    Three modes over the same grid, all with ``cache=False`` so cache
-    counters are schedule-independent and every mode can be
+    Two modes over the same grid, both with ``cache=False`` so cache
+    counters are schedule-independent and the chunked run can be
     cross-checked bit-identically against the serial reference:
 
     * ``serial`` — ``workers=1``, the baseline semantics;
-    * ``parallel-legacy`` — the pre-registry pool (``chunksize=0``,
-      full instance pickled with every task);
-    * ``parallel-chunked`` — registry + chunked dispatch (the default
-      parallel path).
+    * ``parallel-chunked`` — registry + chunked dispatch (the parallel
+      path).
     """
     workers = 2 if smoke else 4
     num_tasks = 40 if smoke else 200
@@ -437,7 +427,6 @@ def run_executor_bench(
         return result, time.perf_counter() - started
 
     serial_result, serial_wall = timed(workers=1)
-    legacy_result, legacy_wall = timed(workers=workers, chunksize=0)
     chunked_result, chunked_wall = timed(workers=workers)
 
     cases = [
@@ -446,18 +435,12 @@ def run_executor_bench(
             num_tasks, 1, 0,
         ),
         _executor_case(
-            "parallel-legacy", legacy_result, serial_result, legacy_wall,
-            num_tasks, workers, 0,
-        ),
-        _executor_case(
             "parallel-chunked", chunked_result, serial_result, chunked_wall,
             num_tasks, workers, auto_chunksize(num_tasks, workers),
         ),
     ]
     serial_rate = cases[0]["tasks_per_s"]
-    legacy_rate = cases[1]["tasks_per_s"]
-    chunked_rate = cases[2]["tasks_per_s"]
-    speedup_vs_legacy = chunked_rate / max(legacy_rate, 1e-9)
+    chunked_rate = cases[1]["tasks_per_s"]
     payload: Dict[str, Any] = {
         "schema": SCHEMA,
         "suite": "executor",
@@ -471,14 +454,7 @@ def run_executor_bench(
             ),
             "tasks": num_tasks,
             "workers": workers,
-            "speedup_vs_legacy": speedup_vs_legacy,
             "speedup_vs_serial": chunked_rate / max(serial_rate, 1e-9),
-            "ship_bytes_saved": (
-                cases[1]["ship_bytes"] - cases[2]["ship_bytes"]
-            ),
-            "meets_speedup_target": (
-                speedup_vs_legacy >= EXECUTOR_SPEEDUP_TARGET
-            ),
         },
     }
     validate_bench(payload)
@@ -540,7 +516,7 @@ _TOTALS_FIELDS = {
     "meets_mult_target": bool,
 }
 
-_EXECUTOR_MODES = ("serial", "parallel-legacy", "parallel-chunked")
+_EXECUTOR_MODES = ("serial", "parallel-chunked")
 
 _EXECUTOR_CASE_FIELDS = {
     "workers": int,
@@ -560,10 +536,7 @@ _EXECUTOR_TOTALS_FIELDS = {
     "identical": bool,
     "tasks": int,
     "workers": int,
-    "speedup_vs_legacy": (int, float),
     "speedup_vs_serial": (int, float),
-    "ship_bytes_saved": int,
-    "meets_speedup_target": bool,
 }
 
 
@@ -703,16 +676,8 @@ def bench_summary_lines(payload: Dict[str, Any]) -> List[str]:
             )
         totals = payload["totals"]
         lines.append(
-            "chunked vs legacy {legacy:.2f}x  vs serial {serial:.2f}x  "
-            "ship bytes saved {saved}  "
-            "target(>= {target:.0f}x): {verdict}".format(
-                legacy=totals["speedup_vs_legacy"],
-                serial=totals["speedup_vs_serial"],
-                saved=totals["ship_bytes_saved"],
-                target=EXECUTOR_SPEEDUP_TARGET,
-                verdict=(
-                    "met" if totals["meets_speedup_target"] else "MISSED"
-                ),
+            "chunked vs serial {serial:.2f}x".format(
+                serial=totals["speedup_vs_serial"]
             )
         )
         return lines

@@ -1,16 +1,18 @@
 """Runtime orchestration: parallel sweeps, cost caching, metrics.
 
-Three layers:
+The layers:
 
 * :mod:`repro.runtime.costcache` — the memoization layer the
   optimizers consult (``use_cache`` / ``CostCache``);
-* :mod:`repro.runtime.runner` — the parallel sweep runner
-  (``run_sweep`` / ``SweepTask`` / ``grid_tasks``);
+* :mod:`repro.runtime.runner` — the one sweep executor: chunked
+  process pool or serial loop, retries, worker-death recovery,
+  journaling and resume, with the cost-cache scope derived from those
+  settings (``run_sweep`` / ``resume_sweep`` / ``RetryPolicy`` /
+  ``SweepTask`` / ``grid_tasks``);
 * :mod:`repro.runtime.metrics` — the JSON instrumentation schema
   (``sweep_metrics`` / ``validate_metrics`` / ``write_metrics``);
-* :mod:`repro.runtime.resilience` — fault-tolerant sweeps: retries,
-  worker-death recovery, deterministic fault injection
-  (``run_resilient_sweep`` / ``resume_sweep`` / ``RetryPolicy``);
+* :mod:`repro.runtime.resilience` — deterministic fault injection for
+  the chaos tests (``FaultPlan``);
 * :mod:`repro.runtime.journal` — the crash-safe JSONL task journal
   behind resumability (``repro.journal/1``);
 * :mod:`repro.runtime.registry` — the content-addressed instance
@@ -51,7 +53,6 @@ __all__ = [
     "write_metrics",
     "load_metrics",
     "RetryPolicy",
-    "run_resilient_sweep",
     "resume_sweep",
     "read_journal",
     "task_fingerprint",
@@ -63,16 +64,14 @@ __all__ = [
 _RUNNER_NAMES = {
     "OPTIMIZERS", "SweepTask", "TaskOutcome", "SweepResult",
     "run_sweep", "grid_tasks", "default_workers", "SweepTimeout",
-    "WorkerDied", "ExecutorStats", "auto_chunksize",
+    "WorkerDied", "ExecutorStats", "auto_chunksize", "RetryPolicy",
+    "resume_sweep",
 }
 _METRICS_NAMES = {
     "sweep_metrics", "validate_metrics", "write_metrics", "load_metrics",
     "SCHEMA", "FAILURE_KINDS",
 }
-_RESILIENCE_NAMES = {
-    "FaultInjection", "FaultPlan", "RetryPolicy",
-    "run_resilient_sweep", "resume_sweep", "FaultInjected",
-}
+_RESILIENCE_NAMES = {"FaultInjection", "FaultPlan", "FaultInjected"}
 _JOURNAL_NAMES = {
     "JournalWriter", "read_journal", "task_fingerprint",
     "completed_by_fingerprint",

@@ -1,84 +1,29 @@
-"""Fault-tolerant, resumable sweep execution with deterministic chaos.
+"""Deterministic chaos for the sweep executor.
 
-Long gap-family sweeps (hundreds of optimizer x instance tasks, some
-with astronomically slow exact baselines) die for boring reasons: a
-worker segfaults, the box reboots, a task hits a transient error.
-This module makes such sweeps survivable three ways:
+A :class:`FaultPlan` schedules synthetic faults (``timeout`` /
+``error`` / ``worker-kill``) at chosen ``(task index, attempt)``
+coordinates.  :func:`~repro.runtime.runner.run_sweep` threads the plan
+through the same ``_execute`` path real work takes, so injected and
+organic failures meet the same retry, worker-death recovery and
+journaling machinery — which is what the chaos tests exercise.  A fault
+plan also makes every attempt run against a fresh cost cache (see
+:mod:`repro.runtime.runner`), so a faulted sweep can be compared
+bit-for-bit with the same sweep without the plan.
 
-* **Retries** — each task gets :class:`RetryPolicy.attempts` tries
-  with deterministic exponential backoff (no jitter: the schedule is
-  a pure function of the policy, which the chaos tests pin down).
-* **Worker-death recovery** — the parallel path runs on a
-  ``ProcessPoolExecutor``; when a worker dies the resulting
-  ``BrokenProcessPool`` is caught, the pool is respawned, and every
-  in-flight task is re-queued with a ``worker-died`` attempt charged
-  against its retry budget.
-* **Journaling + resume** — with a journal path every completed task
-  is durably recorded (:mod:`repro.runtime.journal`);
-  :func:`resume_sweep` skips journaled tasks by fingerprint and merges
-  their stored outcomes into the new :class:`SweepResult`.
-
-Determinism contract: unlike :func:`~repro.runtime.runner.run_sweep`,
-every attempt here runs against a **fresh** cost cache.  That forgoes
-cross-task cache reuse, but it makes each outcome a pure function of
-its task — independent of schedule, worker placement, or how many
-times the sweep was interrupted — which is exactly what makes a
-resumed sweep bit-identical (costs, ``explored``, cache counters) to
-an uninterrupted one.
-
-The chaos layer: a :class:`FaultPlan` schedules synthetic faults
-(``timeout`` / ``error`` / ``worker-kill``) at chosen ``(task index,
-attempt)`` coordinates, threaded through the same ``_execute`` path
-real work takes.  Constructing a ``FaultPlan`` outside this module or
-test code is a lint error (rule RPR010): production sweeps must never
-run with chaos installed.
+Constructing a ``FaultPlan`` outside this module or test code is a lint
+error (rule RPR010): production sweeps must never run with chaos
+installed.
 """
 
 from __future__ import annotations
 
 import os
-import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.observability.events import active_event_log
-from repro.observability.events import emit as _emit_event
-from repro.runtime import journal as journal_mod
-from repro.runtime.costcache import CostCache
-from repro.runtime.registry import InstanceRef, InstanceRegistry
-from repro.runtime.runner import (
-    ExecutorStats,
-    SweepResult,
-    SweepTask,
-    SweepTimeout,
-    TaskOutcome,
-    WorkerDied,
-    _execute,
-    auto_chunksize,
-    default_workers,
-    publish_sweep_telemetry,
-)
+from repro.runtime.runner import SweepTimeout, WorkerDied
 from repro.utils.rng import RngLike, make_rng
 from repro.utils.validation import require
-
-PathLike = Union[str, Path]
 
 #: Fault kinds a plan may inject (the fourth taxonomy label,
 #: ``cancelled``, is produced by interrupting the sweep, not by a
@@ -163,20 +108,17 @@ class FaultPlan:
         return cls(faults=tuple(ordered))
 
 
-#: True inside a resilient pool worker (set by the pool initializer):
-#: decides whether an injected worker-kill dies for real or raises
-#: :class:`WorkerDied` for the serial loop to classify.
-_IN_POOL_WORKER = False
-
-
-def apply_fault(kind: str, index: int, attempt: int) -> None:
+def apply_fault(
+    kind: str, index: int, attempt: int, in_worker: bool = False
+) -> None:
     """Fire one injected fault from inside ``_execute``'s try block.
 
     ``timeout`` raises :class:`SweepTimeout` (classified exactly like a
     real alarm); ``error`` raises :class:`FaultInjected`; a
-    ``worker-kill`` exits a real pool worker with ``os._exit`` — the
-    parent sees ``BrokenProcessPool`` — and raises :class:`WorkerDied`
-    in serial mode so the recovery path is testable in-process.
+    ``worker-kill`` exits a real pool worker (``in_worker``) with
+    ``os._exit`` — the parent sees ``BrokenProcessPool`` — and raises
+    :class:`WorkerDied` in serial mode so the recovery path is testable
+    in-process.
     """
     if kind == "timeout":
         raise SweepTimeout()
@@ -185,606 +127,9 @@ def apply_fault(kind: str, index: int, attempt: int) -> None:
             f"injected error at task {index}, attempt {attempt}"
         )
     if kind == "worker-kill":
-        if _IN_POOL_WORKER:  # pragma: no cover - dies before reporting
+        if in_worker:  # pragma: no cover - dies before reporting
             os._exit(1)
         raise WorkerDied(
             f"injected worker death at task {index}, attempt {attempt}"
         )
     raise ValueError(f"unknown fault kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How often to retry a failed task and how long to wait.
-
-    ``attempts`` is the *total* number of tries per task.  The wait
-    before retry ``k`` (1-based) is ``backoff * factor ** (k - 1)``,
-    capped at ``max_delay`` — deliberately jitter-free so the schedule
-    is deterministic and testable.
-    """
-
-    attempts: int = 1
-    backoff: float = 0.0
-    factor: float = 2.0
-    max_delay: float = 60.0
-
-    def __post_init__(self) -> None:
-        require(self.attempts >= 1, "RetryPolicy.attempts must be >= 1")
-        require(self.backoff >= 0.0, "RetryPolicy.backoff must be >= 0")
-        require(self.factor >= 1.0, "RetryPolicy.factor must be >= 1")
-        require(self.max_delay >= 0.0, "RetryPolicy.max_delay must be >= 0")
-
-    def delay(self, retry: int) -> float:
-        """Seconds to wait before retry number ``retry`` (1-based)."""
-        require(retry >= 1, "retry numbers are 1-based")
-        if self.backoff <= 0.0:
-            return 0.0
-        return min(self.backoff * self.factor ** (retry - 1), self.max_delay)
-
-    def delays(self) -> Tuple[float, ...]:
-        """The full backoff schedule for a task that fails every try."""
-        return tuple(self.delay(k) for k in range(1, self.attempts))
-
-
-@dataclass
-class _RunStats:
-    """Mutable counters shared by the serial/parallel loops."""
-
-    retries: int = 0
-    recovered: int = 0
-    ship_bytes: int = 0
-    registry_hits: int = 0
-    kernels_compiled: int = 0
-    chunks: int = 0
-
-    def executor(self) -> ExecutorStats:
-        return ExecutorStats(
-            ship_bytes=self.ship_bytes,
-            registry_hits=self.registry_hits,
-            kernels_compiled=self.kernels_compiled,
-            chunks=self.chunks,
-        )
-
-
-def _fresh_cache(cache: bool, cache_maxsize: Optional[int]) -> CostCache:
-    return (
-        CostCache(maxsize=cache_maxsize) if cache else CostCache(maxsize=0)
-    )
-
-
-def _failed_outcome(
-    index: int,
-    task: SweepTask,
-    attempts: int,
-    failure: str,
-    error: str,
-) -> TaskOutcome:
-    return TaskOutcome(
-        index=index,
-        optimizer=task.optimizer_name,
-        label=task.label,
-        result=None,
-        wall_time=0.0,
-        timed_out=failure == "timeout",
-        error=error,
-        failure=failure,
-        attempts=attempts,
-    )
-
-
-# -- resilient pool plumbing -------------------------------------------
-_WORKER_SETTINGS: Tuple[bool, Optional[int]] = (True, None)
-#: Worker-side registry rebuilt from the shipped payload map; None in
-#: legacy per-task mode (``chunksize=0``).
-_WORKER_REGISTRY: Optional[InstanceRegistry] = None
-
-#: One dispatched chunk: ``(index, task, attempt)`` triples plus the
-#: sweep-wide timeout/trace/chaos settings.  In registry mode each
-#: task's ``instance`` slot holds an :class:`InstanceRef`.
-_ChunkPayload = Tuple[
-    Tuple[Tuple[int, SweepTask, int], ...],
-    Optional[float], bool, Optional[FaultPlan],
-]
-_ChunkResult = Tuple[Tuple[TaskOutcome, ...], int, int]
-
-
-def _resilient_worker_init(
-    cache_enabled: bool,
-    cache_maxsize: Optional[int],
-    payloads: Optional[Dict[str, bytes]] = None,
-    registry_max_live: Optional[int] = None,
-) -> None:
-    global _IN_POOL_WORKER, _WORKER_SETTINGS, _WORKER_REGISTRY
-    _IN_POOL_WORKER = True
-    _WORKER_SETTINGS = (cache_enabled, cache_maxsize)
-    _WORKER_REGISTRY = (
-        InstanceRegistry.from_payloads(payloads, max_live=registry_max_live)
-        if payloads is not None else None
-    )
-    if payloads is not None:
-        # Worker-persistent kernels, bounded by the registry live tier
-        # (see runner._worker_init for the rationale).
-        from repro.perf.kernels import pin_kernels
-
-        pin_kernels(
-            registry_max_live if registry_max_live is not None
-            else len(payloads)
-        )
-
-
-def _materialize(task: SweepTask) -> SweepTask:
-    """Swap a shipped :class:`InstanceRef` back for its live instance."""
-    if not isinstance(task.instance, InstanceRef):
-        return task
-    registry = _WORKER_REGISTRY
-    require(
-        registry is not None,
-        "task references the instance registry but this worker has none",
-    )
-    assert registry is not None  # for the type checker; require() raised
-    return replace(task, instance=registry.get(task.instance.key))
-
-
-def _resilient_worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
-    """Run one chunk of tasks, each attempt against a fresh cache.
-
-    Decoded instances and compiled kernels persist across the chunk
-    (and, via the worker registry, across chunks) — they are pure
-    functions of instance content.  The cost *cache* stays
-    per-attempt: outcomes must not depend on which worker ran the task
-    or what ran there before (see module doc).
-    """
-    from repro.perf.kernels import compiles_total
-
-    entries, default_timeout, trace, fault_plan = payload
-    cache_enabled, cache_maxsize = _WORKER_SETTINGS
-    registry = _WORKER_REGISTRY
-    hits_before = registry.stats().hits if registry is not None else 0
-    compiled_before = compiles_total()
-    outcomes = tuple(
-        _execute(
-            index, _materialize(task),
-            _fresh_cache(cache_enabled, cache_maxsize), default_timeout,
-            trace=trace, attempt=attempt, fault_plan=fault_plan,
-        )
-        for index, task, attempt in entries
-    )
-    hits_delta = (
-        registry.stats().hits - hits_before if registry is not None else 0
-    )
-    return outcomes, hits_delta, compiles_total() - compiled_before
-
-
-def _make_executor(
-    workers: int,
-    cache_enabled: bool,
-    cache_maxsize: Optional[int],
-    payloads: Optional[Dict[str, bytes]] = None,
-    registry_max_live: Optional[int] = None,
-) -> ProcessPoolExecutor:
-    """Create the pool (split out so tests can force creation failure)."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_resilient_worker_init,
-        initargs=(cache_enabled, cache_maxsize, payloads, registry_max_live),
-    )
-
-
-def _run_serial(
-    tasks: Sequence[SweepTask],
-    pending: Sequence[int],
-    fingerprints: Sequence[str],
-    cache: bool,
-    cache_maxsize: Optional[int],
-    timeout: Optional[float],
-    trace: bool,
-    retry: RetryPolicy,
-    fault_plan: Optional[FaultPlan],
-    writer: Optional[journal_mod.JournalWriter],
-    sleep: Callable[[float], None],
-    stats: _RunStats,
-) -> Dict[int, TaskOutcome]:
-    outcomes: Dict[int, TaskOutcome] = {}
-    remaining: Deque[int] = deque(pending)
-    current: Optional[int] = None
-    try:
-        while remaining:
-            current = remaining.popleft()
-            task = tasks[current]
-            outcome: Optional[TaskOutcome] = None
-            for attempt in range(retry.attempts):
-                outcome = _execute(
-                    current, task,
-                    _fresh_cache(cache, cache_maxsize), timeout,
-                    trace=trace, attempt=attempt, fault_plan=fault_plan,
-                )
-                if outcome.ok or attempt + 1 >= retry.attempts:
-                    break
-                stats.retries += 1
-                if active_event_log() is not None:
-                    _emit_event(
-                        "task.retry",
-                        index=current,
-                        attempt=attempt + 1,
-                        failure=outcome.failure,
-                    )
-                delay = retry.delay(attempt + 1)
-                if delay > 0.0:
-                    sleep(delay)
-            assert outcome is not None  # attempts >= 1
-            outcomes[current] = outcome
-            if writer is not None:
-                writer.append(fingerprints[current], outcome)
-            current = None
-    except KeyboardInterrupt:
-        # The interrupted task and everything behind it become
-        # ``cancelled`` outcomes.  They are NOT journaled, so a resume
-        # re-runs exactly these tasks.
-        if current is not None:
-            outcomes[current] = _failed_outcome(
-                current, tasks[current], 1,
-                "cancelled", "cancelled by interrupt",
-            )
-        for index in remaining:
-            outcomes[index] = _failed_outcome(
-                index, tasks[index], 0,
-                "cancelled", "cancelled before execution",
-            )
-    return outcomes
-
-
-def _run_parallel(
-    tasks: Sequence[SweepTask],
-    pending: Sequence[int],
-    fingerprints: Sequence[str],
-    workers: int,
-    cache: bool,
-    cache_maxsize: Optional[int],
-    timeout: Optional[float],
-    trace: bool,
-    retry: RetryPolicy,
-    fault_plan: Optional[FaultPlan],
-    writer: Optional[journal_mod.JournalWriter],
-    sleep: Callable[[float], None],
-    stats: _RunStats,
-    chunksize: Optional[int] = None,
-    registry_maxsize: Optional[int] = None,
-) -> Optional[Dict[int, TaskOutcome]]:
-    """Pool-backed loop; returns None when no pool can be created.
-
-    Dispatch is chunked (``chunksize``; ``None`` applies
-    :func:`~repro.runtime.runner.auto_chunksize`, ``0`` the legacy
-    per-task submission), but recovery stays at *task* granularity:
-    retry accounting, journal records and resume fingerprints are all
-    per task, and a chunk lost to a worker death re-queues each of its
-    tasks individually with one ``worker-died`` attempt charged.
-    """
-    resolved = (
-        auto_chunksize(len(pending), workers) if chunksize is None
-        else chunksize
-    )
-    registry = InstanceRegistry()
-    payload_map: Dict[int, str] = {
-        index: registry.register(tasks[index].instance) for index in pending
-    }
-    blobs: Dict[str, bytes] = registry.payloads()
-    if resolved > 0:
-        ship_tasks: Dict[int, SweepTask] = {
-            index: replace(
-                tasks[index], instance=InstanceRef(payload_map[index])
-            )
-            for index in pending
-        }
-        pool_payloads: Optional[Dict[str, bytes]] = blobs
-        ship_per_pool = registry.payload_bytes() * workers
-        per_chunk = resolved
-    else:
-        ship_tasks = {index: tasks[index] for index in pending}
-        ship_per_pool = 0
-        per_chunk = 1
-        pool_payloads = None
-
-    def spawn() -> ProcessPoolExecutor:
-        pool = _make_executor(
-            workers, cache, cache_maxsize, pool_payloads, registry_maxsize
-        )
-        stats.ship_bytes += ship_per_pool
-        return pool
-
-    try:
-        executor = spawn()
-    except Exception:  # no semaphores / sandboxed: degrade quietly
-        return None
-
-    outcomes: Dict[int, TaskOutcome] = {}
-    attempt_of: Dict[int, int] = {index: 0 for index in pending}
-    queue: Deque[int] = deque(pending)
-    futures: Dict["Future[_ChunkResult]", Tuple[int, ...]] = {}
-
-    def finalize(index: int, outcome: TaskOutcome) -> None:
-        outcomes[index] = outcome
-        if writer is not None:
-            writer.append(fingerprints[index], outcome)
-
-    def handle_failure(index: int, outcome: TaskOutcome) -> None:
-        if attempt_of[index] + 1 < retry.attempts:
-            stats.retries += 1
-            if active_event_log() is not None:
-                _emit_event(
-                    "task.retry",
-                    index=index,
-                    attempt=attempt_of[index] + 1,
-                    failure=outcome.failure,
-                )
-            delay = retry.delay(attempt_of[index] + 1)
-            if delay > 0.0:
-                sleep(delay)
-            attempt_of[index] += 1
-            queue.append(index)
-        else:
-            finalize(index, outcome)
-
-    try:
-        while queue or futures:
-            try:
-                while queue:
-                    entries = []
-                    while queue and len(entries) < per_chunk:
-                        index = queue.popleft()
-                        entries.append(
-                            (index, ship_tasks[index], attempt_of[index])
-                        )
-                    payload: _ChunkPayload = (
-                        tuple(entries), timeout, trace, fault_plan,
-                    )
-                    try:
-                        future = executor.submit(
-                            _resilient_worker_run_chunk, payload
-                        )
-                    except BrokenExecutor:
-                        for entry in reversed(entries):
-                            queue.appendleft(entry[0])  # unsubmitted
-                        raise
-                    futures[future] = tuple(entry[0] for entry in entries)
-                    if resolved > 0:
-                        stats.chunks += 1
-                    else:
-                        # Legacy accounting: every submission ships its
-                        # task's own pickled instance copy.
-                        for entry in entries:
-                            stats.ship_bytes += len(
-                                blobs[payload_map[entry[0]]]
-                            )
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices = futures.pop(future)
-                    try:
-                        chunk_outcomes, hits, compiled = future.result()
-                    except BrokenExecutor:
-                        futures[future] = indices  # recover below, in-flight
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        for index in indices:
-                            handle_failure(index, _failed_outcome(
-                                index, tasks[index], attempt_of[index] + 1,
-                                "error", f"{type(exc).__name__}: {exc}",
-                            ))
-                        continue
-                    stats.registry_hits += hits
-                    stats.kernels_compiled += compiled
-                    for outcome in chunk_outcomes:
-                        if outcome.ok:
-                            finalize(outcome.index, outcome)
-                        else:
-                            handle_failure(outcome.index, outcome)
-            except BrokenExecutor:
-                # A worker died and took the pool with it.  Respawn,
-                # charge every in-flight task a worker-died attempt,
-                # and re-queue the ones with retry budget left — task
-                # by task, even when they were dispatched as a chunk.
-                stats.recovered += 1
-                inflight = sorted(
-                    index
-                    for indices in futures.values()
-                    for index in indices
-                )
-                if active_event_log() is not None:
-                    _emit_event(
-                        "task.worker_death",
-                        inflight=inflight,
-                        recovery=stats.recovered,
-                    )
-                futures.clear()
-                executor.shutdown(wait=False, cancel_futures=True)
-                try:
-                    executor = spawn()
-                except Exception:
-                    # Can't respawn: everything unfinished is lost.
-                    for index in inflight + sorted(queue):
-                        finalize(index, _failed_outcome(
-                            index, tasks[index], attempt_of[index] + 1,
-                            "worker-died",
-                            "worker process died; pool respawn failed",
-                        ))
-                    queue.clear()
-                    return outcomes
-                for index in inflight:
-                    handle_failure(index, _failed_outcome(
-                        index, tasks[index], attempt_of[index] + 1,
-                        "worker-died", "worker process died mid-task",
-                    ))
-    except KeyboardInterrupt:
-        executor.shutdown(wait=False, cancel_futures=True)
-        inflight = [
-            index for indices in futures.values() for index in indices
-        ]
-        for index in inflight + list(queue):
-            outcomes[index] = _failed_outcome(
-                index, tasks[index], attempt_of[index],
-                "cancelled", "cancelled by interrupt",
-            )
-        return outcomes
-    executor.shutdown()
-    return outcomes
-
-
-def run_resilient_sweep(
-    tasks: Sequence[SweepTask],
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    journal: Optional[PathLike] = None,
-    completed: Optional[Dict[int, TaskOutcome]] = None,
-    resumed: int = 0,
-    sleep: Callable[[float], None] = time.sleep,
-    chunksize: Optional[int] = None,
-    registry_maxsize: Optional[int] = None,
-) -> SweepResult:
-    """Run ``tasks`` with retries, journaling and optional chaos.
-
-    Semantics match :func:`~repro.runtime.runner.run_sweep` (same
-    outcome order, same serial fallback) except that every attempt
-    runs against a fresh cost cache — see the module docstring for why
-    that is the price of bit-identical resumability.
-
-    Args:
-        retry: attempts/backoff schedule; default is one attempt, no
-            backoff.
-        fault_plan: deterministic chaos schedule (tests only).
-        journal: path to append fsynced per-task records to.
-        completed: outcomes (by task index) already recovered from a
-            journal — these tasks are skipped.  Use
-            :func:`resume_sweep` rather than passing this directly.
-        resumed: how many of ``completed`` came from a journal; lands
-            in :attr:`SweepResult.resumed`.
-        sleep: backoff clock, injectable so tests assert the schedule
-            without waiting it out.
-        chunksize: tasks per dispatched chunk in the parallel path
-            (``None`` auto, ``0`` legacy per-task dispatch).  Purely a
-            throughput knob: journal records, resume fingerprints and
-            outcomes are identical for every setting.
-        registry_maxsize: bound on each worker's live decoded
-            instances; ``None`` is unbounded.
-    """
-    tasks = list(tasks)
-    retry = retry or RetryPolicy()
-    if workers is None:
-        workers = default_workers()
-    start = time.perf_counter()
-
-    fingerprints = [
-        journal_mod.task_fingerprint(index, task)
-        for index, task in enumerate(tasks)
-    ]
-    completed = dict(completed or {})
-    pending = [index for index in range(len(tasks)) if index not in completed]
-
-    writer = (
-        journal_mod.JournalWriter(
-            journal,
-            meta={"tasks": len(tasks), "resumed": resumed},
-        )
-        if journal is not None else None
-    )
-
-    outcomes: Dict[int, TaskOutcome] = dict(completed)
-    stats = _RunStats()
-    mode = "serial"
-    try:
-        fresh: Optional[Dict[int, TaskOutcome]] = None
-        if workers > 1 and len(pending) > 1:
-            fresh = _run_parallel(
-                tasks, pending, fingerprints, workers, cache,
-                cache_maxsize, timeout, trace, retry, fault_plan,
-                writer, sleep, stats,
-                chunksize=chunksize, registry_maxsize=registry_maxsize,
-            )
-            if fresh is not None:
-                mode = "parallel"
-        if fresh is None:
-            from repro.perf.kernels import compiles_total, pinned_kernels
-
-            compiled_before = compiles_total()
-            # Same worker-persistence the pool gets: live instances are
-            # shared across tasks, so pin their kernels for the sweep.
-            distinct = len({id(task.instance) for task in tasks})
-            with pinned_kernels(distinct):
-                fresh = _run_serial(
-                    tasks, pending, fingerprints, cache, cache_maxsize,
-                    timeout, trace, retry, fault_plan, writer, sleep, stats,
-                )
-            stats.kernels_compiled += compiles_total() - compiled_before
-        outcomes.update(fresh)
-    finally:
-        if writer is not None:
-            writer.close()
-
-    ordered = tuple(outcomes[index] for index in range(len(tasks)))
-    return publish_sweep_telemetry(SweepResult(
-        outcomes=ordered,
-        mode=mode,
-        workers=workers if mode == "parallel" else 1,
-        cache_enabled=cache,
-        wall_time=time.perf_counter() - start,
-        retries=stats.retries,
-        recovered_workers=stats.recovered,
-        resumed=resumed,
-        executor=stats.executor(),
-    ))
-
-
-def resume_sweep(
-    journal_path: PathLike,
-    tasks: Sequence[SweepTask],
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    chunksize: Optional[int] = None,
-    registry_maxsize: Optional[int] = None,
-) -> SweepResult:
-    """Resume a journaled sweep, merging stored and fresh outcomes.
-
-    Tasks whose fingerprint has a completed record in the journal are
-    restored verbatim (bit-identical result, ``explored``, cache
-    counters); the rest run through :func:`run_resilient_sweep`, which
-    appends their records to the same journal.  A missing or empty
-    journal file resumes nothing and behaves like a fresh journaled
-    sweep.
-    """
-    tasks = list(tasks)
-    path = Path(journal_path)
-    completed: Dict[int, TaskOutcome] = {}
-    if path.exists() and path.stat().st_size > 0:
-        _, records = journal_mod.read_journal(path)
-        by_fingerprint = journal_mod.completed_by_fingerprint(records)
-        for index, task in enumerate(tasks):
-            record = by_fingerprint.get(
-                journal_mod.task_fingerprint(index, task)
-            )
-            if record is not None:
-                completed[index] = journal_mod.record_to_outcome(record)
-    return run_resilient_sweep(
-        tasks,
-        workers=workers,
-        cache=cache,
-        cache_maxsize=cache_maxsize,
-        timeout=timeout,
-        trace=trace,
-        retry=retry,
-        fault_plan=fault_plan,
-        journal=path,
-        completed=completed,
-        resumed=len(completed),
-        sleep=sleep,
-        chunksize=chunksize,
-        registry_maxsize=registry_maxsize,
-    )

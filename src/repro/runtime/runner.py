@@ -1,41 +1,50 @@
-"""Parallel instrumented sweep runner for optimizer x instance grids.
+"""The sweep executor for optimizer x instance grids.
 
 The gap-family experiments (Theorems 9/15/16/17) are verified by
 sweeping many reduction instances through many optimizers.  This module
-turns such a grid into a list of :class:`SweepTask` and executes it
+turns such a grid into a list of :class:`SweepTask` and runs it through
+one executor, :func:`run_sweep`:
 
-* over a ``multiprocessing`` pool when one is available.  Dispatch is
-  *chunked* (``chunksize`` knob, deterministic :func:`auto_chunksize`
-  heuristic) and instances travel through the content-addressed
+* over a ``ProcessPoolExecutor`` when ``workers > 1``.  Dispatch is
+  *chunked* (deterministic :func:`auto_chunksize` heuristic) and
+  instances travel through the content-addressed
   :class:`~repro.runtime.registry.InstanceRegistry`: each *distinct*
   instance payload is shipped to each worker exactly once in the pool
   initializer, tasks carry lightweight
   :class:`~repro.runtime.registry.InstanceRef` markers, and workers
   keep decoded instances (and therefore the per-instance compiled
   kernels of :mod:`repro.perf.kernels`) live across tasks.  Chunks
-  complete in arbitrary order; :func:`_reassemble` restores exact
-  submission order by sorting on the per-outcome task index, which is
-  the deterministic-task-order guarantee tests pin.  ``chunksize=0``
-  selects the legacy per-task dispatch (full instance pickled with
-  every task, no registry) — kept as the benchmark comparator;
-* serially — with identical outcome semantics — when ``workers <= 1``,
-  the platform cannot fork, or pool creation fails for any reason,
+  complete in arbitrary order; :func:`_reassemble` restores exact task
+  order from the per-outcome task index;
+* serially — with identical outcome semantics — when ``workers <= 1``
+  or no pool can be created.
 
-with per-task wall-clock timeouts (SIGALRM-based, so a stuck optimizer
-returns a *marked* partial outcome instead of hanging the sweep) and a
-:class:`~repro.runtime.costcache.CostCache` installed around every
-task.  In serial mode one cache is shared by the whole sweep, so
+Either way each task runs under a per-task wall-clock timeout
+(SIGALRM-based, so a stuck optimizer returns a *marked* partial
+outcome instead of hanging the sweep) and a
+:class:`~repro.runtime.costcache.CostCache`.  Failures are survivable:
+a :class:`RetryPolicy` re-runs failed tasks with deterministic backoff,
+a dead worker takes down the pool, which is respawned with every
+in-flight task charged a ``worker-died`` attempt, and an optional
+journal (:mod:`repro.runtime.journal`) durably records each finished
+task so :func:`resume_sweep` can skip it after a crash.
+
+**Cache scope** is derived, not configured.  An attempt gets a *fresh*
+cache whenever its outcome may be journaled, replayed or retried —
+a journal (or resume), ``retry.attempts > 1``, ``retry.backoff > 0``
+or a fault plan — because only then is every outcome a pure function
+of its task, which is what makes a resumed sweep bit-identical to an
+uninterrupted one.  Otherwise the serial loop shares one cache across
+the sweep and each pool worker keeps one cache for its lifetime, so
 cross-task reuse (e.g. three exact optimizers walking the same subset
-lattice) is captured; in parallel mode each worker process holds its
-own cache and per-task counter deltas are aggregated at the end.
+lattice) is captured.
 
-Worker-persistent state never changes results: instances are decoded
-once per worker but every decode of one payload is structurally equal,
-optimizers are pure functions of instance content, and the cost cache
-keys on the content fingerprint — so chunked, legacy-parallel and
-serial runs produce bit-identical outcomes (value, type, ``repr``),
-which the differential tests in ``tests/test_runtime_registry.py``
-enforce across ``chunksize``/``workers`` schedules.
+Worker-persistent state never changes results: every decode of one
+payload is structurally equal, optimizers are pure functions of
+instance content, and the cost cache keys on the content fingerprint —
+so chunked and serial runs produce bit-identical outcomes (value,
+type, ``repr``), which ``tests/test_runtime_registry.py`` enforces
+across schedules.
 
 Every outcome carries wall time, plans explored, and the cache-counter
 movement attributable to that task — the raw material for
@@ -49,10 +58,20 @@ from __future__ import annotations
 import os
 import signal
 import time
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Callable,
+    Deque,
     Dict,
     Iterable,
     Iterator,
@@ -61,6 +80,7 @@ from typing import (
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
 from repro.hashjoin.annealing import qoh_simulated_annealing
@@ -82,19 +102,17 @@ from repro.observability.events import active_event_log
 from repro.observability.events import emit as _emit_event
 from repro.observability.metrics import active_metrics
 from repro.observability.tracer import Tracer, use_tracer
-from repro.runtime.costcache import (
-    CacheStats,
-    CostCache,
-    install_cache,
-    use_cache,
-)
+from repro.runtime.costcache import CacheStats, CostCache, use_cache
 from repro.runtime.registry import InstanceRef, InstanceRegistry
 from repro.starqo.dp import sqocp_dp
 from repro.starqo.optimizer import sqocp_optimal
 from repro.utils.validation import require
 
-if TYPE_CHECKING:  # runtime import would be circular: resilience uses _execute
+if TYPE_CHECKING:  # runtime imports would be circular: both import this
+    from repro.runtime.journal import JournalWriter
     from repro.runtime.resilience import FaultPlan
+
+PathLike = Union[str, Path]
 
 #: Name -> callable registry shared with the CLI.  Values must be
 #: module-level functions so task specs pickle across processes.
@@ -178,14 +196,13 @@ class TaskOutcome:
 class ExecutorStats:
     """What the executor did to move the work (not what tasks computed).
 
-    ``ship_bytes`` — pickled instance bytes shipped to workers: with
-    the registry path each distinct payload travels once per worker;
-    in legacy per-task mode every task carries its own copy.
-    ``registry_hits`` — worker-side live-tier hits (a decoded instance
-    was reused across tasks).  ``kernels_compiled`` — actual
+    ``ship_bytes`` — pickled instance bytes shipped to workers: each
+    distinct payload travels once per worker per pool (respawns ship
+    again).  ``registry_hits`` — worker-side live-tier hits (a decoded
+    instance was reused across tasks).  ``kernels_compiled`` — actual
     :mod:`repro.perf.kernels` constructions, summed over workers (or
     over the serial loop).  ``chunks`` — chunk payloads dispatched;
-    ``0`` in serial and legacy per-task modes.
+    ``0`` in serial mode.
 
     All fields are additive and deliberately *excluded* from journal
     records and bit-identity contracts: they describe scheduling, not
@@ -223,11 +240,11 @@ class SweepResult:
     workers: int
     cache_enabled: bool
     wall_time: float
-    #: Resilience counters — all zero for plain :func:`run_sweep` runs.
+    #: Resilience counters — all zero for a clean, unjournaled sweep.
     #: ``retries`` = extra attempts consumed beyond each task's first,
     #: ``recovered_workers`` = worker pools respawned after a death,
     #: ``resumed`` = outcomes restored from a journal by
-    #: :func:`repro.runtime.resilience.resume_sweep`.
+    #: :func:`resume_sweep`.
     retries: int = 0
     recovered_workers: int = 0
     resumed: int = 0
@@ -327,6 +344,39 @@ class SweepResult:
         return sum(outcome.explored for outcome in self.outcomes)
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How often to retry a failed task and how long to wait.
+
+    ``attempts`` is the *total* number of tries per task.  The wait
+    before retry ``k`` (1-based) is ``backoff * factor ** (k - 1)``,
+    capped at ``max_delay`` — deliberately jitter-free so the schedule
+    is deterministic and testable.
+    """
+
+    attempts: int = 1
+    backoff: float = 0.0
+    factor: float = 2.0
+    max_delay: float = 60.0
+
+    def __post_init__(self) -> None:
+        require(self.attempts >= 1, "RetryPolicy.attempts must be >= 1")
+        require(self.backoff >= 0.0, "RetryPolicy.backoff must be >= 0")
+        require(self.factor >= 1.0, "RetryPolicy.factor must be >= 1")
+        require(self.max_delay >= 0.0, "RetryPolicy.max_delay must be >= 0")
+
+    def delay(self, retry: int) -> float:
+        """Seconds to wait before retry number ``retry`` (1-based)."""
+        require(retry >= 1, "retry numbers are 1-based")
+        if self.backoff <= 0.0:
+            return 0.0
+        return min(self.backoff * self.factor ** (retry - 1), self.max_delay)
+
+    def delays(self) -> Tuple[float, ...]:
+        """The full backoff schedule for a task that fails every try."""
+        return tuple(self.delay(k) for k in range(1, self.attempts))
+
+
 class SweepTimeout(Exception):
     """Raised inside a task when its wall-clock budget expires."""
 
@@ -404,11 +454,10 @@ def _execute(index: int, task: SweepTask, cache: Optional[CostCache],
     survives timeouts and optimizer errors: ``finish()`` force-closes
     whatever spans the exception left open.
 
-    ``attempt`` and ``fault_plan`` belong to the resilience layer: when
-    a :class:`~repro.runtime.resilience.FaultPlan` schedules a fault at
-    ``(index, attempt)``, it fires inside the same try block the real
-    failures use, so injected and organic failures are classified by
-    one code path.
+    When a :class:`~repro.runtime.resilience.FaultPlan` schedules a
+    fault at ``(index, attempt)``, it fires inside the same try block
+    the real failures use, so injected and organic failures are
+    classified by one code path.
     """
     run = _resolve(task)
     kwargs = dict(task.kwargs)
@@ -443,7 +492,10 @@ def _execute(index: int, task: SweepTask, cache: Optional[CostCache],
         if fault is not None:
             from repro.runtime.resilience import apply_fault
 
-            apply_fault(fault, index=index, attempt=attempt)
+            apply_fault(
+                fault, index=index, attempt=attempt,
+                in_worker=_IN_POOL_WORKER,
+            )
         with use_cache(cache):
             if tracer is not None:
                 with use_tracer(tracer):
@@ -493,19 +545,56 @@ def _execute(index: int, task: SweepTask, cache: Optional[CostCache],
     )
 
 
-# -- parallel plumbing -------------------------------------------------
-#: Per-worker-process cache, installed by the pool initializer.
-_WORKER_CACHE: Optional[CostCache] = None
-#: Per-worker-process instance registry, built from the payload map
-#: shipped by the pool initializer.  None in legacy per-task mode,
-#: where tasks still carry full instances.
-_WORKER_REGISTRY: Optional[InstanceRegistry] = None
+def _failed_outcome(
+    index: int, task: SweepTask, attempts: int, failure: str, error: str
+) -> TaskOutcome:
+    """An outcome for a task the executor itself gave up on."""
+    return TaskOutcome(
+        index=index,
+        optimizer=task.optimizer_name,
+        label=task.label,
+        timed_out=failure == "timeout",
+        error=error,
+        failure=failure,
+        attempts=attempts,
+    )
 
-#: One dispatched chunk: ``(index, task)`` pairs plus the sweep-wide
-#: timeout/trace settings.  In registry mode each task's ``instance``
-#: slot holds an :class:`InstanceRef`.
+
+class _CacheScope:
+    """Which cost cache each attempt runs against (see module doc).
+
+    ``per_attempt`` hands every attempt a fresh cache; otherwise one
+    cache lives as long as the scope — the whole serial sweep, or one
+    pool worker's lifetime.
+    """
+
+    def __init__(
+        self, enabled: bool, maxsize: Optional[int], per_attempt: bool
+    ) -> None:
+        self._maxsize = maxsize if enabled else 0
+        self._shared = None if per_attempt else CostCache(self._maxsize)
+
+    def for_attempt(self) -> CostCache:
+        if self._shared is not None:
+            return self._shared
+        return CostCache(self._maxsize)
+
+
+# -- pool worker side --------------------------------------------------
+#: True inside a pool worker: an injected worker-kill then exits the
+#: process for real instead of raising :class:`WorkerDied`.
+_IN_POOL_WORKER = False
+#: The worker's cache scope and instance registry, built by the pool
+#: initializer from the shipped settings and payload map.
+_WORKER_CACHE = _CacheScope(True, None, per_attempt=True)
+_WORKER_REGISTRY = InstanceRegistry()
+
+#: One dispatched chunk: ``(index, task, attempt)`` triples — each
+#: task's ``instance`` slot holding an :class:`InstanceRef` — plus the
+#: sweep-wide timeout/trace/chaos settings.
 _ChunkPayload = Tuple[
-    Tuple[Tuple[int, SweepTask], ...], Optional[float], bool
+    Tuple[Tuple[int, SweepTask, int], ...],
+    Optional[float], bool, Optional["FaultPlan"],
 ]
 #: What a chunk sends back: its outcomes plus the worker-side deltas
 #: of registry live-tier hits and kernel compilations.
@@ -513,45 +602,27 @@ _ChunkResult = Tuple[Tuple[TaskOutcome, ...], int, int]
 
 
 def _worker_init(
-    cache_enabled: bool,
+    cache: bool,
     cache_maxsize: Optional[int],
-    payloads: Optional[Dict[str, bytes]] = None,
-    registry_max_live: Optional[int] = None,
+    per_attempt: bool,
+    payloads: Dict[str, bytes],
+    registry_max_live: Optional[int],
 ) -> None:
-    global _WORKER_CACHE, _WORKER_REGISTRY
-    _WORKER_CACHE = (
-        CostCache(maxsize=cache_maxsize) if cache_enabled
-        else CostCache(maxsize=0)
-    )
-    _WORKER_REGISTRY = (
-        InstanceRegistry.from_payloads(payloads, max_live=registry_max_live)
-        if payloads is not None else None
-    )
-    if payloads is not None:
-        # Worker-persistent kernels: while the registry keeps a decoded
-        # instance live, keep its compiled kernel alive too.  Bounded
-        # by the live tier so pinning cannot outgrow the registry.
-        from repro.perf.kernels import pin_kernels
+    from repro.perf.kernels import pin_kernels
 
-        pin_kernels(
-            registry_max_live if registry_max_live is not None
-            else len(payloads)
-        )
-    install_cache(None)  # tasks install it per-call via _execute
-
-
-def _materialize(
-    task: SweepTask, registry: Optional[InstanceRegistry]
-) -> SweepTask:
-    """Swap a shipped :class:`InstanceRef` back for its live instance."""
-    if not isinstance(task.instance, InstanceRef):
-        return task
-    require(
-        registry is not None,
-        "task references the instance registry but this worker has none",
+    global _IN_POOL_WORKER, _WORKER_CACHE, _WORKER_REGISTRY
+    _IN_POOL_WORKER = True
+    _WORKER_CACHE = _CacheScope(cache, cache_maxsize, per_attempt)
+    _WORKER_REGISTRY = InstanceRegistry.from_payloads(
+        payloads, max_live=registry_max_live
     )
-    assert registry is not None  # for the type checker; require() raised
-    return replace(task, instance=registry.get(task.instance.key))
+    # Worker-persistent kernels: while the registry keeps a decoded
+    # instance live, keep its compiled kernel alive too.  Bounded by
+    # the live tier so pinning cannot outgrow the registry.
+    pin_kernels(
+        registry_max_live if registry_max_live is not None
+        else len(payloads)
+    )
 
 
 def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
@@ -564,37 +635,44 @@ def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
     """
     from repro.perf.kernels import compiles_total
 
-    items, default_timeout, trace = payload
+    entries, default_timeout, trace, fault_plan = payload
     registry = _WORKER_REGISTRY
-    hits_before = registry.stats().hits if registry is not None else 0
+    hits_before = registry.stats().hits
     compiled_before = compiles_total()
     outcomes = tuple(
         _execute(
-            index, _materialize(task, registry), _WORKER_CACHE,
-            default_timeout, trace=trace,
+            index,
+            replace(
+                task,
+                instance=registry.get(cast(InstanceRef, task.instance).key),
+            ),
+            _WORKER_CACHE.for_attempt(), default_timeout,
+            trace=trace, attempt=attempt, fault_plan=fault_plan,
         )
-        for index, task in items
+        for index, task, attempt in entries
     )
-    hits_delta = (
-        registry.stats().hits - hits_before if registry is not None else 0
+    return (
+        outcomes,
+        registry.stats().hits - hits_before,
+        compiles_total() - compiled_before,
     )
-    return outcomes, hits_delta, compiles_total() - compiled_before
 
 
-def _make_pool(
+def _make_executor(
     workers: int,
-    cache_enabled: bool,
+    cache: bool,
     cache_maxsize: Optional[int],
-    payloads: Optional[Dict[str, bytes]] = None,
-    registry_max_live: Optional[int] = None,
-) -> object:
-    """Create the worker pool (split out so tests can force failure)."""
-    import multiprocessing
-
-    return multiprocessing.get_context().Pool(
-        processes=workers,
+    per_attempt: bool,
+    payloads: Dict[str, bytes],
+    registry_max_live: Optional[int],
+) -> ProcessPoolExecutor:
+    """Create the pool (split out so tests can force creation failure)."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
         initializer=_worker_init,
-        initargs=(cache_enabled, cache_maxsize, payloads, registry_max_live),
+        initargs=(
+            cache, cache_maxsize, per_attempt, payloads, registry_max_live,
+        ),
     )
 
 
@@ -604,7 +682,7 @@ def default_workers() -> int:
 
 
 def auto_chunksize(num_tasks: int, workers: int) -> int:
-    """Deterministic chunk-size heuristic for ``chunksize=None``.
+    """Deterministic chunk-size heuristic: tasks per dispatched chunk.
 
     Aims for about four chunks per worker — enough slack for the pool
     to balance stragglers — while capping chunks at 32 tasks so one
@@ -618,27 +696,16 @@ def auto_chunksize(num_tasks: int, workers: int) -> int:
     return max(1, min(32, -(-num_tasks // (workers * 4))))
 
 
-def _chunked(
-    items: Sequence[Tuple[int, SweepTask]], size: int
-) -> List[Tuple[Tuple[int, SweepTask], ...]]:
-    require(size >= 1, "chunk size must be >= 1")
-    return [
-        tuple(items[start:start + size])
-        for start in range(0, len(items), size)
-    ]
-
-
 def _reassemble(
     outcomes: Iterable[TaskOutcome], expected: int
 ) -> List[TaskOutcome]:
-    """Restore submission order after unordered chunk completion.
+    """Restore task order after unordered completion.
 
-    ``imap_unordered`` yields chunk results in *completion* order —
-    whichever worker finishes first.  Every outcome carries the task
-    index it was dispatched with, so sorting on that index restores
-    the exact submission order.  This sort is the deterministic
-    task-order guarantee the module docstring makes; it is pinned by
-    ``tests/test_runtime_registry.py``.
+    Pool chunks finish in *completion* order, retries and resumed
+    journal records land whenever they land; every outcome carries the
+    task index it was dispatched with, so sorting on that index
+    restores the exact task order.  Anything but exactly one outcome
+    per index ``0..expected-1`` is rejected rather than returned.
     """
     ordered = sorted(outcomes, key=lambda outcome: outcome.index)
     require(
@@ -649,81 +716,262 @@ def _reassemble(
     return ordered
 
 
-def _run_pool(
+class _Ledger:
+    """Bookkeeping shared by the serial and pool loops: final outcomes,
+    per-task attempt numbers, retry accounting and the journal."""
+
+    def __init__(
+        self,
+        tasks: Sequence[SweepTask],
+        pending: Sequence[int],
+        retry: RetryPolicy,
+        sleep: Callable[[float], None],
+        writer: Optional["JournalWriter"],
+    ) -> None:
+        self.tasks = tasks
+        self.retry = retry
+        self.sleep = sleep
+        self.writer = writer
+        self.attempt: Dict[int, int] = dict.fromkeys(pending, 0)
+        self.outcomes: Dict[int, TaskOutcome] = {}
+        self.retries = 0
+        self.recovered = 0
+
+    def finalize(self, index: int, outcome: TaskOutcome) -> None:
+        self.outcomes[index] = outcome
+        if self.writer is not None:
+            # Fingerprints are only ever computed for a journal: hashing
+            # every task would tax journal-free sweeps for nothing.
+            from repro.runtime import journal
+
+            self.writer.append(
+                journal.task_fingerprint(index, self.tasks[index]), outcome
+            )
+
+    def settle(self, index: int, outcome: TaskOutcome) -> bool:
+        """Finalize ``outcome`` — unless it failed with retry budget
+        left: then charge a retry, back off, and return True (run the
+        task again)."""
+        attempt = self.attempt[index]
+        if outcome.ok or attempt + 1 >= self.retry.attempts:
+            self.finalize(index, outcome)
+            return False
+        self.retries += 1
+        if active_event_log() is not None:
+            _emit_event(
+                "task.retry",
+                index=index,
+                attempt=attempt + 1,
+                failure=outcome.failure,
+            )
+        delay = self.retry.delay(attempt + 1)
+        if delay > 0.0:
+            self.sleep(delay)
+        self.attempt[index] = attempt + 1
+        return True
+
+    def failed(self, index: int, failure: str, error: str) -> TaskOutcome:
+        """The outcome of the current attempt when it never reported."""
+        return _failed_outcome(
+            index, self.tasks[index], self.attempt[index] + 1, failure, error
+        )
+
+    def cancel(self, indices: Iterable[int], error: str) -> None:
+        """Mark ``indices`` cancelled.  Cancelled outcomes are *not*
+        journaled, so a resume re-runs exactly these tasks."""
+        for index in indices:
+            self.outcomes[index] = _failed_outcome(
+                index, self.tasks[index], self.attempt[index],
+                "cancelled", error,
+            )
+
+
+def _run_serial(
     tasks: Sequence[SweepTask],
+    pending: Sequence[int],
+    ledger: _Ledger,
+    scope: _CacheScope,
+    timeout: Optional[float],
+    trace: bool,
+    fault_plan: Optional["FaultPlan"],
+) -> ExecutorStats:
+    from repro.perf.kernels import compiles_total, pinned_kernels
+
+    compiled_before = compiles_total()
+    # In-process tasks already share live instances; pin their kernels
+    # for the duration of the sweep so compilation is per-instance,
+    # matching what a registry worker sees.
+    distinct = len({id(task.instance) for task in tasks})
+    position = 0
+    with pinned_kernels(distinct):
+        try:
+            for position, index in enumerate(pending):
+                while ledger.settle(index, _execute(
+                    index, tasks[index], scope.for_attempt(), timeout,
+                    trace=trace, attempt=ledger.attempt[index],
+                    fault_plan=fault_plan,
+                )):
+                    pass  # settle() charged a retry: run the next attempt
+        except KeyboardInterrupt:
+            running = pending[position]
+            ledger.outcomes[running] = ledger.failed(
+                running, "cancelled", "cancelled by interrupt"
+            )
+            ledger.cancel(
+                pending[position + 1:], "cancelled before execution"
+            )
+    return ExecutorStats(kernels_compiled=compiles_total() - compiled_before)
+
+
+def _run_parallel(
+    tasks: Sequence[SweepTask],
+    pending: Sequence[int],
+    ledger: _Ledger,
     workers: int,
     cache: bool,
     cache_maxsize: Optional[int],
+    per_attempt: bool,
     timeout: Optional[float],
     trace: bool,
-    chunksize: Optional[int],
+    fault_plan: Optional["FaultPlan"],
     registry_maxsize: Optional[int],
-) -> Tuple[Optional[List[TaskOutcome]], ExecutorStats]:
-    """The parallel path; ``(None, ...)`` means "fall back to serial".
+) -> Optional[ExecutorStats]:
+    """Pool-backed loop; returns None when no pool can be created.
 
-    ``chunksize > 0`` (or ``None`` → :func:`auto_chunksize`) dispatches
-    registry-backed chunks; ``chunksize == 0`` reproduces the legacy
-    per-task dispatch — full instance pickled with every task, fresh
-    decode and kernel compile per task — kept as the executor-bench
-    comparator.
+    Dispatch is chunked (:func:`auto_chunksize`), but recovery stays at
+    *task* granularity: retry accounting, journal records and resume
+    fingerprints are all per task, and a chunk lost to a worker death
+    re-queues each of its tasks individually with one ``worker-died``
+    attempt charged.
     """
-    resolved = (
-        auto_chunksize(len(tasks), workers) if chunksize is None
-        else chunksize
-    )
     registry = InstanceRegistry()
-    if resolved > 0:
-        indexed = [
-            (
-                index,
-                replace(
-                    task,
-                    instance=InstanceRef(registry.register(task.instance)),
-                ),
-            )
-            for index, task in enumerate(tasks)
-        ]
-        chunks = _chunked(indexed, resolved)
-        ship_bytes = registry.payload_bytes() * workers
-        pool_payloads: Optional[Dict[str, bytes]] = registry.payloads()
-    else:
-        # Legacy accounting: the registry is only used parent-side to
-        # price what per-task shipping costs (one pickled copy of the
-        # instance per task).
-        keys = [registry.register(task.instance) for task in tasks]
-        payload_map = registry.payloads()
-        ship_bytes = sum(len(payload_map[key]) for key in keys)
-        chunks = _chunked(list(enumerate(tasks)), 1)
-        pool_payloads = None
-    try:
-        pool = _make_pool(
-            workers, cache, cache_maxsize, pool_payloads, registry_maxsize
+    # Content-hash each instance *object* once, not once per task: a
+    # grid repeats a few instances across many tasks, and the hash is
+    # paid serially before any worker starts.  ``tasks`` keeps every
+    # instance alive, so an id cannot be recycled meanwhile.
+    keys: Dict[int, str] = {}
+    shipped: Dict[int, SweepTask] = {}
+    for index in pending:
+        instance = tasks[index].instance
+        if id(instance) not in keys:
+            keys[id(instance)] = registry.register(instance)
+        shipped[index] = replace(
+            tasks[index], instance=InstanceRef(keys[id(instance)])
         )
-    except Exception:  # no semaphores / sandboxed: degrade quietly
-        return None, ExecutorStats()
-    try:
-        with pool:
-            raw: List[_ChunkResult] = list(
-                pool.imap_unordered(
-                    _worker_run_chunk,
-                    [(chunk, timeout, trace) for chunk in chunks],
-                )
-            )
-    except Exception:
-        return None, ExecutorStats()  # fall back to serial
-    collected: List[TaskOutcome] = []
+    payloads = registry.payloads()
+    per_chunk = auto_chunksize(len(pending), workers)
+    ship_bytes = 0
     registry_hits = 0
     kernels_compiled = 0
-    for chunk_outcomes, hits_delta, compiled_delta in raw:
-        collected.extend(chunk_outcomes)
-        registry_hits += hits_delta
-        kernels_compiled += compiled_delta
-    outcomes = _reassemble(collected, len(tasks))
-    return outcomes, ExecutorStats(
+    chunks = 0
+
+    def spawn() -> ProcessPoolExecutor:
+        nonlocal ship_bytes
+        pool = _make_executor(
+            workers, cache, cache_maxsize, per_attempt, payloads,
+            registry_maxsize,
+        )
+        ship_bytes += registry.payload_bytes() * workers
+        return pool
+
+    try:
+        executor = spawn()
+    except Exception:  # no semaphores / sandboxed: degrade quietly
+        return None
+
+    queue: Deque[int] = deque(pending)
+    futures: Dict["Future[_ChunkResult]", Tuple[int, ...]] = {}
+
+    def requeue_unless_final(index: int, outcome: TaskOutcome) -> None:
+        if ledger.settle(index, outcome):
+            queue.append(index)
+
+    try:
+        while queue or futures:
+            try:
+                while queue:
+                    chunk = tuple(
+                        queue.popleft()
+                        for _ in range(min(per_chunk, len(queue)))
+                    )
+                    payload: _ChunkPayload = (
+                        tuple(
+                            (index, shipped[index], ledger.attempt[index])
+                            for index in chunk
+                        ),
+                        timeout, trace, fault_plan,
+                    )
+                    try:
+                        future = executor.submit(_worker_run_chunk, payload)
+                    except BrokenExecutor:
+                        queue.extendleft(reversed(chunk))  # unsubmitted
+                        raise
+                    futures[future] = chunk
+                    chunks += 1
+                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
+                for future in done:
+                    indices = futures.pop(future)
+                    try:
+                        outcomes, hits, compiled = future.result()
+                    except BrokenExecutor:
+                        futures[future] = indices  # recover below, in-flight
+                        raise
+                    except Exception as exc:  # noqa: BLE001
+                        for index in indices:
+                            requeue_unless_final(index, ledger.failed(
+                                index, "error", f"{type(exc).__name__}: {exc}"
+                            ))
+                        continue
+                    registry_hits += hits
+                    kernels_compiled += compiled
+                    for outcome in outcomes:
+                        requeue_unless_final(outcome.index, outcome)
+            except BrokenExecutor:
+                # A worker died and took the pool with it.  Respawn,
+                # charge every in-flight task a worker-died attempt,
+                # and re-queue the ones with retry budget left — task
+                # by task, even when they were dispatched as a chunk.
+                ledger.recovered += 1
+                inflight = sorted(
+                    index for indices in futures.values() for index in indices
+                )
+                if active_event_log() is not None:
+                    _emit_event(
+                        "task.worker_death",
+                        inflight=inflight,
+                        recovery=ledger.recovered,
+                    )
+                futures.clear()
+                executor.shutdown(wait=False, cancel_futures=True)
+                try:
+                    executor = spawn()
+                except Exception:
+                    # Can't respawn: everything unfinished is lost.
+                    for index in inflight + sorted(queue):
+                        ledger.finalize(index, ledger.failed(
+                            index, "worker-died",
+                            "worker process died; pool respawn failed",
+                        ))
+                    queue.clear()
+                    break
+                for index in inflight:
+                    requeue_unless_final(index, ledger.failed(
+                        index, "worker-died", "worker process died mid-task"
+                    ))
+    except KeyboardInterrupt:
+        executor.shutdown(wait=False, cancel_futures=True)
+        ledger.cancel(
+            [index for indices in futures.values() for index in indices]
+            + list(queue),
+            "cancelled by interrupt",
+        )
+    else:
+        executor.shutdown()
+    return ExecutorStats(
         ship_bytes=ship_bytes,
         registry_hits=registry_hits,
         kernels_compiled=kernels_compiled,
-        chunks=len(chunks) if resolved > 0 else 0,
+        chunks=chunks,
     )
 
 
@@ -772,6 +1020,75 @@ def publish_sweep_telemetry(result: SweepResult) -> SweepResult:
     return result
 
 
+def _run(
+    tasks: List[SweepTask],
+    completed: Dict[int, TaskOutcome],
+    workers: Optional[int],
+    cache: bool,
+    cache_maxsize: Optional[int],
+    timeout: Optional[float],
+    trace: bool,
+    retry: Optional[RetryPolicy],
+    fault_plan: Optional["FaultPlan"],
+    journal: Optional[PathLike],
+    sleep: Callable[[float], None],
+    registry_maxsize: Optional[int],
+) -> SweepResult:
+    """The executor behind :func:`run_sweep` and :func:`resume_sweep`;
+    ``completed`` holds outcomes already restored from a journal."""
+    retry = retry or RetryPolicy()
+    if workers is None:
+        workers = default_workers()
+    start = time.perf_counter()
+    per_attempt = (
+        journal is not None or retry.attempts > 1 or retry.backoff > 0.0
+        or fault_plan is not None
+    )
+    pending = [index for index in range(len(tasks)) if index not in completed]
+    writer: Optional["JournalWriter"] = None
+    if journal is not None:
+        from repro.runtime.journal import JournalWriter
+
+        writer = JournalWriter(
+            journal, meta={"tasks": len(tasks), "resumed": len(completed)}
+        )
+    ledger = _Ledger(tasks, pending, retry, sleep, writer)
+    mode = "serial"
+    try:
+        executor: Optional[ExecutorStats] = None
+        if workers > 1 and len(pending) > 1:
+            executor = _run_parallel(
+                tasks, pending, ledger, workers, cache, cache_maxsize,
+                per_attempt, timeout, trace, fault_plan, registry_maxsize,
+            )
+            if executor is not None:
+                mode = "parallel"
+        if executor is None:
+            executor = _run_serial(
+                tasks, pending, ledger,
+                _CacheScope(cache, cache_maxsize, per_attempt),
+                timeout, trace, fault_plan,
+            )
+    finally:
+        if writer is not None:
+            writer.close()
+
+    outcomes = _reassemble(
+        [*completed.values(), *ledger.outcomes.values()], len(tasks)
+    )
+    return publish_sweep_telemetry(SweepResult(
+        outcomes=tuple(outcomes),
+        mode=mode,
+        workers=workers if mode == "parallel" else 1,
+        cache_enabled=cache,
+        wall_time=time.perf_counter() - start,
+        retries=ledger.retries,
+        recovered_workers=ledger.recovered,
+        resumed=len(completed),
+        executor=executor,
+    ))
+
+
 def run_sweep(
     tasks: Sequence[SweepTask],
     workers: Optional[int] = None,
@@ -779,7 +1096,10 @@ def run_sweep(
     cache_maxsize: Optional[int] = None,
     timeout: Optional[float] = None,
     trace: bool = False,
-    chunksize: Optional[int] = None,
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional["FaultPlan"] = None,
+    journal: Optional[PathLike] = None,
+    sleep: Callable[[float], None] = time.sleep,
     registry_maxsize: Optional[int] = None,
 ) -> SweepResult:
     """Run every task and return outcomes in task order.
@@ -797,63 +1117,63 @@ def run_sweep(
             (``SweepTask.timeout`` overrides per task).
         trace: record a per-task span tree on every outcome; merge the
             lot with :meth:`SweepResult.trace_records`.
-        chunksize: tasks per dispatched chunk.  ``None`` applies the
-            deterministic :func:`auto_chunksize` heuristic; ``0``
-            selects the legacy per-task dispatch (no registry, full
-            instance shipped with every task).  Never affects results,
-            only throughput — pinned by schedule-independence tests.
+        retry: attempts/backoff schedule; default is one attempt, no
+            backoff.
+        fault_plan: deterministic chaos schedule (tests only).
+        journal: path to append fsynced per-task records to.
+        sleep: backoff clock, injectable so tests assert the schedule
+            without waiting it out.
         registry_maxsize: bound on each worker's *live* decoded
             instances (the payload tier keeps everything, so eviction
             only costs a re-decode).  ``None`` is unbounded.
+
+    A journal, a retry policy with more than one attempt or any
+    backoff, or a fault plan gives every attempt a fresh cost cache
+    (see the module docstring); otherwise the cache is shared.
     """
-    tasks = list(tasks)
-    if workers is None:
-        workers = default_workers()
-    require(
-        chunksize is None or chunksize >= 0,
-        "chunksize must be None (auto) or >= 0",
+    return _run(
+        list(tasks), {}, workers, cache, cache_maxsize, timeout, trace,
+        retry, fault_plan, journal, sleep, registry_maxsize,
     )
-    start = time.perf_counter()
 
-    outcomes: Optional[List[TaskOutcome]] = None
-    executor = ExecutorStats()
-    mode = "serial"
-    if workers > 1 and len(tasks) > 1:
-        outcomes, executor = _run_pool(
-            tasks, workers, cache, cache_maxsize, timeout, trace,
-            chunksize, registry_maxsize,
-        )
-        if outcomes is not None:
-            mode = "parallel"
 
-    if outcomes is None:
-        from repro.perf.kernels import compiles_total, pinned_kernels
+def resume_sweep(
+    journal_path: PathLike,
+    tasks: Sequence[SweepTask],
+    workers: Optional[int] = None,
+    cache: bool = True,
+    cache_maxsize: Optional[int] = None,
+    timeout: Optional[float] = None,
+    trace: bool = False,
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional["FaultPlan"] = None,
+    sleep: Callable[[float], None] = time.sleep,
+    registry_maxsize: Optional[int] = None,
+) -> SweepResult:
+    """Resume a journaled sweep, merging stored and fresh outcomes.
 
-        compiled_before = compiles_total()
-        shared = (
-            CostCache(maxsize=cache_maxsize) if cache else CostCache(maxsize=0)
-        )
-        # In-process tasks already share live instances; pin their
-        # kernels for the duration of the sweep so compilation is
-        # per-instance, matching what a registry worker would see.
-        distinct = len({id(task.instance) for task in tasks})
-        with pinned_kernels(distinct):
-            outcomes = [
-                _execute(index, task, shared, timeout, trace=trace)
-                for index, task in enumerate(tasks)
-            ]
-        executor = ExecutorStats(
-            kernels_compiled=compiles_total() - compiled_before
-        )
+    Tasks whose fingerprint has a completed record in the journal are
+    restored verbatim (bit-identical result, ``explored``, cache
+    counters); the rest run as in :func:`run_sweep`, appending their
+    records to the same journal.  A missing or empty journal file
+    resumes nothing and behaves like a fresh journaled sweep.
+    """
+    from repro.runtime import journal
 
-    return publish_sweep_telemetry(SweepResult(
-        outcomes=tuple(outcomes),
-        mode=mode,
-        workers=workers if mode == "parallel" else 1,
-        cache_enabled=cache,
-        wall_time=time.perf_counter() - start,
-        executor=executor,
-    ))
+    tasks = list(tasks)
+    path = Path(journal_path)
+    completed: Dict[int, TaskOutcome] = {}
+    if path.exists() and path.stat().st_size > 0:
+        _, records = journal.read_journal(path)
+        by_fingerprint = journal.completed_by_fingerprint(records)
+        for index, task in enumerate(tasks):
+            record = by_fingerprint.get(journal.task_fingerprint(index, task))
+            if record is not None:
+                completed[index] = journal.record_to_outcome(record)
+    return _run(
+        tasks, completed, workers, cache, cache_maxsize, timeout, trace,
+        retry, fault_plan, path, sleep, registry_maxsize,
+    )
 
 
 def grid_tasks(

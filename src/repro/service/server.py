@@ -269,9 +269,11 @@ class OptimizationServer:
         self._stop_event.set()
         if self._listener is not None:
             try:
-                self._listener.close()
+                # Wake the accept loop's blocked accept() before closing.
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         deadline = time.monotonic() + drain_timeout
         with self._drained:
             while self._pending or self._running_count:
@@ -349,9 +351,12 @@ class OptimizationServer:
     # -- accept / read ------------------------------------------------
 
     def _accept_loop(self) -> None:
+        # Keep accepting until the listener closes, even once a stop is
+        # requested: a client that connected before the close must get
+        # its "server draining" reject, not wait for ever.
         listener = self._listener
         assert listener is not None
-        while not self._stop_event.is_set():
+        while True:
             try:
                 sock, _peer = listener.accept()
             except OSError:

@@ -347,7 +347,7 @@ class TestRuleFixtures:
         tree = make_tree(tmp_path, {
             "src/repro/api.py": """\
                 def sweep(tasks, fault_plan=None):
-                    return run_resilient_sweep(tasks, fault_plan=fault_plan)
+                    return run_sweep(tasks, fault_plan=fault_plan)
             """,
         })
         assert lint_paths([tree], select=["RPR010"]).ok
@@ -414,7 +414,7 @@ class TestRuleFixtures:
             "src/repro/runtime/runner.py": """\
                 from repro.runtime.registry import InstanceRegistry
 
-                def _make_pool():
+                def _make_executor():
                     return InstanceRegistry()
             """,
             "src/repro/service/server.py": """\

@@ -1,12 +1,15 @@
-"""Chaos suite for the resilience layer (``repro.runtime.resilience``).
+"""Chaos suite for the sweep executor's failure paths.
 
-Deterministic fault injection exercises every failure path without
-real crashes (plus one test with a *real* SIGKILL of a journaled
-sweep subprocess).  The load-bearing property throughout: a resilient
-sweep's outcomes are a pure function of its tasks — independent of
+Deterministic fault injection (``repro.runtime.resilience``) exercises
+every failure path of :func:`~repro.runtime.runner.run_sweep` without
+real crashes (plus one test with a *real* SIGKILL of a journaled sweep
+subprocess).  The load-bearing property throughout: once a sweep is
+journaled, retried or faulted, every attempt gets a fresh cost cache,
+so its outcomes are a pure function of its tasks — independent of
 schedule, worker placement, injected faults that were retried away,
-and how many times the sweep was interrupted — so resumed, retried
-and chaos-ridden sweeps are bit-identical to clean ones.
+and how many times the sweep was interrupted.  Each faulted run is
+therefore compared with the same call without the fault plan, and
+each resumed run with an uninterrupted journaled one.
 """
 
 from __future__ import annotations
@@ -33,21 +36,22 @@ from repro.runtime.metrics import (
     validate_metrics,
     write_metrics,
 )
+from repro.runtime import journal as journal_mod
 from repro.runtime.resilience import (
     FaultInjected,
     FaultInjection,
     FaultPlan,
-    RetryPolicy,
     apply_fault,
-    resume_sweep,
-    run_resilient_sweep,
 )
 from repro.runtime.runner import (
     OPTIMIZERS,
+    RetryPolicy,
     SweepTask,
     SweepTimeout,
     WorkerDied,
     grid_tasks,
+    resume_sweep,
+    run_sweep,
 )
 from repro.utils.validation import ValidationError
 from repro.workloads.queries import random_query
@@ -64,6 +68,11 @@ def _tasks(optimizers=("dp", "greedy-cost"), seeds=2):
 
 def _no_sleep(_delay):
     return None
+
+
+def _uninterrupted(tasks, tmp_path):
+    """The reference for resumed sweeps: one journaled, clean run."""
+    return run_sweep(tasks, workers=1, journal=tmp_path / "clean.jsonl")
 
 
 def assert_equivalent(actual, expected):
@@ -117,11 +126,13 @@ class TestFaultPlan:
 class TestRetry:
     def test_retry_until_success(self):
         tasks = _tasks()
-        chaotic = run_resilient_sweep(
-            tasks, workers=1, retry=RetryPolicy(attempts=2),
-            fault_plan=plan_of((0, 0, "error")), sleep=_no_sleep,
+        settings = dict(
+            workers=1, retry=RetryPolicy(attempts=2), sleep=_no_sleep
         )
-        clean = run_resilient_sweep(tasks, workers=1)
+        chaotic = run_sweep(
+            tasks, fault_plan=plan_of((0, 0, "error")), **settings
+        )
+        clean = run_sweep(tasks, **settings)
         assert chaotic.retries == 1
         assert chaotic.outcomes[0].attempts == 2
         assert all(o.attempts == 1 for o in chaotic.outcomes[1:])
@@ -129,7 +140,7 @@ class TestRetry:
 
     def test_retry_exhaustion_keeps_taxonomy(self):
         tasks = _tasks()
-        result = run_resilient_sweep(
+        result = run_sweep(
             tasks, workers=1, retry=RetryPolicy(attempts=2),
             fault_plan=plan_of((0, 0, "error"), (0, 1, "error")),
             sleep=_no_sleep,
@@ -150,7 +161,7 @@ class TestRetry:
             (1, 0, "error"), (1, 1, "error"),
             (2, 0, "worker-kill"), (2, 1, "worker-kill"),
         )
-        result = run_resilient_sweep(
+        result = run_sweep(
             tasks, workers=1, retry=RetryPolicy(attempts=2),
             fault_plan=plan, sleep=_no_sleep,
         )
@@ -167,7 +178,7 @@ class TestRetry:
         assert payload["totals"]["retries"] == 3
 
     def test_metrics_round_trip_with_failures(self, tmp_path):
-        result = run_resilient_sweep(
+        result = run_sweep(
             _tasks(), workers=1, retry=RetryPolicy(attempts=2),
             fault_plan=plan_of((0, 0, "timeout")), sleep=_no_sleep,
         )
@@ -177,7 +188,7 @@ class TestRetry:
 
     def test_metrics_validation_rejects_bad_failure_label(self):
         payload = sweep_metrics(
-            run_resilient_sweep(_tasks(), workers=1), grid={}
+            run_sweep(_tasks(), workers=1), grid={}
         )
         payload["tasks"][0]["failure"] = "gremlins"
         with pytest.raises(ValidationError):
@@ -197,7 +208,7 @@ class TestBackoff:
     def test_sweep_sleeps_exactly_the_schedule(self):
         recorded = []
         policy = RetryPolicy(attempts=3, backoff=0.25)
-        run_resilient_sweep(
+        run_sweep(
             _tasks(), workers=1, retry=policy,
             fault_plan=plan_of((0, 0, "error"), (0, 1, "error")),
             sleep=recorded.append,
@@ -217,37 +228,43 @@ class TestBackoff:
 class TestWorkerKillRecovery:
     def test_serial_simulation_recovers_via_retry(self):
         tasks = _tasks()
-        result = run_resilient_sweep(
-            tasks, workers=1, retry=RetryPolicy(attempts=2),
-            fault_plan=plan_of((1, 0, "worker-kill")), sleep=_no_sleep,
+        settings = dict(
+            workers=1, retry=RetryPolicy(attempts=2), sleep=_no_sleep
+        )
+        result = run_sweep(
+            tasks, fault_plan=plan_of((1, 0, "worker-kill")), **settings
         )
         assert result.retries == 1
         assert result.outcomes[1].attempts == 2
-        assert_equivalent(result, run_resilient_sweep(tasks, workers=1))
+        assert_equivalent(result, run_sweep(tasks, **settings))
 
     def test_parallel_real_kill_respawns_pool(self):
         tasks = _tasks()
-        result = run_resilient_sweep(
-            tasks, workers=2, retry=RetryPolicy(attempts=3),
-            fault_plan=plan_of((1, 0, "worker-kill")), sleep=_no_sleep,
+        settings = dict(
+            workers=2, retry=RetryPolicy(attempts=3), sleep=_no_sleep
+        )
+        result = run_sweep(
+            tasks, fault_plan=plan_of((1, 0, "worker-kill")), **settings
         )
         if result.mode != "parallel":
             pytest.skip("no process pool available here")
         assert result.recovered_workers >= 1
         assert all(o.ok for o in result)
-        # Task isolation makes parallel-with-chaos == clean-serial.
-        assert_equivalent(result, run_resilient_sweep(tasks, workers=1))
+        # Task isolation makes a chaos run equal to the clean one.
+        assert_equivalent(result, run_sweep(tasks, **settings))
         payload = sweep_metrics(result, grid={})
         assert payload["totals"]["recovered_workers"] >= 1
 
     def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
-        from repro.runtime import resilience as resilience_mod
+        from repro.runtime import runner as runner_mod
 
         def explode(*_args, **_kwargs):
             raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(resilience_mod, "_make_executor", explode)
-        result = run_resilient_sweep(_tasks(), workers=4)
+        monkeypatch.setattr(runner_mod, "_make_executor", explode)
+        result = run_sweep(
+            _tasks(), workers=4, retry=RetryPolicy(attempts=2)
+        )
         assert result.mode == "serial"
         assert all(o.ok for o in result)
 
@@ -256,7 +273,7 @@ class TestJournal:
     def test_journal_has_header_and_valid_records(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         tasks = _tasks()
-        run_resilient_sweep(tasks, workers=1, journal=journal)
+        run_sweep(tasks, workers=1, journal=journal)
         meta, records = read_journal(journal)
         assert meta["tasks"] == len(tasks)
         assert len(records) == len(tasks)
@@ -270,7 +287,7 @@ class TestJournal:
     def test_records_round_trip_outcomes_exactly(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         tasks = _tasks()
-        result = run_resilient_sweep(tasks, workers=1, journal=journal)
+        result = run_sweep(tasks, workers=1, journal=journal)
         _, records = read_journal(journal)
         by_fp = completed_by_fingerprint(records)
         for index, task in enumerate(tasks):
@@ -285,7 +302,7 @@ class TestJournal:
     def test_torn_final_line_is_dropped(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
         tasks = _tasks()
-        run_resilient_sweep(tasks, workers=1, journal=journal)
+        run_sweep(tasks, workers=1, journal=journal)
         with journal.open("a") as handle:
             handle.write('{"record": "task", "finge')  # SIGKILL mid-write
         _, records = read_journal(journal)
@@ -293,7 +310,7 @@ class TestJournal:
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_resilient_sweep(_tasks(), workers=1, journal=journal)
+        run_sweep(_tasks(), workers=1, journal=journal)
         lines = journal.read_text().splitlines()
         lines[2] = "not json at all"
         journal.write_text("\n".join(lines) + "\n")
@@ -305,6 +322,22 @@ class TestJournal:
         journal.write_text('{"schema": "repro.sweep/1", "meta": {}}\n')
         with pytest.raises(ValidationError):
             read_journal(journal)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_journal_free_sweep_never_fingerprints(
+        self, monkeypatch, workers
+    ):
+        """Fingerprints cost a hash per task; only a journal pays it."""
+
+        def forbidden(*_args):
+            raise AssertionError("task_fingerprint called without a journal")
+
+        monkeypatch.setattr(journal_mod, "task_fingerprint", forbidden)
+        result = run_sweep(
+            _tasks(), workers=workers, retry=RetryPolicy(attempts=2),
+            fault_plan=plan_of((0, 0, "error")), sleep=_no_sleep,
+        )
+        assert all(o.ok for o in result)
 
     def test_fingerprint_tracks_task_content(self):
         tasks = _tasks()
@@ -319,29 +352,23 @@ class TestResume:
     def test_crash_midway_then_resume_is_bit_identical_serial(self, tmp_path):
         """The golden test: interrupted + resumed == uninterrupted."""
         tasks = _tasks(optimizers=("dp", "bnb", "greedy-cost"), seeds=2)
-        uninterrupted = run_resilient_sweep(tasks, workers=1)
+        uninterrupted = _uninterrupted(tasks, tmp_path)
 
         journal = tmp_path / "crashed.jsonl"
         # Simulate dying after 3 of 6 tasks: journal only a prefix.
-        run_resilient_sweep(tasks[:3], workers=1, journal=journal)
-        resumed = run_resilient_sweep(
-            tasks, workers=1, journal=journal,
-            completed={
-                i: record_to_outcome(r)
-                for i, r in enumerate(read_journal(journal)[1])
-            },
-            resumed=3,
-        )
+        run_sweep(tasks[:3], workers=1, journal=journal)
+        resumed = resume_sweep(journal, tasks, workers=1)
         assert resumed.resumed == 3
+        assert [o.index for o in resumed] == list(range(len(tasks)))
         assert_equivalent(resumed, uninterrupted)
 
     def test_resume_sweep_skips_completed_tasks(self, tmp_path):
         tasks = _tasks()
         journal = tmp_path / "sweep.jsonl"
-        run_resilient_sweep(tasks[:2], workers=1, journal=journal)
+        run_sweep(tasks[:2], workers=1, journal=journal)
         resumed = resume_sweep(journal, tasks, workers=1)
         assert resumed.resumed == 2
-        assert_equivalent(resumed, run_resilient_sweep(tasks, workers=1))
+        assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
         # The journal now covers everything: a second resume runs nothing.
         again = resume_sweep(journal, tasks, workers=1)
         assert again.resumed == len(tasks)
@@ -350,16 +377,16 @@ class TestResume:
     def test_resume_parallel_matches_uninterrupted(self, tmp_path):
         tasks = _tasks(optimizers=("dp", "bnb", "greedy-cost"), seeds=2)
         journal = tmp_path / "crashed.jsonl"
-        run_resilient_sweep(tasks[:3], workers=1, journal=journal)
+        run_sweep(tasks[:3], workers=1, journal=journal)
         resumed = resume_sweep(journal, tasks, workers=2)
         if resumed.mode != "parallel":
             pytest.skip("no process pool available here")
         assert resumed.resumed == 3
-        assert_equivalent(resumed, run_resilient_sweep(tasks, workers=1))
+        assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
 
     def test_resume_ignores_foreign_fingerprints(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
-        run_resilient_sweep(_tasks(), workers=1, journal=journal)
+        run_sweep(_tasks(), workers=1, journal=journal)
         different = grid_tasks(
             ["dp", "greedy-cost"],
             [(f"c-s{seed}", random_query(5, rng=seed + 10))
@@ -372,7 +399,7 @@ class TestResume:
     def test_resumed_metrics_validate(self, tmp_path):
         tasks = _tasks()
         journal = tmp_path / "sweep.jsonl"
-        run_resilient_sweep(tasks[:2], workers=1, journal=journal)
+        run_sweep(tasks[:2], workers=1, journal=journal)
         resumed = resume_sweep(journal, tasks, workers=1)
         payload = sweep_metrics(resumed, grid={"resumed": True})
         validate_metrics(payload)
@@ -399,7 +426,7 @@ class TestCancellation:
             SweepTask(optimizer="dp", instance=instance, label="after"),
         ]
         journal = tmp_path / "sweep.jsonl"
-        interrupted = run_resilient_sweep(tasks, workers=1, journal=journal)
+        interrupted = run_sweep(tasks, workers=1, journal=journal)
         assert interrupted.outcomes[0].ok
         assert interrupted.outcomes[1].failure == "cancelled"
         assert interrupted.outcomes[2].failure == "cancelled"
@@ -413,8 +440,7 @@ class TestCancellation:
         resumed = resume_sweep(journal, tasks, workers=1)
         assert resumed.resumed == 1
         assert all(o.ok for o in resumed)
-        clean = run_resilient_sweep(tasks, workers=1)
-        assert_equivalent(resumed, clean)
+        assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
 
     def test_cancelled_outcomes_validate_in_metrics(self, tmp_path):
         flag = tmp_path / "explode"
@@ -427,7 +453,7 @@ class TestCancellation:
             ),
             SweepTask(optimizer="dp", instance=instance, label="after"),
         ]
-        result = run_resilient_sweep(tasks, workers=1)
+        result = run_sweep(tasks, workers=1)
         payload = sweep_metrics(result, grid={})
         validate_metrics(payload)
         assert [t["failure"] for t in payload["tasks"]] == [
@@ -447,7 +473,7 @@ def _crash_main(journal_path):  # pragma: no cover - run in a subprocess
         instance=tasks[2].instance,
         label=tasks[2].label,
     )
-    run_resilient_sweep(tasks, workers=1, journal=journal_path)
+    run_sweep(tasks, workers=1, journal=journal_path)
 
 
 class TestRealSigkill:
@@ -473,12 +499,12 @@ class TestRealSigkill:
         tasks = _tasks(optimizers=("dp", "bnb", "greedy-cost"), seeds=2)
         resumed = resume_sweep(journal, tasks, workers=1)
         assert resumed.resumed == 2
-        assert_equivalent(resumed, run_resilient_sweep(tasks, workers=1))
+        assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
 
 
 class TestTraceIntegration:
     def test_resilience_counters_land_on_the_root_span(self):
-        result = run_resilient_sweep(
+        result = run_sweep(
             _tasks(), workers=1, trace=True,
             retry=RetryPolicy(attempts=2),
             fault_plan=plan_of((0, 0, "error")), sleep=_no_sleep,
@@ -489,7 +515,7 @@ class TestTraceIntegration:
     def test_trace_validates_end_to_end(self, tmp_path):
         from repro.observability import load_trace, write_trace
 
-        result = run_resilient_sweep(
+        result = run_sweep(
             _tasks(), workers=1, trace=True,
             retry=RetryPolicy(attempts=2),
             fault_plan=plan_of((0, 0, "timeout")), sleep=_no_sleep,

@@ -10,9 +10,9 @@ Four contracts, per ISSUE requirements:
   ``repr``, sequence, ``explored``, exact cache counters) to the
   serial runner, with ``cache=False`` so counters are
   schedule-independent;
-* deterministic reassembly — ``imap_unordered`` completion order never
-  leaks into outcome order (the module-docstring guarantee), and an
-  inconsistent outcome set is rejected rather than silently returned;
+* deterministic reassembly — pool completion order never leaks into
+  outcome order (the module-docstring guarantee), and an inconsistent
+  outcome set is rejected rather than silently returned;
 * resilience under chunking — a worker killed mid-chunk re-queues at
   *task* granularity and the recovered sweep stays bit-identical.
 
@@ -38,14 +38,11 @@ from repro.runtime.registry import (
     RegistryStats,
     instance_key,
 )
-from repro.runtime.resilience import (
-    FaultInjection,
-    FaultPlan,
-    RetryPolicy,
-    run_resilient_sweep,
-)
+from repro.runtime import runner as runner_mod
+from repro.runtime.resilience import FaultInjection, FaultPlan
 from repro.runtime.runner import (
     ExecutorStats,
+    RetryPolicy,
     TaskOutcome,
     auto_chunksize,
     grid_tasks,
@@ -73,6 +70,13 @@ def _tasks(optimizers=("dp", "greedy-cost", "iterative"), seeds=2, n=5):
     return grid_tasks(
         list(optimizers), instances,
         kwargs_for=lambda name, label: kwargs.get((name, label), {}),
+    )
+
+
+def pin_chunksize(monkeypatch, size):
+    """Make the executor dispatch ``size`` tasks per chunk."""
+    monkeypatch.setattr(
+        runner_mod, "auto_chunksize", lambda _tasks, _workers: size
     )
 
 
@@ -227,9 +231,10 @@ class TestReassembly:
         with pytest.raises(ValidationError):
             _reassemble([_outcome(0), _outcome(0)], expected=2)
 
-    def test_sweep_outcomes_are_in_task_order(self):
+    def test_sweep_outcomes_are_in_task_order(self, monkeypatch):
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks(seeds=2)
-        result = run_sweep(tasks, workers=2, cache=False, chunksize=2)
+        result = run_sweep(tasks, workers=2, cache=False)
         assert [o.index for o in result] == list(range(len(tasks)))
         assert [o.optimizer for o in result] == [
             t.optimizer if isinstance(t.optimizer, str) else "?"
@@ -243,10 +248,11 @@ class TestReassembly:
 
 
 class TestChunkedBitIdentity:
-    def test_chunked_parallel_matches_serial(self):
+    def test_chunked_parallel_matches_serial(self, monkeypatch):
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks()
         serial = run_sweep(tasks, workers=1, cache=False)
-        chunked = run_sweep(tasks, workers=2, cache=False, chunksize=2)
+        chunked = run_sweep(tasks, workers=2, cache=False)
         if chunked.mode != "parallel":
             pytest.skip("no process pool available here")
         assert_bit_identical(chunked, serial)
@@ -256,35 +262,23 @@ class TestChunkedBitIdentity:
         # 3 optimizers per instance in one worker set: reuse must show.
         assert executor.registry_hits > 0
 
-    def test_legacy_chunksize_zero_matches_serial(self):
-        tasks = _tasks()
-        serial = run_sweep(tasks, workers=1, cache=False)
-        legacy = run_sweep(tasks, workers=2, cache=False, chunksize=0)
-        if legacy.mode != "parallel":
-            pytest.skip("no process pool available here")
-        assert_bit_identical(legacy, serial)
-        assert legacy.executor.chunks == 0
-        assert legacy.executor.registry_hits == 0
-        # Per-task shipping costs strictly more than per-distinct-payload.
-        chunked = run_sweep(tasks, workers=2, cache=False, chunksize=2)
-        if chunked.mode == "parallel":
-            assert legacy.executor.ship_bytes > chunked.executor.ship_bytes
-
-    def test_bounded_registry_evicts_and_stays_identical(self):
+    def test_bounded_registry_evicts_and_stays_identical(self, monkeypatch):
         """registry_maxsize=1 forces eviction-then-refetch inside the
         sweep; outcomes must not notice."""
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks(seeds=3)
         serial = run_sweep(tasks, workers=1, cache=False)
         bounded = run_sweep(
-            tasks, workers=2, cache=False, chunksize=2, registry_maxsize=1,
+            tasks, workers=2, cache=False, registry_maxsize=1,
         )
         if bounded.mode != "parallel":
             pytest.skip("no process pool available here")
         assert_bit_identical(bounded, serial)
 
-    def test_executor_stats_flow_into_metrics(self):
+    def test_executor_stats_flow_into_metrics(self, monkeypatch):
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks(seeds=2)
-        result = run_sweep(tasks, workers=2, cache=False, chunksize=2)
+        result = run_sweep(tasks, workers=2, cache=False)
         payload = sweep_metrics(result, grid={"purpose": "registry-test"})
         validate_metrics(payload)
         totals = payload["totals"]
@@ -296,16 +290,17 @@ class TestChunkedBitIdentity:
         if result.mode == "parallel":
             assert totals["ship_bytes"] == result.executor.ship_bytes
 
-    def test_refs_do_not_perturb_journal_fingerprints(self):
+    def test_refs_do_not_perturb_journal_fingerprints(self, monkeypatch):
         """Registry addressing and journal identity agree: fingerprints
         computed from the original tasks match what a resumed sweep
         recomputes, chunked dispatch or not."""
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks(seeds=2)
         before = [
             task_fingerprint(index, task)
             for index, task in enumerate(tasks)
         ]
-        run_sweep(tasks, workers=2, cache=False, chunksize=2)
+        run_sweep(tasks, workers=2, cache=False)
         after = [
             task_fingerprint(index, task)
             for index, task in enumerate(tasks)
@@ -321,7 +316,7 @@ class TestChunkedBitIdentity:
 
 
 # ---------------------------------------------------------------------
-# Schedule independence (Hypothesis): chunksize/workers never matter
+# Schedule independence (Hypothesis): chunk size/workers never matter
 # ---------------------------------------------------------------------
 
 
@@ -332,15 +327,15 @@ class TestScheduleIndependence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        chunksize=st.integers(min_value=0, max_value=5),
+        chunksize=st.integers(min_value=1, max_value=5),
         workers=st.integers(min_value=1, max_value=2),
     )
     def test_outcomes_independent_of_chunking(self, chunksize, workers):
         tasks = _tasks(optimizers=("dp", "greedy-cost"), seeds=2, n=4)
         reference = run_sweep(tasks, workers=1, cache=False)
-        result = run_sweep(
-            tasks, workers=workers, cache=False, chunksize=chunksize,
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            pin_chunksize(patch, chunksize)
+            result = run_sweep(tasks, workers=workers, cache=False)
         assert_bit_identical(result, reference)
 
     def test_auto_chunksize_is_deterministic_and_bounded(self):
@@ -363,31 +358,35 @@ class TestScheduleIndependence:
 
 
 class TestWorkerDeathMidChunk:
-    def test_kill_mid_chunk_requeues_tasks_and_stays_identical(self):
+    def test_kill_mid_chunk_requeues_tasks_and_stays_identical(
+        self, monkeypatch
+    ):
+        pin_chunksize(monkeypatch, 3)
         tasks = _tasks(optimizers=("dp", "greedy-cost"), seeds=3, n=4)
         plan = FaultPlan(
             faults=(FaultInjection(index=2, attempt=0, kind="worker-kill"),)
         )
-        result = run_resilient_sweep(
-            tasks, workers=2, cache=False, chunksize=3,
-            retry=RetryPolicy(attempts=3), fault_plan=plan,
+        settings = dict(
+            workers=2, cache=False, retry=RetryPolicy(attempts=3),
             sleep=lambda _delay: None,
         )
+        result = run_sweep(tasks, fault_plan=plan, **settings)
         if result.mode != "parallel":
             pytest.skip("no process pool available here")
         assert result.recovered_workers >= 1
         assert all(o.ok for o in result)
         # The killed task burned at least one attempt before recovery.
         assert result.outcomes[2].attempts >= 2
-        clean = run_resilient_sweep(tasks, workers=1, cache=False)
-        assert_bit_identical(result, clean)
+        assert_bit_identical(result, run_sweep(tasks, **settings))
 
-    def test_resilient_chunked_clean_run_matches_serial(self):
+    def test_resilient_chunked_clean_run_matches_serial(self, monkeypatch):
+        """With per-attempt caches (a retry policy) even *cached*
+        counters are schedule-independent."""
+        pin_chunksize(monkeypatch, 2)
         tasks = _tasks(seeds=2)
-        serial = run_resilient_sweep(tasks, workers=1, cache=False)
-        chunked = run_resilient_sweep(
-            tasks, workers=2, cache=False, chunksize=2,
-        )
+        retry = RetryPolicy(attempts=2)
+        serial = run_sweep(tasks, workers=1, retry=retry)
+        chunked = run_sweep(tasks, workers=2, retry=retry)
         if chunked.mode != "parallel":
             pytest.skip("no process pool available here")
         assert_bit_identical(chunked, serial)

@@ -23,8 +23,10 @@ from repro.runtime.metrics import (
     validate_metrics,
     write_metrics,
 )
+from repro.runtime.resilience import FaultPlan
 from repro.runtime.runner import (
     OPTIMIZERS,
+    RetryPolicy,
     SweepTask,
     SweepTimeout,
     _call_with_timeout,
@@ -153,6 +155,32 @@ class TestSerialSweep:
         assert outcome.result is None
 
 
+class TestCacheScope:
+    """The executor derives cache scope from its settings: shared by
+    default, one fresh cache per attempt once outcomes may be
+    journaled, replayed or retried."""
+
+    @pytest.mark.parametrize("isolating", [
+        "journal", "attempts", "backoff", "fault_plan",
+    ])
+    def test_isolating_settings_give_each_attempt_a_fresh_cache(
+        self, tmp_path, isolating
+    ):
+        settings = {
+            "journal": dict(journal=tmp_path / "sweep.jsonl"),
+            "attempts": dict(retry=RetryPolicy(attempts=2)),
+            "backoff": dict(retry=RetryPolicy(backoff=0.5)),
+            "fault_plan": dict(fault_plan=FaultPlan()),
+        }[isolating]
+        tasks = _grid()
+        alone = [run_sweep([task], workers=1).outcomes[0].cache
+                 for task in tasks]
+        isolated = run_sweep(tasks, workers=1, **settings)
+        assert [outcome.cache for outcome in isolated] == alone
+        shared = run_sweep(tasks, workers=1)
+        assert shared.cache_totals().hits > isolated.cache_totals().hits
+
+
 class TestParallelSweep:
     def test_parallel_matches_serial(self):
         """Differential identity: same plans, costs, explored, order."""
@@ -160,7 +188,7 @@ class TestParallelSweep:
         serial = run_sweep(tasks, workers=1)
         parallel = run_sweep(tasks, workers=2)
         if parallel.mode != "parallel":
-            pytest.skip("no multiprocessing pool available here")
+            pytest.skip("no process pool available here")
         assert [o.label for o in parallel] == [o.label for o in serial]
         for s, p in zip(serial, parallel):
             assert p.index == s.index
@@ -173,7 +201,7 @@ class TestParallelSweep:
         tasks = _grid()
         parallel = run_sweep(tasks, workers=2)
         if parallel.mode != "parallel":
-            pytest.skip("no multiprocessing pool available here")
+            pytest.skip("no process pool available here")
         totals = parallel.cache_totals()
         assert totals.misses > 0
         assert any(o.cache.misses > 0 for o in parallel)
@@ -184,7 +212,7 @@ class TestParallelSweep:
         def explode(*_args, **_kwargs):
             raise OSError("no semaphores in this sandbox")
 
-        monkeypatch.setattr(runner_mod, "_make_pool", explode)
+        monkeypatch.setattr(runner_mod, "_make_executor", explode)
         tasks = _grid()
         result = run_sweep(tasks, workers=4)
         assert result.mode == "serial"
