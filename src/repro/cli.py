@@ -487,7 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retry_after_s=args.retry_after,
         result_cache_size=args.cache_size,
         instance_cache_size=args.instance_cache_size,
-        worker_cache_maxsize=args.cost_cache_maxsize,
         metrics_out=args.metrics_out,
         metrics_interval_s=args.metrics_interval,
         events_out=args.events_out,
@@ -991,10 +990,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--instance-cache-size", type=int, default=64,
         help="decoded instances kept alive for compiled-kernel reuse",
-    )
-    serve.add_argument(
-        "--cost-cache-maxsize", type=int, default=None,
-        help="bound each worker's cost cache (LRU) at this many entries",
     )
     serve.add_argument(
         "--metrics-out", default=None,

@@ -4,7 +4,7 @@ Exact:
 
 * :func:`exhaustive_optimal` — all ``n!`` permutations with pruning;
 * :func:`dp_optimal` — dynamic programming over relation subsets
-  (the left-deep optimum in ``O(2^n n^2)``; valid because both
+  (the left-deep optimum in ``O(2^n n)``; valid because both
   ``N(X)`` and the probe cost into a new relation depend on the
   *set* ``X`` only, not its order).
 

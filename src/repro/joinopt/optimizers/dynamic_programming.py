@@ -11,14 +11,21 @@ with ``2^n`` states and ``n`` transitions per state.  This is the
 Selinger-style exact optimizer for the paper's cost model; it agrees
 with :func:`~repro.joinopt.optimizers.exhaustive.exhaustive_optimal`
 on every instance (a property test in the suite enforces it).
+
+The loop reads the instance only through its compiled kernel
+(:func:`~repro.perf.kernels.compile_qon`).  Each mask carries one probe
+row, ``probe(X)[j] = min_{k in X} w[k][j]``, combined in O(n) from the
+row of its lowest member and the row of the rest of the mask, so each
+transition costs O(1) table reads instead of O(|X|) accessor calls.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
+from repro.perf.kernels import compile_qon, iter_bits
 from repro.runtime.costcache import active_cache
 from repro.utils.validation import require
 from repro.observability.tracer import traced
@@ -37,7 +44,7 @@ def dp_optimal(
     allow_cartesian: bool = True,
     max_relations: int = 18,
 ) -> PlanResult:
-    """Optimal join sequence by subset DP (exact, ``O(2^n n^2)``)."""
+    """Optimal join sequence by subset DP (exact, ``O(2^n n)`` steps)."""
     n = instance.num_relations
     require(n >= 1, "instance must have at least one relation")
     require(
@@ -50,9 +57,20 @@ def dp_optimal(
             cost=0, sequence=(0,), optimizer="dp", explored=1, is_exact=True
         )
 
-    graph = instance.graph
-    full = (1 << n) - 1
+    kernel = compile_qon(instance)
+    sizes, sel, access, adj = (
+        kernel.sizes, kernel.sel, kernel.access, kernel.adj
+    )
+    full = kernel.full_mask
     cache = active_cache()
+
+    # Connectivity includes unit-selectivity edges, which the kernel's
+    # ``adj`` leaves out, so it gets bitmasks of its own.
+    edge_mask = [0] * n
+    if not allow_cartesian:
+        for u, v in instance.graph.edges:
+            edge_mask[u] |= 1 << v
+            edge_mask[v] |= 1 << u
 
     # Pre-sized mask-indexed tables: the hot loop indexes lists instead
     # of hashing dict keys.  ``best_cost[mask]`` is ``None`` until the
@@ -69,36 +87,49 @@ def dp_optimal(
     for first in range(n):
         mask = 1 << first
         best_cost[mask] = 0
-        prefix_size[mask] = instance.size(first)
+        prefix_size[mask] = sizes[first]
         parent[mask] = (0, first)
 
     explored = n
+    # Probe rows of the previous popcount layer, by mask.  The row of a
+    # singleton {k} is ``access[k]`` itself; its diagonal placeholder,
+    # like every entry at a member of the mask, is never read.
+    previous_rows: Dict[int, Sequence[object]] = {}
     # Iterate source masks one popcount layer at a time; Gosper's hack
     # enumerates each layer in increasing numeric order.  Every
     # predecessor of a popcount-p mask sits in layer p-1 and is
     # numerically smaller than the mask, so relaxations into any given
-    # mask arrive in exactly the order the old full numeric scan
-    # produced — winners, tie-breaks, ``explored`` and the
-    # reconstructed sequence are bit-identical (pinned by the
-    # dp-vs-exhaustive property test).
+    # mask arrive in exactly the order a full numeric scan produces —
+    # winners, tie-breaks, ``explored`` and the reconstructed sequence
+    # do not depend on the layering (pinned by the differential test).
     for layer in range(1, n):
+        rows: Dict[int, Sequence[object]] = {}
         mask = (1 << layer) - 1
         while mask <= full:
-            if best_cost[mask] is None:
+            low = mask & -mask
+            probe: Sequence[object] = access[low.bit_length() - 1]
+            if layer > 1:
+                # ``min`` over ascending members keeps the lowest-index
+                # minimum, so the lowest member wins ties: equal values
+                # of different types (5, Fraction(5)) must not swap.
+                probe = [
+                    own if not (rest < own) else rest
+                    for own, rest in zip(probe, previous_rows[mask ^ low])
+                ]
+            rows[mask] = probe
+            base_cost = best_cost[mask]
+            if base_cost is None:
                 mask = _next_same_popcount(mask)
                 continue
-            base_cost = best_cost[mask]
             base_size = prefix_size[mask]
-            members = [k for k in range(n) if mask >> k & 1]
             for j in range(n):
-                if mask >> j & 1:
+                bit = 1 << j
+                if mask & bit:
                     continue
-                connected = any(graph.has_edge(k, j) for k in members)
-                if not allow_cartesian and not connected:
+                if not allow_cartesian and not edge_mask[j] & mask:
                     continue
-                probe = min(instance.access_cost(k, j) for k in members)
-                new_cost = base_cost + base_size * probe
-                new_mask = mask | (1 << j)
+                new_cost = base_cost + base_size * probe[j]
+                new_mask = mask | bit
                 explored += 1
                 current = best_cost[new_mask]
                 if current is None or new_cost < current:
@@ -108,13 +139,12 @@ def dp_optimal(
                         def extend_size(
                             base: object = base_size,
                             j: int = j,
-                            members: List[int] = members,
+                            mask: int = mask,
                         ) -> object:
-                            size = base * instance.size(j)
-                            for k in members:
-                                selectivity = instance.selectivity(k, j)
-                                if selectivity != 1:
-                                    size = size * selectivity
+                            size = base * sizes[j]
+                            row = sel[j]
+                            for k in iter_bits(adj[j] & mask):
+                                size = size * row[k]
                             return size
 
                         if cache is not None:
@@ -124,6 +154,7 @@ def dp_optimal(
                         else:
                             prefix_size[new_mask] = extend_size()
             mask = _next_same_popcount(mask)
+        previous_rows = rows
 
     if best_cost[full] is None:
         # Disconnected graph with cartesian products forbidden.

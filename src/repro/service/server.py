@@ -84,8 +84,6 @@ class ServerConfig:
     *and* dedup-by-cache, not dedup-by-inflight).
     ``instance_cache_size`` — decoded instances kept alive for
     compiled-kernel reuse.
-    ``worker_cache_maxsize`` — per-worker :class:`~repro.api.CostCache`
-    bound (None = unbounded).
     ``metrics_out`` — append ``repro.metrics/1`` snapshot lines here
     every ``metrics_interval_s`` seconds (None disables the exporter;
     the live registry and the ``metrics`` RPC op work either way).
@@ -101,7 +99,6 @@ class ServerConfig:
     retry_after_s: float = 0.05
     result_cache_size: int = 256
     instance_cache_size: int = 64
-    worker_cache_maxsize: Optional[int] = None
     metrics_out: Optional[str] = None
     metrics_interval_s: float = 1.0
     events_out: Optional[str] = None
@@ -554,9 +551,6 @@ class OptimizationServer:
     # -- workers ------------------------------------------------------
 
     def _worker_loop(self) -> None:
-        worker_cache = api.CostCache(
-            maxsize=self.config.worker_cache_maxsize
-        )
         while True:
             with self._lock:
                 while not self._pending and not self._closed:
@@ -570,7 +564,7 @@ class OptimizationServer:
                 self._running_count += 1
             # _run_job handles every exception itself, so the
             # bookkeeping below always runs with a reply in hand.
-            reply = self._run_job(job, worker_cache)
+            reply = self._run_job(job)
             evicted: List[str] = []
             with self._lock:
                 self._running_count -= 1
@@ -603,9 +597,7 @@ class OptimizationServer:
                     dataclasses.replace(reply, coalesced=coalesced),
                 )
 
-    def _run_job(
-        self, job: _Job, worker_cache: "api.CostCache"
-    ) -> api.ServiceReply:
+    def _run_job(self, job: _Job) -> api.ServiceReply:
         trace_id = getattr(job.request, "trace_id", None)
         # A request-supplied trace context implies the caller is
         # reconstructing a distributed trace, so the server-side spans
@@ -625,10 +617,12 @@ class OptimizationServer:
             # The worker thread's dynamic extent reports into the
             # server's registry: cost evaluations/cache hits emitted by
             # the cost cache during this request land in the same
-            # ``runtime.*`` counters the exporter snapshots.
+            # ``runtime.*`` counters the exporter snapshots.  Each job
+            # gets a fresh cost cache, so a worker retains nothing
+            # between requests (the result cache answers repeats).
             with use_metrics(self.metrics), \
                     use_event_log(self._event_log), \
-                    use_tracer(tracer), api.use_cache(worker_cache):
+                    use_tracer(tracer), api.use_cache(api.CostCache()):
                 with tracer.span(f"execute.{job.fingerprint[:12]}"):
                     result = api.execute_request(job.request)
         except Exception as exc:

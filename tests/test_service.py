@@ -183,6 +183,25 @@ class TestResultCache:
         assert server.stats.cache_hits == 1
         assert_bit_identical(second.result, first.result)
 
+    def test_each_request_gets_a_fresh_cost_cache(self, make_server):
+        _server, address = make_server(workers=1)
+        instance = api.generate("chain", 8, seed=2)
+        request = api.OptimizeRequest.build(instance, "dp", no_cache=True)
+        local_cache = api.CostCache()
+        with api.use_cache(local_cache):
+            direct = api.execute_request(request)
+        with ServiceClient(address) as client:
+            first = client.optimize(request)
+            second = client.optimize(request)
+        assert first.ok and second.ok and not second.cached
+        # The one worker served both: a cache kept across requests
+        # would answer the second from the first's entries.
+        evaluations = local_cache.stats().misses
+        assert evaluations > 0
+        counters = dict(second.counters)
+        assert counters.get("cost_evaluations", 0) == evaluations
+        assert_bit_identical(second.result, direct)
+
     def test_instance_objects_are_reused_across_requests(
         self, make_server, qon_instance
     ):
