@@ -17,15 +17,22 @@ The loop reads the instance only through its compiled kernel
 row, ``probe(X)[j] = min_{k in X} w[k][j]``, combined in O(n) from the
 row of its lowest member and the row of the rest of the mask, so each
 transition costs O(1) table reads instead of O(|X|) accessor calls.
+
+Prefix sizes (and so the transition costs built on them) are carried as
+plain ``int`` while they are integral (:func:`~repro.perf.kernels.mul`),
+which on the paper's gap instances is always.  Types are restored by
+the kernel's one rule (:meth:`~repro.perf.kernels.CompiledQON.retype`)
+where a value leaves: each ``qon-size`` cache entry by its own mask, the
+final cost by the parent mask of the full set.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
-from repro.perf.kernels import compile_qon, iter_bits
+from repro.perf.kernels import compile_qon, demote, iter_bits, mul
 from repro.runtime.costcache import active_cache
 from repro.utils.validation import require
 from repro.observability.tracer import traced
@@ -58,11 +65,19 @@ def dp_optimal(
         )
 
     kernel = compile_qon(instance)
-    sizes, sel, access, adj = (
-        kernel.sizes, kernel.sel, kernel.access, kernel.adj
-    )
+    sel, access, adj = kernel.sel, kernel.access, kernel.adj
+    sizes = [demote(size) for size in kernel.sizes]
+    retype = kernel.retype
     full = kernel.full_mask
     cache = active_cache()
+
+    def cached_size(key: int, compute: Callable[[], object]) -> object:
+        # Entries hold the reference type, exactly what bnb and
+        # exhaustive store; hits are demoted as they are read.
+        assert cache is not None
+        return demote(cache.get_or_compute(
+            instance, "qon-size", key, lambda: retype(compute(), key)
+        ))
 
     # Connectivity includes unit-selectivity edges, which the kernel's
     # ``adj`` leaves out, so it gets bitmasks of its own.
@@ -141,15 +156,15 @@ def dp_optimal(
                             j: int = j,
                             mask: int = mask,
                         ) -> object:
-                            size = base * sizes[j]
+                            size = mul(base, sizes[j])
                             row = sel[j]
                             for k in iter_bits(adj[j] & mask):
-                                size = size * row[k]
+                                size = mul(size, row[k])
                             return size
 
                         if cache is not None:
-                            prefix_size[new_mask] = cache.get_or_compute(
-                                instance, "qon-size", new_mask, extend_size
+                            prefix_size[new_mask] = cached_size(
+                                new_mask, extend_size
                             )
                         else:
                             prefix_size[new_mask] = extend_size()
@@ -175,7 +190,7 @@ def dp_optimal(
     sequence.reverse()
 
     return PlanResult(
-        cost=best_cost[full],
+        cost=retype(best_cost[full], parent[full][0]),
         sequence=tuple(sequence),
         optimizer="dp",
         explored=explored,

@@ -17,16 +17,30 @@ once and re-costs only what a move can touch:
   selectivities into its prefix), which lets the remove side of a move
   divide a stored ``N`` instead of re-multiplying the whole prefix.
 
-Bit-identity contract: for exact kernels (``int``/``Fraction``) every
-delta recombines the *same multiset of factors* the reference path
-multiplies, so values — and ``int``-vs-``Fraction`` result types, which
-the evaluator tracks explicitly through the division shortcut — are
-identical to ``total_cost``.  For inexact kernels (``LogNumber``
-floats, where grouping changes bits) the evaluator never takes the
-algebraic shortcuts: it replays the suffix after the longest common
-prefix in the exact reference operation order, which is bit-identical
-by construction.  The Hypothesis differential suite in
-``tests/test_perf_differential.py`` enforces both claims.
+Bit-identity contract.  On exact kernels (``int``/``Fraction``) prefix
+sizes and entry factors are carried *demoted* (``int`` while integral,
+:func:`~repro.perf.kernels.mul`), and every delta recombines the same
+multiset of factors the reference path multiplies, so every value equals
+``total_cost``'s.  The ``int``-vs-``Fraction`` type is restored where a
+cost leaves the evaluator, by the kernel's rule
+(:meth:`~repro.perf.kernels.CompiledQON.retype`) over the largest
+prefix whose size enters the cost: every relation but the last.  Probes
+are the instance's own values, selected like the reference ``min()``;
+a ``Fraction`` probe types its term by plain arithmetic.  Two kinds of
+kernel take no algebraic shortcut and replay candidates after the
+longest common prefix, in the reference operation order:
+
+* inexact kernels (``LogNumber`` floats), where grouping changes bits;
+* kernels with ``mixed_ties`` (a column of ``access`` holding, say,
+  ``4`` and ``Fraction(4)``), where the reference probe's type depends
+  on the prefix *order*, so probes cannot be reused across orders.
+
+Both also rebuild every checkpoint on an accepted move.  Otherwise an
+accepted move rebuilds only the positions it reorders: past them every
+prefix *set* is unchanged, and with it ``N``, ``minw`` and ``H``; only
+the running sums are refreshed.  Counting proxies take the exact path
+through plain ``*``, ``+`` and ``/``.  The Hypothesis differential
+suite in ``tests/test_perf_differential.py`` enforces all of this.
 
 Every evaluation flows through the active
 :class:`~repro.runtime.costcache.CostCache` under the same
@@ -41,6 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Iterable,
     Iterator,
     List,
@@ -51,7 +66,7 @@ from typing import (
 )
 
 from repro.observability.tracer import count as trace_count
-from repro.perf.kernels import CompiledQON, compile_qon
+from repro.perf.kernels import CompiledQON, compile_qon, demote, mul
 from repro.runtime.costcache import active_cache
 from repro.utils.rng import Random
 from repro.utils.validation import require
@@ -113,22 +128,20 @@ def sample_moves(n: int, rng: Random, count: int) -> List[Move]:
 
 
 def _exact_divide(  # repro: boundary[exactness]
-    numerator: object, divisor: object, frac_remaining: int
+    numerator: object, divisor: object
 ) -> object:
-    """``numerator / divisor`` with reference-faithful result types.
+    """``numerator / divisor``, demoted.
 
     The quotient is exact by construction (the divisor's factor multiset
-    is a subset of the numerator's).  ``frac_remaining`` is the number
-    of ``Fraction`` factors left in the quotient's multiset: when it is
-    zero the reference path would have produced a plain ``int``, so a
-    unit-denominator ``Fraction`` is normalized back.
+    is a subset of the numerator's), but it need not be integral when
+    both sides are, so two ``int``s divide with ``divmod``.
     """
-    if isinstance(numerator, int) and isinstance(divisor, int):
-        return numerator // divisor
-    quotient = numerator / divisor
-    if frac_remaining == 0 and isinstance(quotient, Fraction):
-        return int(quotient)
-    return quotient
+    if type(numerator) is int and type(divisor) is int:
+        quotient, remainder = divmod(numerator, divisor)
+        if remainder:
+            return Fraction(numerator, divisor)
+        return quotient
+    return demote(numerator / divisor)
 
 
 class PrefixEvaluator:
@@ -150,12 +163,13 @@ class PrefixEvaluator:
         )
         require(kernel.n >= 2, "need at least two relations to evaluate")
         self.kernel = kernel
+        self._sizes = [demote(size) for size in kernel.sizes]
+        # Deltas and the windowed advance (see module docs).
+        self._deltas = kernel.exact and not kernel.mixed_ties
         self._base: Optional[Tuple[int, ...]] = None
         n = kernel.n
         self._N: List[object] = [None] * n
         self._f: List[object] = [None] * n
-        self._ffrac: List[int] = [0] * n
-        self._fcount: List[int] = [0] * n
         self._H: List[object] = [None] * n
         self._C: List[object] = [None] * n
         self._S: List[object] = [None] * (n + 1)
@@ -171,8 +185,9 @@ class PrefixEvaluator:
     @property
     def total(self) -> object:
         """Cost of the current base sequence."""
-        require(self._base is not None, "no base sequence set; call rebase")
-        return self._total
+        base = self._base
+        require(base is not None, "no base sequence set; call rebase")
+        return self._typed(base, self._total)
 
     def rebase(self, sequence: Sequence[int]) -> object:
         """Adopt ``sequence`` as the base; returns its (cached) cost.
@@ -201,34 +216,18 @@ class PrefixEvaluator:
         """``(neighbor, cost)`` for one move applied to the base."""
         base = self._base
         require(base is not None, "no base sequence set; call rebase")
-        n = self.kernel.n
-        if isinstance(move, AdjacentSwap):
-            index = move.index
-            require(0 <= index < n - 1, f"swap index {index} out of range")
-            key = move.apply(base)
-            if self.kernel.exact:
-                cost = self._cost_through_cache(
-                    key, lambda: self._swap_delta(index)
-                )
-            else:
-                cost = self._cost_through_cache(
-                    key, lambda: self._replay(key)
-                )
-            return key, cost
-        source, target = move.source, move.target
-        require(
-            0 <= source < n and 0 <= target < n,
-            f"move ({source}, {target}) out of range",
-        )
-        require(source != target, "no-op move: source equals target")
-        key = move.apply(base)
-        if self.kernel.exact:
-            cost = self._cost_through_cache(
-                key, lambda: self._reinsert_delta(source, target)
+        self._window(move)
+        if isinstance(move, Reinsert):
+            require(
+                move.source != move.target,
+                "no-op move: source equals target",
             )
-        else:
-            cost = self._cost_through_cache(key, lambda: self._replay(key))
-        return key, cost
+        key = move.apply(base)
+        if self._deltas:
+            return key, self._cost_through_cache(
+                key, lambda: self._delta(move)
+            )
+        return key, self._cost_through_cache(key, lambda: self._replay(key))
 
     def evaluate_neighbors(
         self, base: Sequence[int], moves: Iterable[Move]
@@ -250,142 +249,118 @@ class PrefixEvaluator:
 
         Pure state update — no cache lookups or trace counts, matching
         the reference loops, which never re-evaluate an accepted
-        candidate.  On exact kernels adjacent swaps update O(1)
-        positions (plus the prefix-sum refresh); moves — and *every*
-        inexact advance, whose float checkpoints must be re-folded in
-        the new sequence order to stay bit-identical — rebuild the
-        checkpoints.
+        candidate.  With deltas on, only the positions the move
+        reorders are rebuilt; otherwise (inexact or ``mixed_ties``
+        kernels, whose checkpoints depend on the prefix order) every
+        position is.
         """
         base = self._base
         require(base is not None, "no base sequence set; call rebase")
-        if isinstance(move, AdjacentSwap) and self.kernel.exact:
-            self._advance_swap(move.index)
-        else:
-            self._recompute(move.apply(base))
-        return self._total
+        lo, hi = self._window(move)
+        if not self._deltas:
+            lo, hi = 0, self.kernel.n - 1
+        self._rebuild(move.apply(base), lo, hi)
+        return self.total
 
     # -- cache integration -------------------------------------------
-    def _cost_through_cache(self, key: Tuple[int, ...], compute: object) -> object:
+    def _cost_through_cache(
+        self, key: Tuple[int, ...], compute: Callable[[], object]
+    ) -> object:
         # Mirrors joinopt.cost.total_cost: same cache kind and key, so
         # the kernel and reference paths share entries; same counter
-        # discipline, so sweep metrics stay exact.
+        # discipline, so sweep metrics stay exact.  Entries hold the
+        # reference type.
+        def typed() -> object:
+            return self._typed(key, compute())
+
         cache = active_cache()
         if cache is None:
             trace_count("cost_evaluations_uncached")
-            return compute()  # type: ignore[operator]
+            return typed()
         return cache.get_or_compute(
-            self.kernel.instance, "qon-cost", key, compute  # type: ignore[arg-type]
+            self.kernel.instance, "qon-cost", key, typed  # type: ignore[arg-type]
         )
+
+    def _typed(self, sequence: Tuple[int, ...], cost: object) -> object:
+        """``cost`` of ``sequence`` with its reference type."""
+        kernel = self.kernel
+        return kernel.retype(cost, kernel.full_mask ^ (1 << sequence[-1]))
 
     # -- state construction ------------------------------------------
+    def _window(self, move: Move) -> Tuple[int, int]:
+        """Validate ``move``; the first and last positions it reorders."""
+        n = self.kernel.n
+        if isinstance(move, AdjacentSwap):
+            index = move.index
+            require(0 <= index < n - 1, f"swap index {index} out of range")
+            return index, index + 1
+        source, target = move.source, move.target
+        require(
+            0 <= source < n and 0 <= target < n,
+            f"move ({source}, {target}) out of range",
+        )
+        return min(source, target), max(source, target)
+
     def _ensure_base(self, sequence: Tuple[int, ...]) -> None:
         if sequence != self._base:
-            self._recompute(sequence)
+            self.kernel.check_permutation(sequence)
+            self._rebuild(sequence, 0, self.kernel.n - 1)
 
-    def _recompute(self, sequence: Tuple[int, ...]) -> None:
-        """Rebuild every checkpoint for ``sequence`` in reference order."""
-        kernel = self.kernel
-        kernel.check_permutation(sequence)
-        n = kernel.n
-        sizes, sel, access, adj = (
-            kernel.sizes, kernel.sel, kernel.access, kernel.adj,
-        )
-        exact = kernel.exact
-        N, f, H, C = self._N, self._f, self._H, self._C
-        ffrac, fcount, minw, mask = (
-            self._ffrac, self._fcount, self._minw, self._mask,
-        )
-        first = sequence[0]
-        head = sizes[first]
-        N[0] = head
-        f[0] = head
-        ffrac[0] = 1 if isinstance(head, Fraction) else 0
-        fcount[0] = ffrac[0]
-        H[0] = None
-        C[0] = None
-        minw[0] = list(access[first])
-        mask[0] = 1 << first
-        for p in range(1, n):
-            vertex = sequence[p]
-            row = minw[p - 1]
-            H[p] = N[p - 1] * row[vertex]
+    def _rebuild(self, sequence: Tuple[int, ...], lo: int, hi: int) -> None:
+        """Rebuild positions ``lo..hi`` for ``sequence``, then the sums.
+
+        Positions before ``lo`` hold the same prefix, positions after
+        ``hi`` the same prefix *set*, so their ``N``, ``minw`` and ``H``
+        stand (see module docs); ``C`` changes from ``lo`` on and ``S``
+        up to ``hi``.
+        """
+        for p in range(lo, hi + 1):
+            self._set_position(sequence, p)
+        n = self.kernel.n
+        H, C = self._H, self._C
+        for p in range(max(lo, 1), n):
             C[p] = H[p] if p == 1 else C[p - 1] + H[p]
-            adjacency = adj[vertex]
-            selv = sel[vertex]
-            if exact:
-                # Entry factor first (its multiset equals the reference
-                # per-position factors), then one multiply onto N —
-                # value- and type-identical for exact arithmetic.
-                factor = sizes[vertex]
-                frac = 1 if isinstance(factor, Fraction) else 0
-                if adjacency & mask[p - 1]:
-                    for q in range(p):
-                        u = sequence[q]
-                        if adjacency >> u & 1:
-                            s = selv[u]
-                            factor = factor * s
-                            if isinstance(s, Fraction):
-                                frac += 1
-                f[p] = factor
-                ffrac[p] = frac
-                fcount[p] = fcount[p - 1] + frac
-                N[p] = N[p - 1] * factor
-            else:
-                # Inexact (float-log) values: fold exactly as the
-                # reference does — size first, then selectivities in
-                # prefix order — so checkpoints match it bit for bit.
-                current = N[p - 1] * sizes[vertex]
-                if adjacency & mask[p - 1]:
-                    for q in range(p):
-                        u = sequence[q]
-                        if adjacency >> u & 1:
-                            current = current * selv[u]
-                N[p] = current
-            new_row = list(row)
-            arow = access[vertex]
-            for c in range(n):
-                candidate = arow[c]
-                if candidate < new_row[c]:
-                    new_row[c] = candidate
-            minw[p] = new_row
-            mask[p] = mask[p - 1] | (1 << vertex)
-        if exact:
+        if self._deltas:
             S = self._S
-            S[n - 1] = H[n - 1]
-            for p in range(n - 2, 0, -1):
-                S[p] = H[p] + S[p + 1]
+            for p in range(min(hi, n - 1), 0, -1):
+                S[p] = H[p] if p == n - 1 else H[p] + S[p + 1]
         self._total = C[n - 1]
         self._base = sequence
 
     def _set_position(self, sequence: Tuple[int, ...], p: int) -> None:
         """Recompute position ``p``'s state from the state at ``p - 1``."""
         kernel = self.kernel
-        n = kernel.n
-        sizes, sel, access, adj = (
-            kernel.sizes, kernel.sel, kernel.access, kernel.adj,
-        )
+        access = kernel.access
         vertex = sequence[p]
+        if p == 0:
+            head = self._sizes[vertex]
+            self._N[0] = head
+            self._f[0] = head
+            self._H[0] = None
+            self._C[0] = None
+            self._minw[0] = list(access[vertex])
+            self._mask[0] = 1 << vertex
+            return
         row = self._minw[p - 1]
         self._H[p] = self._N[p - 1] * row[vertex]
-        adjacency = adj[vertex]
-        selv = sel[vertex]
+        adjacency = kernel.adj[vertex]
+        selv = kernel.sel[vertex]
         if kernel.exact:
-            factor = sizes[vertex]
-            frac = 1 if isinstance(factor, Fraction) else 0
+            # Entry factor first (its multiset equals the reference
+            # per-position factors), then one multiply onto N.
+            factor = self._sizes[vertex]
             if adjacency & self._mask[p - 1]:
                 for q in range(p):
                     u = sequence[q]
                     if adjacency >> u & 1:
-                        s = selv[u]
-                        factor = factor * s
-                        if isinstance(s, Fraction):
-                            frac += 1
+                        factor = mul(factor, selv[u])
             self._f[p] = factor
-            self._ffrac[p] = frac
-            self._fcount[p] = self._fcount[p - 1] + frac
-            self._N[p] = self._N[p - 1] * factor
+            self._N[p] = mul(self._N[p - 1], factor)
         else:
-            current = self._N[p - 1] * sizes[vertex]
+            # Inexact (float-log) values: fold exactly as the reference
+            # does — size first, then selectivities in prefix order —
+            # so checkpoints match it bit for bit.
+            current = self._N[p - 1] * kernel.sizes[vertex]
             if adjacency & self._mask[p - 1]:
                 for q in range(p):
                     u = sequence[q]
@@ -394,41 +369,12 @@ class PrefixEvaluator:
             self._N[p] = current
         new_row = list(row)
         arow = access[vertex]
-        for c in range(n):
+        for c in range(kernel.n):
             candidate = arow[c]
             if candidate < new_row[c]:
                 new_row[c] = candidate
         self._minw[p] = new_row
         self._mask[p] = self._mask[p - 1] | (1 << vertex)
-
-    def _advance_swap(self, index: int) -> None:
-        """In-place state update for an accepted adjacent swap."""
-        kernel = self.kernel
-        n = kernel.n
-        assert self._base is not None
-        sequence = AdjacentSwap(index).apply(self._base)
-        if index == 0:
-            head = kernel.sizes[sequence[0]]
-            self._N[0] = head
-            self._f[0] = head
-            self._ffrac[0] = 1 if isinstance(head, Fraction) else 0
-            self._fcount[0] = self._ffrac[0]
-            self._minw[0] = list(kernel.access[sequence[0]])
-            self._mask[0] = 1 << sequence[0]
-            self._set_position(sequence, 1)
-        else:
-            self._set_position(sequence, index)
-            self._set_position(sequence, index + 1)
-        H, C = self._H, self._C
-        for p in range(max(1, index), n):
-            C[p] = H[p] if p == 1 else C[p - 1] + H[p]
-        if kernel.exact:
-            S = self._S
-            start = min(index + 1, n - 1)
-            for p in range(start, 0, -1):
-                S[p] = H[p] if p == n - 1 else H[p] + S[p + 1]
-        self._total = C[n - 1]
-        self._base = sequence
 
     # -- replay (generic, bit-identical for any kernel) ---------------
     def _replay(self, sequence: Tuple[int, ...]) -> object:
@@ -443,7 +389,7 @@ class PrefixEvaluator:
         if lcp == n:
             return self._total
         sizes, sel, access, adj = (
-            kernel.sizes, kernel.sel, kernel.access, kernel.adj,
+            self._sizes, kernel.sel, kernel.access, kernel.adj,
         )
         if lcp == 0:
             first = sequence[0]
@@ -460,14 +406,14 @@ class PrefixEvaluator:
             vertex = sequence[p]
             joined = current * row[vertex]
             total = joined if total is None else total + joined
-            current = current * sizes[vertex]
+            current = mul(current, sizes[vertex])
             adjacency = adj[vertex]
             if adjacency:
                 selv = sel[vertex]
                 for q in range(p):
                     u = sequence[q]
                     if adjacency >> u & 1:
-                        current = current * selv[u]
+                        current = mul(current, selv[u])
             arow = access[vertex]
             for c in range(n):
                 candidate = arow[c]
@@ -476,6 +422,14 @@ class PrefixEvaluator:
         return total
 
     # -- exact deltas --------------------------------------------------
+    def _delta(self, move: Move) -> object:
+        """Cost of the ``move`` neighbor from the checkpoints."""
+        if isinstance(move, AdjacentSwap):
+            return self._swap_delta(move.index)
+        if move.target < move.source:
+            return self._reinsert_earlier(move.source, move.target)
+        return self._reinsert_later(move.source, move.target)
+
     def _swap_delta(self, index: int) -> object:
         """Cost of the adjacent-swap neighbor; O(deg) multiplications."""
         kernel = self.kernel
@@ -484,21 +438,21 @@ class PrefixEvaluator:
         assert base is not None
         a, b = base[index], base[index + 1]
         if index == 0:
-            total: object = kernel.sizes[b] * kernel.access[b][a]
+            total: object = self._sizes[b] * kernel.access[b][a]
             after = 2
         else:
             n_prev = self._N[index - 1]
             row = self._minw[index - 1]
             joined_b = n_prev * row[b]
-            factor = kernel.sizes[b]
+            factor = self._sizes[b]
             adjacency = kernel.adj[b]
             selb = kernel.sel[b]
             if adjacency & self._mask[index - 1]:
                 for q in range(index):
                     u = base[q]
                     if adjacency >> u & 1:
-                        factor = factor * selb[u]
-            n_mid = n_prev * factor
+                        factor = mul(factor, selb[u])
+            n_mid = mul(n_prev, factor)
             stored = row[a]
             direct = kernel.access[b][a]
             probe = direct if direct < stored else stored
@@ -512,36 +466,31 @@ class PrefixEvaluator:
             total = total + self._S[after]
         return total
 
-    def _reinsert_delta(self, source: int, target: int) -> object:
-        """Cost of the single-relation-move neighbor; O(window) work."""
-        if target < source:
-            return self._reinsert_earlier(source, target)
-        return self._reinsert_later(source, target)
-
     def _reinsert_earlier(self, source: int, target: int) -> object:
+        """Cost of moving ``base[source]`` to an earlier ``target``."""
         kernel = self.kernel
         n = kernel.n
         base = self._base
         assert base is not None
         moved = base[source]
-        sizes, access = kernel.sizes, kernel.access
+        access = kernel.access
         selv = kernel.sel[moved]
         adjacency = kernel.adj[moved]
         total: object = self._C[target - 1] if target >= 2 else None
         if target == 0:
-            gather = sizes[moved]
+            gather = self._sizes[moved]
             n_prev: object = gather
         else:
-            factor = sizes[moved]
+            factor = self._sizes[moved]
             if adjacency & self._mask[target - 1]:
                 for q in range(target):
                     u = base[q]
                     if adjacency >> u & 1:
-                        factor = factor * selv[u]
+                        factor = mul(factor, selv[u])
             joined_v = self._N[target - 1] * self._minw[target - 1][moved]
             total = joined_v if total is None else total + joined_v
             gather = factor
-            n_prev = self._N[target - 1] * gather
+            n_prev = mul(self._N[target - 1], gather)
         for p in range(target, source):
             u = base[p]
             if p == 0:
@@ -553,19 +502,20 @@ class PrefixEvaluator:
             joined = n_prev * probe
             total = joined if total is None else total + joined
             if adjacency >> u & 1:
-                gather = gather * selv[u]
-            n_prev = self._N[p] * gather
+                gather = mul(gather, selv[u])
+            n_prev = mul(self._N[p], gather)
         if source + 1 <= n - 1:
             total = total + self._S[source + 1]
         return total
 
     def _reinsert_later(self, source: int, target: int) -> object:
+        """Cost of moving ``base[source]`` to a later ``target``."""
         kernel = self.kernel
         n = kernel.n
         base = self._base
         assert base is not None
         moved = base[source]
-        sizes, access = kernel.sizes, kernel.access
+        access = kernel.access
         selv = kernel.sel[moved]
         adjacency = kernel.adj[moved]
         total: object = self._C[source - 1] if source >= 2 else None
@@ -576,33 +526,22 @@ class PrefixEvaluator:
             row = list(self._minw[source - 1])
             n_prev = self._N[source - 1]
         gather = self._f[source]
-        gather_frac = self._ffrac[source]
         for p in range(source + 1, target + 1):
             u = base[p]
             if row is None:
                 # u becomes the new first relation: no join yet.
                 if adjacency >> u & 1:
-                    s = selv[u]
-                    gather = gather * s
-                    if isinstance(s, Fraction):
-                        gather_frac += 1
-                n_prev = _exact_divide(
-                    self._N[p], gather, self._fcount[p] - gather_frac
-                )
+                    gather = mul(gather, selv[u])
+                n_prev = _exact_divide(self._N[p], gather)
                 row = list(access[u])
                 continue
             joined = n_prev * row[u]
             total = joined if total is None else total + joined
             if adjacency >> u & 1:
-                s = selv[u]
-                gather = gather * s
-                if isinstance(s, Fraction):
-                    gather_frac += 1
-            n_prev = _exact_divide(
-                self._N[p], gather, self._fcount[p] - gather_frac
-            )
+                gather = mul(gather, selv[u])
+            n_prev = _exact_divide(self._N[p], gather)
             arow = access[u]
-            for c in range(kernel.n):
+            for c in range(n):
                 candidate = arow[c]
                 if candidate < row[c]:
                     row[c] = candidate

@@ -19,11 +19,28 @@ per instance:
   (they skip unit selectivities), so prefix-size products iterate set
   bits instead of scanning the whole prefix through ``has_edge``.
 
-The kernels are pure data: they never round, convert or reorder values,
-so any computation built from them can reproduce the reference results
-bit for bit.  ``exact`` records whether every statistic is ``int`` /
-``Fraction`` (or an exact counting proxy); the incremental evaluator
-only takes algebraic shortcuts when it is True.
+The kernel tables hold the instance's own values: they never round,
+convert or reorder them.  ``exact`` records whether every statistic is
+``int`` / ``Fraction`` (or an exact counting proxy); the incremental
+evaluator only takes algebraic shortcuts when it is True.
+
+Exact integers.  The two QO_N consumers (the subset DP and the prefix
+evaluator) carry prefix sizes *demoted*: an integral value is a plain
+``int`` instead of a ``Fraction``, because ``int`` arithmetic is ~30x
+cheaper and, on the paper's gap instances, every prefix size is
+integral.  :func:`demote` and :func:`mul` are the one definition of
+that representation.  It is still exact: demotion changes a value's
+type, never its value, so sums, products and comparisons come out
+equal to the reference ones.  Only the *type* has to be restored where
+a value leaves a consumer, and :meth:`CompiledQON.retype` does that
+with one rule: a reference product is a ``Fraction`` exactly when a
+``Fraction`` factor enters it.  On the prefix-size side that depends
+only on the relation set ``X`` (a member's size, or a non-unit
+selectivity between two members, is a ``Fraction``), recorded in the
+``frac_sizes`` / ``frac_sel`` bitmasks; access costs are never demoted,
+so a ``Fraction`` probe types its own term by plain arithmetic.
+``LogNumber`` values and counting proxies are neither ``int`` nor
+``Fraction``: every helper passes them through plain ``*``.
 """
 
 from __future__ import annotations
@@ -34,6 +51,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import (
     TYPE_CHECKING,
+    Dict,
     Iterator,
     List,
     Sequence,
@@ -66,12 +84,52 @@ def is_exact_value(value: object) -> bool:
     return bool(getattr(value, "exact_proxy", False))
 
 
+def demote(value: object) -> object:
+    """``value`` as an ``int`` when it is an integral ``Fraction``."""
+    if type(value) is Fraction and value.denominator == 1:
+        return value.numerator
+    return value
+
+
+def mul(size: object, factor: object) -> object:
+    """``size * factor``, demoted (see module docs).
+
+    An ``int`` times a ``Fraction`` divides with ``divmod`` and builds
+    a ``Fraction`` only when the division leaves a remainder.  Any
+    other operands (``LogNumber``, counting proxies) take plain ``*``.
+    """
+    if type(size) is int:
+        if type(factor) is int:
+            return size * factor
+        if type(factor) is Fraction:
+            numerator = size * factor.numerator
+            denominator = factor.denominator
+            quotient, remainder = divmod(numerator, denominator)
+            if remainder:
+                return Fraction(numerator, denominator)
+            return quotient
+    product = size * factor
+    if type(product) is Fraction and product.denominator == 1:
+        return product.numerator
+    return product
+
+
 class CompiledQON:
-    """Dense read-only view of a :class:`QONInstance` (see module docs)."""
+    """Dense read-only view of a :class:`QONInstance` (see module docs).
+
+    Besides the tables: ``frac_sizes`` has the bit of every relation
+    whose size is a ``Fraction``; ``frac_sel[v]`` the bits of the
+    neighbors ``u`` in ``adj[v]`` with a ``Fraction`` selectivity
+    ``s_uv``.  ``mixed_ties`` is True when some column of ``access``
+    holds equal values of different types (``4`` and ``Fraction(4)``):
+    the reference probe is the *first* minimum in prefix order, so
+    reordering a prefix can then change a probe's type without changing
+    its value, and the evaluator must not reuse probes across orders.
+    """
 
     __slots__ = (
         "instance", "n", "full_mask", "sizes", "sel", "access", "adj",
-        "exact", "__weakref__",
+        "exact", "frac_sizes", "frac_sel", "mixed_ties", "__weakref__",
     )
 
     def __init__(self, instance: QONInstance) -> None:
@@ -84,11 +142,13 @@ class CompiledQON:
         sel_rows: List[Tuple] = []
         access_rows: List[Tuple] = []
         adjacency: List[int] = []
+        frac_sel: List[int] = []
         exact = all(is_exact_value(t) for t in self.sizes)
         for u in range(n):
             srow: List = []
             arow: List = []
             mask = 0
+            frac_mask = 0
             for v in range(n):
                 if v == u:
                     srow.append(1)
@@ -102,13 +162,45 @@ class CompiledQON:
                 if graph.has_edge(u, v) and selectivity != 1:
                     mask |= 1 << v
                     exact = exact and is_exact_value(selectivity)
+                    if isinstance(selectivity, Fraction):
+                        frac_mask |= 1 << v
             sel_rows.append(tuple(srow))
             access_rows.append(tuple(arow))
             adjacency.append(mask)
+            frac_sel.append(frac_mask)
         self.sel: Tuple[Tuple, ...] = tuple(sel_rows)
         self.access: Tuple[Tuple, ...] = tuple(access_rows)
         self.adj: Tuple[int, ...] = tuple(adjacency)
         self.exact = exact
+        self.frac_sizes = sum(
+            1 << v
+            for v, size in enumerate(self.sizes)
+            if isinstance(size, Fraction)
+        )
+        self.frac_sel: Tuple[int, ...] = tuple(frac_sel)
+        self.mixed_ties = exact and _has_mixed_ties(self.access)
+
+    def fraction_typed(self, mask: int) -> bool:
+        """True when the reference ``N(X)`` of relation set ``mask`` is a
+        ``Fraction``: a member's size or a non-unit selectivity between
+        two members is one."""
+        if mask & self.frac_sizes:
+            return True
+        frac_sel = self.frac_sel
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if frac_sel[low.bit_length() - 1] & mask:
+                return True
+            rest ^= low
+        return False
+
+    def retype(self, value: object, mask: int) -> object:
+        """A demoted ``value`` with its reference type, for a quantity
+        whose largest prefix set is ``mask`` (see module docs)."""
+        if type(value) is int and self.fraction_typed(mask):
+            return Fraction(value)
+        return value
 
     def check_permutation(self, sequence: Sequence[int]) -> None:
         """The ``check_sequence`` contract in O(n) via the bitmask."""
@@ -121,6 +213,24 @@ class CompiledQON:
             len(sequence) == n and mask == self.full_mask,
             _PERMUTATION_MESSAGE.format(n=n),
         )
+
+
+def _has_mixed_ties(access: Tuple[Tuple, ...]) -> bool:
+    """True if a column holds equal values of different types.
+
+    One dict per column, keyed by value: ``hash(4) == hash(Fraction(4))``
+    and the two compare equal, so they land on one key.
+    """
+    n = len(access)
+    for v in range(n):
+        seen: Dict[object, object] = {}
+        for u in range(n):
+            if u == v:
+                continue  # the diagonal placeholder is never read
+            value = access[u][v]
+            if seen.setdefault(value, type(value)) is not type(value):
+                return True
+    return False
 
 
 class CompiledQOH:

@@ -8,6 +8,9 @@ connectivity with ``graph.has_edge`` on every transition.
 agree with it in everything observable — the cost's value, type and
 ``repr`` (the tie rule decides between ``5`` and ``Fraction(5)``), the
 sequence, ``explored`` and the cost-cache counters, in every cache mode.
+The DP carries integral prefix sizes as plain ``int``s, so the cached
+``qon-size`` entries are compared too: same keys in the same order,
+with the value's type and ``repr``.
 """
 
 from fractions import Fraction
@@ -25,6 +28,7 @@ from repro.joinopt.optimizers import (
     exhaustive_optimal,
 )
 from repro.joinopt.optimizers.dynamic_programming import _next_same_popcount
+from repro.perf.instrument import OpCounter, counting_qon_instance
 from repro.runtime.costcache import CostCache, active_cache, use_cache
 from repro.workloads import qon_gap_pair
 from repro.workloads.queries import (
@@ -140,19 +144,31 @@ CACHE_MODES = {
 }
 
 
+def _entries(cache):
+    """Every cache entry in insertion order: kind, key, value type and
+    ``repr`` (the instance token is the same on both sides)."""
+    if cache is None:
+        return None
+    return [
+        (kind, key, type(value), repr(value))
+        for (_token, kind, key), value in cache._entries.items()
+    ]
+
+
 def _run(optimizer, instance, mode, **kwargs):
     cache = CACHE_MODES[mode]()
     with use_cache(cache):
         result = optimizer(instance, **kwargs)
-    return result, (None if cache is None else cache.stats())
+    stats = None if cache is None else cache.stats()
+    return result, stats, _entries(cache)
 
 
 def _assert_identical_runs(instance, allow_cartesian=True):
     for mode in CACHE_MODES:
-        got, got_stats = _run(
+        got, got_stats, got_entries = _run(
             dp_optimal, instance, mode, allow_cartesian=allow_cartesian
         )
-        want, want_stats = _run(
+        want, want_stats, want_entries = _run(
             _reference_dp, instance, mode, allow_cartesian=allow_cartesian
         )
         assert got.cost == want.cost
@@ -162,6 +178,7 @@ def _assert_identical_runs(instance, allow_cartesian=True):
         assert got.explored == want.explored
         assert got == want
         assert got_stats == want_stats
+        assert got_entries == want_entries
 
 
 FAMILIES = {
@@ -222,6 +239,30 @@ def tie_typed_instances(draw):
     )
 
 
+@st.composite
+def fraction_typed_instances(draw):
+    """Integral sizes drawn as ``t`` or ``Fraction(t)`` and selectivities
+    from ``{1, Fraction(1), 1/2, 1/4}``: ``Fraction(1)`` is a unit
+    selectivity the reference skips, so it must not make a prefix size
+    ``Fraction``-typed.  Default access costs ``t_j * s_ij`` mix types."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    sizes = [
+        draw(st.sampled_from([t, Fraction(t)]))
+        for t in draw(st.lists(
+            st.sampled_from([1, 2, 4, 8, 64, 1024]), min_size=n, max_size=n
+        ))
+    ]
+    selectivities = {
+        edge: draw(st.sampled_from(
+            [1, Fraction(1), Fraction(1, 2), Fraction(1, 4)]
+        ))
+        for edge in edges
+    }
+    return QONInstance(Graph(n, edges), sizes, selectivities)
+
+
 class TestDPMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(family_instances(), st.booleans())
@@ -244,6 +285,11 @@ class TestDPMatchesReference:
     def test_mixed_type_ties(self, instance, allow_cartesian):
         _assert_identical_runs(instance, allow_cartesian=allow_cartesian)
 
+    @settings(max_examples=100, deadline=None)
+    @given(fraction_typed_instances(), st.booleans())
+    def test_fraction_typed_integral_values(self, instance, allow_cartesian):
+        _assert_identical_runs(instance, allow_cartesian=allow_cartesian)
+
     @pytest.mark.parametrize("side", ["yes", "no"])
     @pytest.mark.parametrize("allow_cartesian", [True, False])
     def test_theorem9_pair(self, side, allow_cartesian):
@@ -254,18 +300,46 @@ class TestDPMatchesReference:
         )
 
 
-@settings(max_examples=20, deadline=None)
-@given(family_instances(max_n=7))
+@st.composite
+def shared_cache_instances(draw):
+    if draw(st.booleans()):
+        return draw(family_instances(max_n=7))
+    return draw(fraction_typed_instances())
+
+
+@settings(max_examples=30, deadline=None)
+@given(shared_cache_instances())
 def test_shared_cache_counters_match(instance):
     """``dp``, ``bnb`` and ``exhaustive`` share ``qon-size`` entries
-    keyed by bitmask: same keys, same hits and misses at every step."""
-    trails = []
-    for dp in (dp_optimal, _reference_dp):
-        cache = CostCache()
-        trail = []
-        with use_cache(cache):
-            for optimizer in (dp, branch_and_bound, exhaustive_optimal):
-                result = optimizer(instance)
-                trail.append((repr(result.cost), cache.stats()))
-        trails.append(trail)
-    assert trails[0] == trails[1]
+    keyed by bitmask: same keys, same hits and misses at every step,
+    and the same entries (value type and ``repr``).  With bnb first the
+    DP reads (and demotes) entries it did not compute; exhaustive always
+    runs last, on entries the DP stored."""
+    for order in ("dp-first", "bnb-first"):
+        trails = []
+        for dp in (dp_optimal, _reference_dp):
+            optimizers = (
+                (dp, branch_and_bound) if order == "dp-first"
+                else (branch_and_bound, dp)
+            )
+            cache = CostCache()
+            trail = []
+            with use_cache(cache):
+                for optimizer in (*optimizers, exhaustive_optimal):
+                    result = optimizer(instance)
+                    trail.append(
+                        (repr(result.cost), cache.stats(), _entries(cache))
+                    )
+            trails.append(trail)
+        assert trails[0] == trails[1], order
+
+
+def test_counting_proxy_op_counts_pinned():
+    """The generic path (counting proxies) keeps the exact operation
+    sequence: T9 NO at n = 10 (the ``joinopt.dp_mults`` probe's
+    instance), no cost cache installed."""
+    counter = OpCounter()
+    instance = qon_gap_pair(10, 8, 4, alpha=4).no_reduction.instance
+    with use_cache(None):
+        dp_optimal(counting_qon_instance(instance, counter))
+    assert counter.snapshot() == {"mults": 9332, "divs": 0, "adds": 5110}

@@ -10,12 +10,18 @@ and every cache mode, the values — and for exact arithmetic the
 :func:`~repro.hashjoin.optimizer.best_decomposition` exactly.
 
 Hypothesis drives instance and move generation; the repro RNG wrappers
-keep every draw reproducible from the reported seed values.
+keep every draw reproducible from the reported seed values.  Besides
+random queries the draws cover the value shapes the evaluator's ``int``
+representation must not show through: Theorem-9-style integral
+instances, ``Fraction``-typed integral sizes (``Fraction(8)``) with
+``Fraction(1)`` selectivities, and access columns mixing ``t_j`` with
+``Fraction(t_j)``.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.graphs.graph import Graph
 from repro.hashjoin.instance import QOHInstance
@@ -26,11 +32,20 @@ from repro.joinopt.cost import (
     partial_costs,
     total_cost,
 )
-from repro.perf.incremental import PrefixEvaluator, sample_moves
+from repro.joinopt.instance import QONInstance
+from repro.perf.bench import _t9_no_instance
+from repro.perf.incremental import (
+    AdjacentSwap,
+    PrefixEvaluator,
+    Reinsert,
+    sample_moves,
+)
+from repro.perf.instrument import OpCounter, counting_qon_instance
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import CostCache, use_cache
 from repro.utils.rng import make_rng
 from repro.workloads.queries import random_query
+from tests.test_dp_differential import fraction_typed_instances
 
 
 def _shuffled(n, rng):
@@ -49,6 +64,94 @@ def qon_cases(draw):
     base = _shuffled(n, rng)
     move_count = draw(st.integers(min_value=1, max_value=25))
     return instance, base, sample_moves(n, rng, move_count)
+
+
+def _with_moves(draw, instance, max_moves=25):
+    """``(instance, base, moves)``: a drawn base and move batch."""
+    n = instance.num_relations
+    rng = make_rng(draw(st.integers(min_value=0, max_value=10_000)))
+    base = _shuffled(n, rng)
+    move_count = draw(st.integers(min_value=1, max_value=max_moves))
+    return instance, base, sample_moves(n, rng, move_count)
+
+
+def _edges(draw, n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return draw(st.lists(st.sampled_from(pairs), unique=True))
+
+
+@st.composite
+def tie_typed_cases(draw):
+    """Each edge probe ``w_uv`` is ``t_v`` or ``Fraction(t_v)`` and every
+    non-edge probe is ``t_v``, so access columns hold equal values of
+    different types; small sizes make such ties the common case."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = _edges(draw, n)
+    sizes = draw(st.lists(
+        st.sampled_from([2, 4, 8]), min_size=n, max_size=n
+    ))
+    selectivities = {
+        edge: draw(st.sampled_from([1, Fraction(1, 2)])) for edge in edges
+    }
+    access = {}
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            access[(a, b)] = draw(
+                st.sampled_from([sizes[b], Fraction(sizes[b])])
+            )
+    instance = QONInstance(Graph(n, edges), sizes, selectivities, access)
+    return _with_moves(draw, instance, max_moves=12)
+
+
+@st.composite
+def fraction_typed_cases(draw):
+    """The DP suite's ``Fraction``-typed integral instances, with moves."""
+    return _with_moves(draw, draw(fraction_typed_instances()), max_moves=12)
+
+
+@st.composite
+def t9_style_cases(draw):
+    """The Theorem 9 shape: power-of-two sizes (large ones keep every
+    prefix size integral), ``Fraction(1, 4)`` selectivities and ``int``
+    access costs in ``[t_v / 4, t_v]``."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    edges = _edges(draw, n)
+    sizes = [2 ** draw(st.integers(min_value=2, max_value=40))
+             for _ in range(n)]
+    access = {}
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            access[(a, b)] = sizes[b] // draw(st.sampled_from([1, 2, 4]))
+    instance = QONInstance(
+        Graph(n, edges), sizes, {edge: Fraction(1, 4) for edge in edges},
+        access,
+    )
+    return _with_moves(draw, instance, max_moves=12)
+
+
+#: The smallest tie-typed instance: ``w_01 = Fraction(4)`` and the
+#: non-edge probe ``w_21 = t_1 = 4`` tie in column 1, and swapping the
+#: first two relations of ``(0, 2, 1)`` changes which one the reference
+#: ``min()`` picks.
+TIE_EXAMPLE = (
+    QONInstance(
+        Graph(3, [(0, 1)]), [8, 4, 8], {(0, 1): Fraction(1, 2)},
+        {(0, 1): Fraction(4), (1, 0): 8, (0, 2): 8, (2, 0): 8, (1, 2): 8,
+         (2, 1): 4},
+    ),
+    (0, 2, 1),
+    [AdjacentSwap(0)],
+)
+
+
+#: Moving relation 0 past ``(1, 2)`` divides ``N = 1`` by its entry
+#: factor ``2``: both are integral, the quotient ``N({1, 2}) = 1/2`` is
+#: not.
+DIVIDE_EXAMPLE = (
+    QONInstance(Graph(3, [(1, 2)]), [2, 1, 1], {(1, 2): Fraction(1, 2)}),
+    (0, 1, 2),
+    [Reinsert(0, 2)],
+)
 
 
 @st.composite
@@ -79,6 +182,31 @@ def _assert_identical(kernel_value, reference_value):
     assert repr(kernel_value) == repr(reference_value)
 
 
+def _reference(instance, sequence):
+    with use_cache(None):
+        return total_cost(instance, sequence)
+
+
+def _assert_chain_identical(instance, base, moves):
+    """After ``rebase`` and after every ``advance``: the total and the
+    cost of every move in the batch, against a fresh ``total_cost``.
+    Stale checkpoints only show in the neighbors, so both are checked."""
+    evaluator = PrefixEvaluator(instance)
+    _assert_identical(evaluator.rebase(base), _reference(instance, base))
+    current = base
+    for accepted in (None, *moves):
+        if accepted is not None:
+            current = accepted.apply(current)
+            _assert_identical(
+                evaluator.advance(accepted), _reference(instance, current)
+            )
+        assert evaluator.base == current
+        _assert_identical(evaluator.total, _reference(instance, current))
+        for move, key, cost in evaluator.evaluate_neighbors(current, moves):
+            assert key == move.apply(current)
+            _assert_identical(cost, _reference(instance, key))
+
+
 class TestQONExactIdentity:
     @settings(max_examples=60, deadline=None)
     @given(qon_cases())
@@ -98,18 +226,24 @@ class TestQONExactIdentity:
     @given(qon_cases())
     def test_advance_chain_bit_identical(self, case):
         """Accepted-move state updates track the reference exactly."""
-        instance, base, moves = case
         with use_cache(None):
-            evaluator = PrefixEvaluator(instance)
-            evaluator.rebase(base)
-            current = base
-            for move in moves:
-                current = move.apply(current)
-                evaluator.advance(move)
-                assert evaluator.base == current
-                _assert_identical(
-                    evaluator.total, total_cost(instance, current)
-                )
+            _assert_chain_identical(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tie_typed_cases())
+    @example(TIE_EXAMPLE)
+    def test_mixed_type_ties(self, case):
+        """Equal probes of different types: the reference takes the
+        first minimum in prefix order, and so must every candidate."""
+        with use_cache(None):
+            _assert_chain_identical(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(fraction_typed_cases())
+    @example(DIVIDE_EXAMPLE)
+    def test_fraction_typed_integral_values(self, case):
+        with use_cache(None):
+            _assert_chain_identical(*case)
 
     @settings(max_examples=40, deadline=None)
     @given(qon_cases(), st.integers(min_value=0, max_value=10_000))
@@ -185,6 +319,20 @@ class TestCacheModes:
                 _assert_identical(cost, reference[key])
 
     @settings(max_examples=30, deadline=None)
+    @given(
+        t9_style_cases(),
+        st.sampled_from(["none", "unbounded", "passthrough"]),
+    )
+    def test_t9_style_in_every_mode(self, case, mode):
+        cache = {
+            "none": None,
+            "unbounded": CostCache(),
+            "passthrough": CostCache(maxsize=0),
+        }[mode]
+        with use_cache(cache):
+            _assert_chain_identical(*case)
+
+    @settings(max_examples=30, deadline=None)
     @given(qon_cases())
     def test_kernel_and_reference_share_cache_entries(self, case):
         """Same kind/key: whoever computes first, the other one hits."""
@@ -218,6 +366,47 @@ class TestCacheModes:
             stats_after = cache.stats()
         assert stats_after.hits == stats_before.hits
         assert stats_after.misses == stats_before.misses
+
+
+#: Counting-proxy tallies of one ``PrefixEvaluator`` on the ``repro
+#: bench`` QO_N grid (seed 0): the ``rebase`` and then all neighbors.
+#: The generic path runs plain ``*``, ``+`` and ``/`` in a fixed order,
+#: so these are exact.
+BENCH_GRID_COUNTS = {
+    (12, 200): (
+        {"mults": 76, "divs": 0, "adds": 20},
+        {"mults": 2045, "divs": 172, "adds": 822},
+    ),
+    (14, 200): (
+        {"mults": 99, "divs": 0, "adds": 24},
+        {"mults": 2204, "divs": 206, "adds": 877},
+    ),
+    (12, 60): (
+        {"mults": 76, "divs": 0, "adds": 20},
+        {"mults": 628, "divs": 46, "adds": 248},
+    ),
+}
+
+
+@pytest.mark.parametrize("n, move_count", sorted(BENCH_GRID_COUNTS))
+def test_counting_proxy_op_counts_pinned(n, move_count):
+    """Base and moves drawn as ``repro.perf.bench`` draws them."""
+    rng = make_rng(0)
+    base = _shuffled(n, rng)
+    moves = sample_moves(n, rng, move_count)
+    counter = OpCounter()
+    evaluator = PrefixEvaluator(
+        counting_qon_instance(_t9_no_instance(n), counter)
+    )
+    with use_cache(None):
+        evaluator.rebase(base)
+        rebase_counts = counter.snapshot()
+        counter.reset()
+        for _ in evaluator.evaluate_neighbors(base, moves):
+            pass
+    assert (rebase_counts, counter.snapshot()) == BENCH_GRID_COUNTS[
+        (n, move_count)
+    ]
 
 
 class TestPartialCosts:
