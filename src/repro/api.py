@@ -96,14 +96,13 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.1"
+API_VERSION = "1.2"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
     "repro.rpc/1",
     REQUEST_SCHEMA,
     REPLY_SCHEMA,
-    "repro.stats/1",
     METRICS_SCHEMA,
     EVENTS_SCHEMA,
 )

@@ -525,11 +525,7 @@ def _cmd_request(args: argparse.Namespace) -> int:
 
     with ServiceClient(_parse_address(args.connect)) as client:  # type: ignore[arg-type]
         if args.stats:
-            from repro.service import validate_stats
-
-            stats = client.stats()
-            validate_stats(stats)
-            print(json.dumps(stats, indent=2, sort_keys=True))
+            print(json.dumps(client.metrics(), sort_keys=True))
             return 0
         if args.instance is None:
             print("repro request needs an instance file "
@@ -1038,7 +1034,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     request_cmd.add_argument(
         "--stats", action="store_true",
-        help="print the server's repro.stats/1 snapshot and exit",
+        help="print the server's repro.metrics/1 snapshot as one JSON "
+        "line (readable by repro metrics) and exit",
     )
     request_cmd.add_argument(
         "--max-wait", type=float, default=60.0,

@@ -1,13 +1,6 @@
 """The unified plan-search result type shared by all three substrates.
 
-Historically each subsystem had its own result shape:
-
-* ``joinopt.optimizers.base.OptimizerResult`` (QO_N),
-* ``hashjoin.optimizer.QOHPlan`` (QO_H),
-* ``starqo`` returned bare ``(cost, StarPlan)`` tuples (SQO-CP).
-
-Every optimizer now returns :class:`PlanResult`; the old names remain
-importable as deprecated aliases that warn once per process.
+Every optimizer — QO_N, QO_H and SQO-CP — returns :class:`PlanResult`.
 
 Field mapping:
 
@@ -25,9 +18,8 @@ Field mapping:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Set, Tuple
+from typing import Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -75,75 +67,4 @@ class PlanResult:
         return max(1.0, 2.0 ** gap_log2)
 
 
-_warned: Set[str] = set()
-
-
-def _warn_once(old_name: str) -> None:
-    if old_name in _warned:
-        return
-    _warned.add(old_name)
-    warnings.warn(
-        f"{old_name} is deprecated; use repro.core.results.PlanResult",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the warn-once latches (test helper)."""
-    _warned.clear()
-
-
-class OptimizerResult(PlanResult):
-    """Deprecated alias of :class:`PlanResult` (old QO_N result type)."""
-
-    def __init__(self, cost: object, sequence: Iterable[int] = (),
-                 optimizer: str = "", explored: int = 0,
-                 is_exact: bool = False, plan: object = None,
-                 trace: Optional[str] = None) -> None:
-        _warn_once("OptimizerResult")
-        PlanResult.__init__(
-            self, cost=cost, sequence=tuple(sequence), optimizer=optimizer,
-            explored=explored, is_exact=is_exact, plan=plan, trace=trace,
-        )
-
-
-class QOHPlan(PlanResult):
-    """Deprecated alias of :class:`PlanResult` (old QO_H result type).
-
-    Accepts the historical ``decomposition=`` keyword, stored as
-    ``plan`` (and still readable via the ``decomposition`` property).
-    """
-
-    def __init__(self, sequence: Iterable[int] = (),
-                 decomposition: object = None, cost: object = 0,
-                 explored: int = 0, optimizer: str = "",
-                 is_exact: bool = False, plan: object = None,
-                 trace: Optional[str] = None) -> None:
-        _warn_once("QOHPlan")
-        PlanResult.__init__(
-            self, cost=cost, sequence=tuple(sequence), optimizer=optimizer,
-            explored=explored, is_exact=is_exact,
-            plan=decomposition if decomposition is not None else plan,
-            trace=trace,
-        )
-
-
-def deprecated_alias(name: str) -> type:
-    """Resolve a deprecated alias class by name, for the module-level
-    ``__getattr__`` shims at the aliases' historical import homes
-    (``repro.joinopt``, ``repro.hashjoin.optimizer``, ...).
-
-    Those modules must not *statically* import the aliases — the
-    ``repro lint`` pass (rule RPR003) forbids internal alias use — but
-    ``from repro.hashjoin.optimizer import QOHPlan`` has to keep
-    working for external callers until the aliases are removed.
-    """
-    if name in ("OptimizerResult", "QOHPlan"):
-        alias = globals()[name]
-        assert isinstance(alias, type)
-        return alias
-    raise AttributeError(f"no deprecated result alias named {name!r}")
-
-
-__all__ = ["PlanResult", "OptimizerResult", "QOHPlan"]
+__all__ = ["PlanResult"]

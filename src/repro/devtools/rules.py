@@ -185,53 +185,6 @@ def _check_randomness(
 
 
 # ---------------------------------------------------------------------
-# RPR003 — no internal use of deprecated result aliases
-# ---------------------------------------------------------------------
-
-DEPRECATED_ALIASES = ("OptimizerResult", "QOHPlan")
-
-#: Where the aliases are defined (and may be named).
-ALIAS_HOME = "core.results"
-
-
-@register(
-    "RPR003",
-    "deprecated-result-alias",
-    "internal code must use repro.core.results.PlanResult, not the "
-    "deprecated OptimizerResult/QOHPlan aliases",
-)
-def _check_deprecated_alias(
-    file: SourceFile, project: Project
-) -> Iterator[Finding]:
-    if file.module == ALIAS_HOME:
-        return
-    for node in ast.walk(file.tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in DEPRECATED_ALIASES:
-                    line, col = _loc(node)
-                    yield line, col, (
-                        f"import of deprecated alias {alias.name!r}; "
-                        "use repro.core.results.PlanResult"
-                    )
-        elif isinstance(node, ast.Name) and node.id in DEPRECATED_ALIASES:
-            line, col = _loc(node)
-            yield line, col, (
-                f"use of deprecated alias {node.id!r}; "
-                "use repro.core.results.PlanResult"
-            )
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in DEPRECATED_ALIASES
-        ):
-            line, col = _loc(node)
-            yield line, col, (
-                f"attribute access to deprecated alias {node.attr!r}; "
-                "use repro.core.results.PlanResult"
-            )
-
-
-# ---------------------------------------------------------------------
 # RPR004 — optimizers registered and span-instrumented
 # ---------------------------------------------------------------------
 

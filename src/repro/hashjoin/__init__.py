@@ -44,16 +44,6 @@ from repro.hashjoin.optimizer import (
 )
 
 
-def __getattr__(name: str) -> type:
-    # Deprecated alias kept importable (lazily, so internal code
-    # cannot pick it up by accident; see lint rule RPR003).
-    if name == "QOHPlan":
-        from repro.core.results import deprecated_alias
-
-        return deprecated_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "HashJoinCostModel",
     "QOHInstance",
@@ -63,7 +53,6 @@ __all__ = [
     "pipeline_cost",
     "allocate_memory",
     "PlanResult",
-    "QOHPlan",
     "best_decomposition",
     "feasible_sequences",
     "is_feasible_sequence",

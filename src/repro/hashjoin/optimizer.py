@@ -183,13 +183,3 @@ def qoh_greedy(instance: QOHInstance) -> Optional[PlanResult]:
     # explored counts every partial sequence the greedy examined across
     # all starting relations, not just the winning decomposition DP.
     return replace(best, optimizer="qoh-greedy", explored=explored)
-
-
-def __getattr__(name: str) -> type:
-    # Deprecated ``QOHPlan`` alias kept importable (lazily, so internal
-    # code cannot pick it up by accident; see lint rule RPR003).
-    if name == "QOHPlan":
-        from repro.core.results import deprecated_alias
-
-        return deprecated_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

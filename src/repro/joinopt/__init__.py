@@ -46,16 +46,6 @@ from repro.joinopt.optimizers import (
 )
 
 
-def __getattr__(name: str) -> type:
-    # Deprecated alias kept importable (lazily, so internal code
-    # cannot pick it up by accident; see lint rule RPR003).
-    if name == "OptimizerResult":
-        from repro.core.results import deprecated_alias
-
-        return deprecated_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "QONInstance",
     "back_edge_counts",
@@ -67,7 +57,6 @@ __all__ = [
     "dominance_lower_bound",
     "first_join_lower_bound",
     "lemma8_style_lower_bound",
-    "OptimizerResult",
     "PlanResult",
     "branch_and_bound",
     "dp_optimal",

@@ -18,7 +18,7 @@ paper lower-bounds):
   :func:`random_sampling` — randomized search.
 """
 
-from repro.joinopt.optimizers.base import PlanResult
+from repro.core.results import PlanResult
 from repro.joinopt.optimizers.exhaustive import exhaustive_optimal
 from repro.joinopt.optimizers.dynamic_programming import dp_optimal
 from repro.joinopt.optimizers.greedy import greedy_min_cost, greedy_min_size
@@ -32,18 +32,7 @@ from repro.joinopt.optimizers.genetic import genetic_algorithm
 from repro.joinopt.optimizers.branch_and_bound import branch_and_bound
 
 
-def __getattr__(name: str) -> type:
-    # Deprecated alias kept importable (lazily, so internal code
-    # cannot pick it up by accident; see lint rule RPR003).
-    if name == "OptimizerResult":
-        from repro.core.results import deprecated_alias
-
-        return deprecated_alias(name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "OptimizerResult",
     "PlanResult",
     "exhaustive_optimal",
     "dp_optimal",

@@ -1,12 +1,12 @@
 """Telemetry export: periodic ``repro.metrics/1`` snapshots and
 Prometheus-style text exposition.
 
-A :class:`TelemetryExporter` owns a daemon thread that snapshots a
-:class:`~repro.observability.metrics.MetricsRegistry` every
-``interval_s`` seconds and appends the (schema-checked) snapshot as
-one JSONL line.  The final snapshot is written unconditionally at
-:meth:`stop`, so even a short-lived daemon leaves at least one line —
-the CI smoke job asserts its counter identities.
+A :class:`TelemetryExporter` owns a daemon thread that calls a
+snapshot function every ``interval_s`` seconds and appends the
+(schema-checked) ``repro.metrics/1`` snapshot as one JSONL line.  The
+final snapshot is written unconditionally at :meth:`stop`, so even a
+short-lived daemon leaves at least one line — the CI smoke job asserts
+its counter identities.
 
 The same snapshot dict renders to Prometheus text exposition with
 :func:`render_prometheus`: dotted names become underscore-joined
@@ -22,19 +22,17 @@ from __future__ import annotations
 
 import json
 import threading
-from typing import IO, Dict, List, Optional, Union
+from typing import IO, Callable, Dict, List, Optional, Union
 
-from repro.observability.metrics import (
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    validate_metrics,
-)
+from repro.observability.metrics import METRICS_SCHEMA, validate_metrics
 from repro.utils.validation import require
 
 
 class TelemetryExporter:
-    """Background snapshot appender for one registry.
+    """Background snapshot appender for one telemetry source.
 
+    ``snapshot`` is a zero-argument callable returning a
+    ``repro.metrics/1`` dict, such as ``MetricsRegistry.snapshot``.
     ``sink`` is a path (opened for append) or an open text stream (the
     caller keeps ownership).  Snapshots are validated before writing —
     a schema bug fails loudly in the exporter thread's caller via
@@ -43,12 +41,12 @@ class TelemetryExporter:
 
     def __init__(
         self,
-        registry: MetricsRegistry,
+        snapshot: Callable[[], dict],
         sink: Union[str, IO[str]],
         interval_s: float = 1.0,
     ) -> None:
         require(interval_s > 0, "interval_s must be > 0")
-        self._registry = registry
+        self._snapshot = snapshot
         if isinstance(sink, str):
             self._stream: IO[str] = open(sink, "a", encoding="utf-8")
             self._owns_stream = True
@@ -68,7 +66,7 @@ class TelemetryExporter:
 
     def write_snapshot(self) -> dict:
         """Snapshot, validate, and append one line immediately."""
-        snapshot = self._registry.snapshot()
+        snapshot = self._snapshot()
         problems = validate_metrics(snapshot)
         require(not problems, f"invalid metrics snapshot: {problems[:1]}")
         line = json.dumps(snapshot, sort_keys=True)

@@ -5,8 +5,10 @@
 cache, bounded-queue admission control and per-request span tracing —
 and :class:`~repro.service.client.ServiceClient` talks to it (as does
 ``repro request``).  The wire protocol lives in
-:mod:`repro.service.protocol`, the ``repro.stats/1`` counters in
-:mod:`repro.service.stats`; see ``docs/service.md`` for the full
+:mod:`repro.service.protocol`; the daemon's counters, gauges and
+latency histogram live in one
+:class:`~repro.observability.metrics.MetricsRegistry`, served as
+``repro.metrics/1`` snapshots.  See ``docs/service.md`` for the full
 protocol and lifecycle story.
 
 This package invokes optimization exclusively through
@@ -20,16 +22,12 @@ from repro.service.client import (
     ServiceUnavailable,
 )
 from repro.service.server import OptimizationServer, ServerConfig, serve
-from repro.service.stats import STATS_SCHEMA, ServerStats, validate_stats
 
 __all__ = [
-    "STATS_SCHEMA",
     "OptimizationServer",
     "ServerConfig",
-    "ServerStats",
     "ServiceClient",
     "ServiceError",
     "ServiceUnavailable",
     "serve",
-    "validate_stats",
 ]

@@ -188,13 +188,6 @@ class ServiceClient:
         )
         return self._submit("sweep", spec.to_dict(), wait, max_wait_s)
 
-    def stats(self) -> Dict[str, Any]:
-        """The server's current ``repro.stats/1`` snapshot."""
-        reply = self.call("stats")
-        if not reply.ok or not isinstance(reply.result, dict):
-            raise ServiceError(f"stats call failed: {reply.error}")
-        return reply.result
-
     def metrics(self) -> Dict[str, Any]:
         """The server's live ``repro.metrics/1`` telemetry snapshot."""
         reply = self.call("metrics")

@@ -20,9 +20,9 @@ Operations:
 * ``hello`` — handshake; replies with :func:`repro.api.capabilities`.
 * ``optimize`` — payload is a ``repro.request/1`` optimize_request.
 * ``sweep`` — payload is a ``repro.request/1`` sweep_spec.
-* ``stats`` — replies with the ``repro.stats/1`` counter snapshot.
 * ``metrics`` — replies with the live ``repro.metrics/1`` snapshot of
-  the daemon's telemetry registry (``repro top`` polls this).
+  the daemon's telemetry registry, its only counter store (``repro
+  top`` and ``repro request --stats`` read this).
 * ``shutdown`` — ask the server to drain and exit (same as SIGTERM).
 
 Framing errors (non-JSON line, wrong schema, unknown op) produce an
@@ -41,7 +41,7 @@ RPC_SCHEMA = "repro.rpc/1"
 
 #: Every operation a request frame may carry.
 OPS: Tuple[str, ...] = (
-    "hello", "optimize", "sweep", "stats", "metrics", "shutdown"
+    "hello", "optimize", "sweep", "metrics", "shutdown"
 )
 
 #: Operations that enqueue a computation (admission-controlled); the

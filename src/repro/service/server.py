@@ -5,7 +5,7 @@ frames, :mod:`repro.service.protocol`) over a local socket — AF_UNIX
 when given a filesystem path, TCP on localhost otherwise.  One reader
 thread per connection parses and validates frames; compute operations
 pass through admission control into a bounded queue consumed by a
-fixed worker pool; everything else (handshake, stats, shutdown) is
+fixed worker pool; everything else (handshake, metrics, shutdown) is
 answered inline.
 
 What the admission path guarantees, in order:
@@ -37,8 +37,9 @@ cost kernels (which are memoized per *live* object).
 SIGTERM/SIGINT (or the ``shutdown`` op) triggers a graceful drain:
 the listener closes, late requests get retry-after rejections, queued
 work finishes, workers exit, and :meth:`OptimizationServer.shutdown`
-returns the final ``repro.stats/1`` snapshot — whose counters sum to
-exactly the number of compute requests received.
+returns the final ``repro.metrics/1`` snapshot — whose ``service.*``
+admission counters sum to exactly the number of compute requests
+received.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.observability.export import TelemetryExporter
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracer import Tracer, counter_totals, use_tracer
 from repro.service import protocol
-from repro.service.stats import ServerStats
 from repro.utils.validation import ValidationError, require
 
 Address = Union[str, Tuple[str, int]]
@@ -163,12 +163,10 @@ class OptimizationServer:
         self.config = config or ServerConfig()
         require(self.config.workers >= 1, "need at least one worker")
         require(self.config.max_queue >= 1, "need a queue of at least 1")
-        self.stats = ServerStats()
-        # Live telemetry: one registry per server lifetime.  The
-        # counters below mirror ServerStats exactly (same names, same
-        # increment sites), so the ``received == computed + cache_hits
-        # + coalesced + rejected + errors`` identity holds in every
-        # exported snapshot too.
+        # The daemon's only telemetry store, one per server lifetime.
+        # Each request's admission outcome is counted once, where it is
+        # decided, so ``received == computed + cache_hits + coalesced +
+        # rejected + errors`` holds in every snapshot at quiescence.
         self.metrics = MetricsRegistry()
         self._event_log: Optional[EventLog] = (
             EventLog(self.config.events_out, slow_ms=self.config.slow_ms)
@@ -225,7 +223,7 @@ class OptimizationServer:
         self._listener = listener
         if self.config.metrics_out is not None:
             self._exporter = TelemetryExporter(
-                self.metrics,
+                self.metrics_snapshot,
                 self.config.metrics_out,
                 interval_s=self.config.metrics_interval_s,
             )
@@ -256,7 +254,8 @@ class OptimizationServer:
         return self._stop_event.wait(timeout)
 
     def shutdown(self, drain_timeout: float = 60.0) -> Dict[str, Any]:
-        """Gracefully drain and stop; returns the final stats snapshot.
+        """Gracefully drain and stop; returns the final
+        ``repro.metrics/1`` snapshot.
 
         Closes the listener (no new connections), lets admission
         reject late arrivals with retry-after, waits for every queued
@@ -290,16 +289,18 @@ class OptimizationServer:
                 pass
         if self._exporter is not None:
             # Final snapshot line: drained counters, settled identity.
-            self._exporter.stop()
+            final = self._exporter.stop()
             self._exporter = None
+        else:
+            final = self.metrics_snapshot()
         if self._event_log is not None:
             self._event_log.close()
-        return self.stats_snapshot()
+        return final
 
     def serve_forever(self) -> Dict[str, Any]:
         """Start (unless already started), handle SIGTERM/SIGINT as
         graceful drain, and block until stopped; returns the final
-        stats snapshot."""
+        ``repro.metrics/1`` snapshot."""
         if not self._started:
             self.start()
         try:
@@ -310,20 +311,14 @@ class OptimizationServer:
         self._stop_event.wait()
         return self.shutdown()
 
-    def stats_snapshot(self) -> Dict[str, Any]:
-        """The current ``repro.stats/1`` payload."""
-        with self._lock:
-            queue_depth = len(self._pending)
-            in_flight = self._running_count
-        return self.stats.snapshot(
-            queue_depth=queue_depth,
-            in_flight=in_flight,
-            workers=self.config.workers,
-        )
-
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """The current ``repro.metrics/1`` payload (the ``metrics`` op,
-        which ``repro top`` polls)."""
+        """The current ``repro.metrics/1`` payload: the only reader of
+        the registry, behind the ``metrics`` op (which ``repro top``
+        polls), the exporter's lines and the final drain snapshot.
+
+        The daemon gauges are set here, at snapshot time, so every
+        reader sees them and the request path never writes them.
+        """
         with self._lock:
             queue_depth = len(self._pending)
             in_flight = self._running_count
@@ -335,15 +330,6 @@ class OptimizationServer:
                 "service.events_logged", float(self._event_log.emitted)
             )
         return self.metrics.snapshot()
-
-    def _count(self, name: str) -> None:
-        """One admission-control counter, in both sinks at once.
-
-        ``ServerStats`` (the ``repro.stats/1`` snapshot) and the live
-        registry must never disagree, so every count goes through here.
-        """
-        self.stats.count(name)
-        self.metrics.inc(f"service.{name}")
 
     # -- accept / read ------------------------------------------------
 
@@ -411,11 +397,6 @@ class OptimizationServer:
                 connection, frame_id,
                 api.ServiceReply(op="hello", result=api.capabilities()),
             )
-        elif op == "stats":
-            self._send_reply(
-                connection, frame_id,
-                api.ServiceReply(op="stats", result=self.stats_snapshot()),
-            )
         elif op == "metrics":
             self._send_reply(
                 connection, frame_id,
@@ -479,12 +460,12 @@ class OptimizationServer:
         op: str,
         payload: Dict[str, Any],
     ) -> None:
-        self._count("received")
+        self.metrics.inc("service.received")
         try:
             request = self._decode_request(op, payload)
             fingerprint = request.fingerprint()
         except (ValidationError, KeyError, TypeError, ValueError) as exc:
-            self._count("errors")
+            self.metrics.inc("service.errors")
             self._send_reply(
                 connection, frame_id,
                 api.ServiceReply(op=op, status="error", error=str(exc)),
@@ -498,7 +479,7 @@ class OptimizationServer:
                 cached = self._results.get(fingerprint)
                 if cached is not None:
                     self._results.move_to_end(fingerprint)
-                    self._count("cache_hits")
+                    self.metrics.inc("service.cache_hits")
                     reply = dataclasses.replace(cached, cached=True)
                 else:
                     running = self._inflight.get(fingerprint)
@@ -506,14 +487,14 @@ class OptimizationServer:
                         running.waiters.append(
                             (connection, frame_id, True)
                         )
-                        self._count("coalesced")
+                        self.metrics.inc("service.coalesced")
                         decision = "coalesce"
             if reply is None and decision == "admit":
                 if (
                     self._stop_event.is_set()
                     or len(self._pending) >= self.config.max_queue
                 ):
-                    self._count("rejected")
+                    self.metrics.inc("service.rejected")
                     decision = "reject"
                     reply = api.ServiceReply(
                         op=op,
@@ -532,9 +513,6 @@ class OptimizationServer:
                     if not bypass:
                         self._inflight[fingerprint] = job
                     self._pending.append(job)
-                    self.metrics.set_gauge(
-                        "service.queue_depth", len(self._pending)
-                    )
                     self._work_ready.notify()
         # Event I/O stays outside the admission lock.
         if self._event_log is not None and decision != "admit":
@@ -558,9 +536,6 @@ class OptimizationServer:
                 if self._closed and not self._pending:
                     return
                 job = self._pending.popleft()
-                self.metrics.set_gauge(
-                    "service.queue_depth", len(self._pending)
-                )
                 self._running_count += 1
             # _run_job handles every exception itself, so the
             # bookkeeping below always runs with a reply in hand.
@@ -626,7 +601,7 @@ class OptimizationServer:
                 with tracer.span(f"execute.{job.fingerprint[:12]}"):
                     result = api.execute_request(job.request)
         except Exception as exc:
-            self._count("errors")
+            self.metrics.inc("service.errors")
             records = tracer.finish()
             return api.ServiceReply(
                 op=job.op,
@@ -639,9 +614,8 @@ class OptimizationServer:
                     tuple(records) if wants_trace else None
                 ),
             )
-        self._count("computed")
+        self.metrics.inc("service.computed")
         elapsed = time.perf_counter() - started
-        self.stats.observe_latency(elapsed)
         self.metrics.observe("service.latency_ms", elapsed * 1000.0)
         if self._event_log is not None:
             self._event_log.observe_latency(
@@ -678,7 +652,8 @@ class OptimizationServer:
 
 
 def serve(config: Optional[ServerConfig] = None) -> Dict[str, Any]:
-    """Run a server until SIGTERM/SIGINT; returns the final stats."""
+    """Run a server until SIGTERM/SIGINT; returns the final
+    ``repro.metrics/1`` snapshot."""
     return OptimizationServer(config).serve_forever()
 
 

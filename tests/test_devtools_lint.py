@@ -93,41 +93,6 @@ class TestRuleFixtures:
         })
         assert lint_paths([tree]).ok
 
-    def test_rpr003_flags_deprecated_alias_import(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/engine/data.py": """\
-                from repro.joinopt.optimizers import OptimizerResult
-
-                def build(plan: OptimizerResult):
-                    return plan
-            """,
-            "src/repro/hashjoin/search.py": """\
-                import repro.hashjoin.optimizer as opt
-
-                def best():
-                    return opt.QOHPlan
-            """,
-        })
-        report = lint_paths([tree])
-        assert codes_of(report).count("RPR003") == len(report.diagnostics)
-        # import site + annotation use + attribute access
-        assert len(report.diagnostics) == 3
-
-    def test_rpr003_allows_the_alias_home(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/core/results.py": """\
-                class PlanResult:
-                    pass
-
-                class OptimizerResult(PlanResult):
-                    pass
-
-                class QOHPlan(PlanResult):
-                    pass
-            """,
-        })
-        assert lint_paths([tree]).ok
-
     def test_rpr004_traced_but_unregistered(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/runtime/runner.py": """\
@@ -503,10 +468,10 @@ class TestRuleFixtures:
 
     def test_every_rule_has_a_registry_entry(self):
         assert rule_codes() == [
-            "RPR001", "RPR002", "RPR003", "RPR004",
-            "RPR005", "RPR006", "RPR007", "RPR008",
-            "RPR009", "RPR010", "RPR011", "RPR012",
-            "RPR013", "RPR014",
+            "RPR001", "RPR002", "RPR004", "RPR005",
+            "RPR006", "RPR007", "RPR008", "RPR009",
+            "RPR010", "RPR011", "RPR012", "RPR013",
+            "RPR014",
         ]
         for code, rule in RULES.items():
             assert rule.code == code

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.results import PlanResult
 from repro.graphs.graph import Graph
 from repro.joinopt.cost import has_cartesian_product, total_cost
 from repro.joinopt.instance import QONInstance
@@ -219,9 +220,7 @@ class TestRatio:
         assert ratio >= 1.0
 
     def test_ratio_inf_for_huge_gap(self):
-        from repro.joinopt.optimizers.base import OptimizerResult
-
-        result = OptimizerResult(cost=2**5000, sequence=(0,), optimizer="x")
+        result = PlanResult(cost=2**5000, sequence=(0,), optimizer="x")
         assert result.ratio_to(1) == float("inf")
 
 

@@ -1,16 +1,11 @@
-"""Tests for the unified PlanResult type and its deprecated aliases."""
+"""Tests for the unified PlanResult type."""
 
 import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from repro.core.results import (
-    OptimizerResult,
-    PlanResult,
-    QOHPlan,
-    _reset_deprecation_warnings,
-)
+from repro.core.results import PlanResult
 
 
 class TestPlanResult:
@@ -78,49 +73,3 @@ class TestRatioTo:
         cost = 2**4000 + 1
         result = PlanResult(cost=cost, sequence=(0,))
         assert result.ratio_to(cost) >= 1.0
-
-
-class TestDeprecatedAliases:
-    def test_optimizer_result_warns_once(self):
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning, match="OptimizerResult"):
-            result = OptimizerResult(cost=5, sequence=(1, 0), optimizer="x")
-        assert isinstance(result, PlanResult)
-        assert result.sequence == (1, 0)
-        # Second construction is silent (warn-once latch).
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            OptimizerResult(cost=5, sequence=(1, 0))
-
-    def test_qohplan_accepts_decomposition_keyword(self):
-        _reset_deprecation_warnings()
-
-        class FakeDecomposition:
-            pipelines = ((0, 1),)
-
-        plan = FakeDecomposition()
-        with pytest.warns(DeprecationWarning, match="QOHPlan"):
-            result = QOHPlan(sequence=(0, 1), decomposition=plan, cost=7)
-        assert isinstance(result, PlanResult)
-        assert result.plan is plan
-        assert result.decomposition is plan
-        assert result.cost == 7
-
-    def test_aliases_survive_dataclasses_replace(self):
-        _reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            result = OptimizerResult(cost=5, sequence=(1, 0), optimizer="x")
-        updated = dataclasses.replace(result, explored=3)
-        assert updated.explored == 3
-        assert updated.cost == 5
-
-    def test_aliases_importable_from_old_homes(self):
-        from repro.hashjoin.optimizer import QOHPlan as FromHashjoin
-        from repro.joinopt.optimizers.base import (
-            OptimizerResult as FromBase,
-        )
-
-        assert FromBase is OptimizerResult
-        assert FromHashjoin is QOHPlan

@@ -99,7 +99,7 @@ def _broken_optimizer(instance, **_kwargs):
 
 
 class TestEveryOptimizerReportsWork:
-    """Satellite: ``OptimizerResult.explored`` gaps are fixed for good."""
+    """Every optimizer reports its work in ``PlanResult.explored``."""
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
     def test_explored_positive(self, name):

@@ -9,7 +9,9 @@ Covers, per ISSUE requirements:
 * the ``no_cache`` bypass flag recomputes but still refreshes;
 * backpressure — a full queue rejects with an explicit retry-after,
   never a silent drop, and waiting clients eventually succeed;
-* the ``stats`` RPC (``repro.stats/1`` schema, counter identity);
+* the admission counters in the daemon's metrics registry, whose
+  identity holds in the final ``repro.metrics/1`` snapshot (the
+  retired ``stats`` op gets the unknown-op error reply);
 * graceful drain on shutdown;
 * a 64-client concurrent mixed optimize/sweep workload whose replies
   are bit-identical to direct ``repro.api`` calls with nonzero
@@ -28,16 +30,25 @@ from repro import api
 from repro.core.results import PlanResult
 from repro.hashjoin.instance import QOHInstance
 from repro.joinopt.instance import Graph
+from repro.observability import validate_metrics
 from repro.runtime.runner import OPTIMIZERS
 from repro.service import (
     OptimizationServer,
     ServerConfig,
     ServiceClient,
     ServiceUnavailable,
-    validate_stats,
+    protocol,
 )
 
 DRAIN_TIMEOUT = 30.0
+
+#: Every admission outcome; their counters sum to ``service.received``.
+OUTCOMES = ("computed", "cache_hits", "coalesced", "rejected", "errors")
+
+
+def answered(counters):
+    """Requests that ended in some admission outcome."""
+    return sum(counters.get(f"service.{name}", 0) for name in OUTCOMES)
 
 
 def assert_bit_identical(left, right):
@@ -122,26 +133,20 @@ class TestHandshake:
             assert client.capabilities["api_version"] == api.API_VERSION
             assert "repro.rpc/1" in client.capabilities["rpc_schemas"]
 
-    def test_stats_rpc_payload_validates(self, make_server):
-        _server, address = make_server()
-        with ServiceClient(address) as client:
-            payload = client.stats()
-        validate_stats(payload)
-        assert payload["workers"] == 2
-        assert payload["counters"]["received"] == 0
-
     def test_unknown_op_gets_an_error_reply(self, make_server):
         _server, address = make_server()
-        with ServiceClient(address) as client:
-            frame = {"rpc": "repro.rpc/1", "id": 99, "op": "banana",
-                     "payload": None}
-            from repro.service import protocol
-            client._sock.sendall(protocol.encode_frame(frame))
-            line = client._stream.readline()
-            reply_frame = protocol.decode_line(line)
-        reply = api.ServiceReply.from_dict(reply_frame["reply"])
-        assert reply.status == "error"
-        assert "unknown op" in (reply.error or "")
+        # "stats" was the retired second counters op; metrics replaced it.
+        for frame_id, op in enumerate(("banana", "stats")):
+            with ServiceClient(address) as client:
+                frame = {"rpc": "repro.rpc/1", "id": frame_id, "op": op,
+                         "payload": None}
+                client._sock.sendall(protocol.encode_frame(frame))
+                line = client._stream.readline()
+                reply_frame = protocol.decode_line(line)
+            assert reply_frame["id"] == frame_id
+            reply = api.ServiceReply.from_dict(reply_frame["reply"])
+            assert reply.status == "error"
+            assert "unknown op" in (reply.error or "")
 
 
 # ---------------------------------------------------------------------
@@ -164,8 +169,8 @@ class TestResultCache:
         assert_bit_identical(cached.result.cost, direct.cost)
         assert_bit_identical(cached.result.plan, direct.plan)
         assert cached.fingerprint == fresh.fingerprint
-        assert server.stats.computed == 1
-        assert server.stats.cache_hits == 1
+        assert server.metrics.counter_value("service.computed") == 1
+        assert server.metrics.counter_value("service.cache_hits") == 1
 
     def test_no_cache_flag_bypasses_but_refreshes(
         self, make_server, qon_instance
@@ -179,8 +184,8 @@ class TestResultCache:
             third = client.optimize(request)
         assert not first.cached and not second.cached
         assert third.cached
-        assert server.stats.computed == 2
-        assert server.stats.cache_hits == 1
+        assert server.metrics.counter_value("service.computed") == 2
+        assert server.metrics.counter_value("service.cache_hits") == 1
         assert_bit_identical(second.result, first.result)
 
     def test_each_request_gets_a_fresh_cost_cache(self, make_server):
@@ -244,8 +249,12 @@ class TestDedup:
         for thread in threads:
             thread.start()
         # Hold the computation until every request has been admitted.
-        wait_until(lambda: server.stats.received == 6)
-        wait_until(lambda: server.stats.coalesced == 5)
+        wait_until(
+            lambda: server.metrics.counter_value("service.received") == 6
+        )
+        wait_until(
+            lambda: server.metrics.counter_value("service.coalesced") == 5
+        )
         release.set()
         for thread in threads:
             thread.join(DRAIN_TIMEOUT)
@@ -256,8 +265,8 @@ class TestDedup:
         first = replies[0].result
         for reply in replies[1:]:
             assert_bit_identical(reply.result, first)
-        assert server.stats.computed == 1
-        assert server.stats.coalesced == 5
+        assert server.metrics.counter_value("service.computed") == 1
+        assert server.metrics.counter_value("service.coalesced") == 5
 
 
 # ---------------------------------------------------------------------
@@ -304,12 +313,9 @@ class TestBackpressure:
             assert final.ok
         busy.join(DRAIN_TIMEOUT)
         queued.join(DRAIN_TIMEOUT)
-        assert server.stats.rejected >= 2
-        stats = server.stats
-        assert stats.received == (
-            stats.computed + stats.cache_hits + stats.coalesced
-            + stats.rejected + stats.errors
-        )
+        assert server.metrics.counter_value("service.rejected") >= 2
+        counters = server.metrics.snapshot()["counters"]
+        assert counters["service.received"] == answered(counters)
 
 
 # ---------------------------------------------------------------------
@@ -327,8 +333,8 @@ class TestErrors:
             reply = client.optimize(request)
         assert reply.status == "error"
         assert "bogus" in (reply.error or "")
-        assert server.stats.errors == 1
-        assert server.stats.computed == 0
+        assert server.metrics.counter_value("service.errors") == 1
+        assert server.metrics.counter_value("service.computed") == 0
 
     def test_malformed_payload_is_rejected_with_a_message(
         self, make_server
@@ -338,7 +344,7 @@ class TestErrors:
             reply = client.call("optimize", {"schema": "nope"})
         assert reply.status == "error"
         assert "schema" in (reply.error or "")
-        assert server.stats.errors == 1
+        assert server.metrics.counter_value("service.errors") == 1
 
 
 # ---------------------------------------------------------------------
@@ -399,7 +405,9 @@ class TestShutdown:
             target=lambda: replies.append(early_client.optimize(request))
         )
         early.start()
-        wait_until(lambda: server.stats.received == 1)
+        wait_until(
+            lambda: server.metrics.counter_value("service.received") == 1
+        )
         server.request_stop()
         late = late_client.optimize(
             api.OptimizeRequest.build(qon_instance, "slow", tag=9),
@@ -411,11 +419,13 @@ class TestShutdown:
         final = server.shutdown(drain_timeout=DRAIN_TIMEOUT)
         early.join(DRAIN_TIMEOUT)
         assert replies and replies[0].ok  # in-flight work was not lost
-        validate_stats(final)
+        assert validate_metrics(final) == []
         counters = final["counters"]
-        assert counters["received"] == final["answered"] == 2
-        assert counters["computed"] == 1
-        assert counters["rejected"] == 1
+        assert counters["service.received"] == answered(counters) == 2
+        assert counters["service.computed"] == 1
+        assert counters["service.rejected"] == 1
+        assert final["gauges"]["service.queue_depth"] == 0
+        assert final["gauges"]["service.in_flight"] == 0
         early_client.close()
         late_client.close()
 
@@ -428,7 +438,7 @@ class TestShutdown:
             assert client.shutdown_server().ok
         assert server.wait_stopped(DRAIN_TIMEOUT)
         final = server.shutdown(drain_timeout=DRAIN_TIMEOUT)
-        assert final["counters"]["received"] == 1
+        assert final["counters"]["service.received"] == 1
 
 
 # ---------------------------------------------------------------------
@@ -511,7 +521,10 @@ class TestConcurrentMixedWorkload:
                         got_outcome.result, want_outcome.result
                     )
 
-        counters = final["counters"]
+        counters = {
+            name: final["counters"].get(f"service.{name}", 0)
+            for name in ("received",) + OUTCOMES
+        }
         assert counters["received"] == 64
         assert counters["errors"] == 0
         assert counters["computed"] + counters["cache_hits"] + \
@@ -521,5 +534,5 @@ class TestConcurrentMixedWorkload:
         assert counters["computed"] == 10
         assert counters["cache_hits"] + counters["coalesced"] == 54
         assert counters["cache_hits"] > 0 or counters["coalesced"] > 0
-        assert final["queue_depth"] == 0
-        assert final["in_flight"] == 0
+        assert final["gauges"]["service.queue_depth"] == 0
+        assert final["gauges"]["service.in_flight"] == 0

@@ -243,7 +243,9 @@ class TestExporter:
         registry = MetricsRegistry()
         registry.inc("test.hits", 7)
         registry.observe("test.lat_ms", 12.0)
-        exporter = TelemetryExporter(registry, path, interval_s=60.0)
+        exporter = TelemetryExporter(
+            registry.snapshot, path, interval_s=60.0
+        )
         exporter.start()
         registry.inc("test.hits", 3)
         final = exporter.stop()
@@ -408,6 +410,35 @@ class TestServiceTelemetry:
         assert "service.admit" in kinds
         assert "service.slow_request" in kinds  # slow_ms=0 samples all
 
+    def test_exported_snapshot_carries_the_daemon_gauges(self, tmp_path):
+        # No client polls the metrics op: the exporter's own snapshots
+        # must still set the daemon gauges.
+        metrics_out = str(tmp_path / "metrics.jsonl")
+        server = OptimizationServer(ServerConfig(
+            address=("127.0.0.1", 0),
+            workers=2,
+            metrics_out=metrics_out,
+            metrics_interval_s=60.0,
+        ))
+        address = tuple(server.start())
+        request = api.OptimizeRequest.build(chain_query(5, rng=4), "dp")
+        with ServiceClient(address) as client:
+            assert not client.optimize(request).cached
+            assert client.optimize(request).cached
+        server.request_stop()
+        final = server.shutdown(drain_timeout=DRAIN_TIMEOUT)
+        last = load_metrics_file(metrics_out)[-1]
+        assert last["gauges"]["service.queue_depth"] == 0
+        assert last["gauges"]["service.in_flight"] == 0
+        assert last["gauges"]["service.workers"] == 2
+        counters = last["counters"]
+        assert counters["service.received"] == 2
+        assert counters["service.received"] == (
+            counters["service.computed"] + counters["service.cache_hits"]
+        )
+        # shutdown() returns that same final line.
+        assert final == last
+
 
 # ---------------------------------------------------------------------
 # Sweep-side telemetry
@@ -447,7 +478,9 @@ class TestCLI:
         path = str(tmp_path / "m.jsonl")
         registry = MetricsRegistry()
         registry.inc("test.hits", 2)
-        exporter = TelemetryExporter(registry, path, interval_s=60.0)
+        exporter = TelemetryExporter(
+            registry.snapshot, path, interval_s=60.0
+        )
         exporter.start()
         exporter.stop()
         assert main(["metrics", path]) == 0
@@ -458,10 +491,14 @@ class TestCLI:
         registry = MetricsRegistry()
         registry.inc("test.hits", 2)
         first = str(tmp_path / "a.jsonl")
-        TelemetryExporter(registry, first, interval_s=60.0).write_snapshot()
+        TelemetryExporter(
+            registry.snapshot, first, interval_s=60.0
+        ).write_snapshot()
         registry.inc("test.hits", 3)
         second = str(tmp_path / "b.jsonl")
-        TelemetryExporter(registry, second, interval_s=60.0).write_snapshot()
+        TelemetryExporter(
+            registry.snapshot, second, interval_s=60.0
+        ).write_snapshot()
         assert main(["metrics", first, "--diff", second]) == 0
         assert "test.hits +3" in capsys.readouterr().out
         # Backwards diff fails loudly.
