@@ -59,7 +59,7 @@ from repro.core.results import PlanResult
 from repro.observability.events import EVENTS_SCHEMA
 from repro.observability.metrics import METRICS_SCHEMA
 from repro.runtime.costcache import CostCache, use_cache
-from repro.runtime.registry import InstanceRegistry, RegistryStats, instance_key
+from repro.runtime.registry import InstanceRegistry, instance_key
 from repro.runtime.journal import read_journal
 from repro.runtime.metrics import (
     load_metrics,
@@ -96,7 +96,7 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.2"
+API_VERSION = "1.3"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
@@ -674,27 +674,16 @@ def execute_plan(
 
 def run_bench(
     smoke: bool = False, seed: int = 0, out: Optional[Any] = None,
-    suite: str = "gap-families",
 ) -> Dict[str, Any]:
-    """Run a pinned perf benchmark suite (``repro.bench/1``).
+    """Run the pinned perf benchmark (``repro.bench/1``).
 
-    ``suite="gap-families"`` (default) measures the compiled /
-    incremental evaluation layer against the reference cost path on
-    the Theorem-9/15 gap families; ``suite="executor"`` measures sweep
-    executor throughput — serial vs parallel, chunked+registry vs
-    legacy per-task dispatch — on a Theorem-9 grid with repeated
-    instances.  See :mod:`repro.perf.bench`.  With ``out`` the
-    validated payload is also written as JSON.
+    Measures the compiled / incremental evaluation layer against the
+    reference cost path on the Theorem-9/15 gap families; see
+    :mod:`repro.perf.bench`.  With ``out`` the validated payload is
+    also written as JSON.
     """
     from repro.perf.bench import run_bench as _run_bench
-    from repro.perf.bench import run_executor_bench as _run_executor
 
-    if suite == "executor":
-        return _run_executor(smoke=smoke, seed=seed, out=out)
-    require(
-        suite == "gap-families",
-        f"unknown bench suite {suite!r}; known: gap-families, executor",
-    )
     return _run_bench(smoke=smoke, seed=seed, out=out)
 
 
@@ -748,7 +737,6 @@ __all__ = [
     "InstanceRegistry",
     "OptimizeRequest",
     "PlanResult",
-    "RegistryStats",
     "RetryPolicy",
     "ServiceReply",
     "SweepResult",

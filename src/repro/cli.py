@@ -349,27 +349,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
         results_dir = Path("benchmarks") / "results"
         target = results_dir if results_dir.is_dir() else Path(".")
-        if args.suite == "executor":
-            name = (
-                "BENCH_executor_smoke.json" if args.smoke
-                else "BENCH_executor.json"
-            )
-        else:
-            name = "BENCH_smoke.json" if args.smoke else "BENCH_perf.json"
+        name = "BENCH_smoke.json" if args.smoke else "BENCH_perf.json"
         out = target / name
-    payload = api.run_bench(
-        smoke=args.smoke, seed=args.seed, out=out, suite=args.suite
-    )
+    payload = api.run_bench(smoke=args.smoke, seed=args.seed, out=out)
     kind = "smoke" if args.smoke else "full"
-    print(f"repro bench ({args.suite} suite, {kind}, seed {args.seed})")
+    print(f"repro bench ({kind}, seed {args.seed})")
     for line in api.bench_summary_lines(payload):
         print(f"  {line}")
     print(f"bench results written to {out}")
     totals = payload["totals"]
-    if args.suite == "executor":
-        # Throughput is machine-dependent; CI diffs it warn-only.  The
-        # hard gate here is the bit-identity cross-check.
-        return 0 if totals["identical"] else 1
     return 0 if totals["identical"] and totals["meets_mult_target"] else 1
 
 
@@ -800,18 +788,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument(
-        "--suite",
-        choices=("gap-families", "executor"),
-        default="gap-families",
-        help="'gap-families' benchmarks the cost kernels; 'executor' "
-        "benchmarks sweep dispatch throughput (serial vs chunked "
-        "registry dispatch)",
-    )
-    bench.add_argument(
         "--out", default=None,
         help="bench JSON path (default: benchmarks/results/BENCH_perf.json"
-        " — BENCH_smoke.json with --smoke, BENCH_executor*.json for the "
-        "executor suite — when that directory exists)",
+        " — BENCH_smoke.json with --smoke — when that directory exists)",
     )
     bench.set_defaults(func=_cmd_bench)
 

@@ -806,12 +806,6 @@ def _check_registry_confined(
 #: exporter, and the service's counter-identity check.
 TELEMETRY_MODULES = ("runtime", "service", "perf")
 
-#: Pre-registry counters kept for API compatibility: each is exposed
-#: through a documented accessor and mirrored into the metrics
-#: registry at its increment site.  New counters must not join this
-#: list — emit through the metrics API instead.
-_COUNTER_GRANDFATHERS = (("perf.kernels", "_COMPILES"),)
-
 
 @register(
     "RPR014",
@@ -847,11 +841,6 @@ def _check_adhoc_counters(
                 module_ints.add(target.id)
     if not module_ints:
         return
-    grandfathered = {
-        name
-        for module, name in _COUNTER_GRANDFATHERS
-        if module == file.module
-    }
     for node in ast.walk(file.tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -870,8 +859,6 @@ def _check_adhoc_counters(
                 and target.id in declared
                 and target.id in module_ints
             ):
-                continue
-            if target.id in grandfathered:
                 continue
             line, col = _loc(inner)
             yield line, col, (

@@ -45,16 +45,6 @@ Payload layout::
                  "min_qon_mult_reduction": float,
                  "meets_mult_target": bool}
     }
-
-A second suite, ``executor`` (:func:`run_executor_bench`, by
-convention ``BENCH_executor.json``), measures sweep *dispatch*
-throughput rather than kernel arithmetic: the same 200-task Theorem-9
-grid with repeated instances is run serially and through the chunked
-registry dispatcher.  Machine-dependent numbers are tasks/sec per mode
-and the headline ``speedup_vs_serial``; deterministic ones are
-``ship_bytes``, ``registry_hits``, ``kernels_compiled`` and ``chunks``
-from :class:`~repro.runtime.runner.ExecutorStats`, plus a bit-identity
-cross-check of the chunked run against the serial reference.
 """
 
 from __future__ import annotations
@@ -73,12 +63,6 @@ from repro.perf.incremental import PrefixEvaluator, sample_moves
 from repro.perf.instrument import OpCounter, counting_qon_instance
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import use_cache
-from repro.runtime.runner import (
-    SweepResult,
-    SweepTask,
-    auto_chunksize,
-    run_sweep,
-)
 from repro.utils.rng import make_rng
 from repro.utils.validation import ValidationError, require
 from repro.workloads.gaps import qoh_gap_pair, qon_gap_pair
@@ -92,9 +76,6 @@ MULT_REDUCTION_TARGET = 5.0
 
 #: Default artifact location, next to the EXP tables.
 DEFAULT_OUT = Path("benchmarks") / "results" / "BENCH_perf.json"
-
-#: Default artifact location for the executor suite.
-DEFAULT_EXECUTOR_OUT = Path("benchmarks") / "results" / "BENCH_executor.json"
 
 PathLike = Union[str, Path]
 
@@ -309,160 +290,6 @@ def run_bench(
     return payload
 
 
-# Four *distinct* Theorem-9 NO instances; the grid cycles through
-# them, so a 200-task sweep repeats each ~50 times — the shape the
-# content-addressed registry is built for.
-_EXECUTOR_NS: Tuple[int, ...] = (11, 12, 13, 14)
-
-
-def _executor_tasks(num_tasks: int, seed: int) -> List[SweepTask]:
-    """A dispatch-bound grid: many cheap tasks over few instances.
-
-    Each task is one-restart iterative improvement with a tiny
-    neighborhood, so per-task compute is small and pool overhead
-    (pickling, IPC, kernel compilation) dominates — exactly the regime
-    the chunked registry dispatcher targets.  ``rng`` varies per task
-    so tasks stay distinct under journal fingerprints.
-    """
-    instances = [
-        (f"t9-n{n}", _t9_no_instance(n)) for n in _EXECUTOR_NS
-    ]
-    tasks: List[SweepTask] = []
-    for index in range(num_tasks):
-        label, instance = instances[index % len(instances)]
-        tasks.append(
-            SweepTask(
-                optimizer="iterative",
-                instance=instance,
-                label=label,
-                kwargs=(
-                    ("max_rounds", 2),
-                    ("neighborhood_samples", 4),
-                    ("restarts", 1),
-                    ("rng", seed + index),
-                ),
-            )
-        )
-    return tasks
-
-
-def _outcomes_identical(
-    reference: SweepResult, candidate: SweepResult
-) -> bool:
-    """Bit-identity across schedules: value, type and repr of the cost,
-    plus sequence, explored and exact cache counters."""
-    if len(reference) != len(candidate):
-        return False
-    for ref, got in zip(reference, candidate):
-        if (ref.index, ref.optimizer, ref.label, ref.ok) != (
-            got.index, got.optimizer, got.label, got.ok
-        ):
-            return False
-        if ref.explored != got.explored:
-            return False
-        if ref.cache.to_dict() != got.cache.to_dict():
-            return False
-        ref_result, got_result = ref.result, got.result
-        if (ref_result is None) != (got_result is None):
-            return False
-        if ref_result is None or got_result is None:
-            continue
-        if ref_result.sequence != got_result.sequence:
-            return False
-        if type(ref_result.cost) is not type(got_result.cost):
-            return False
-        if ref_result.cost != got_result.cost:
-            return False
-        if repr(ref_result.cost) != repr(got_result.cost):
-            return False
-    return True
-
-
-def _executor_case(
-    mode: str,
-    result: SweepResult,
-    reference: SweepResult,
-    wall: float,
-    num_tasks: int,
-    workers: int,
-    chunk: int,
-) -> Dict[str, Any]:
-    executor = result.executor
-    return {
-        "mode": mode,
-        "workers": workers,
-        "chunksize": chunk,
-        "tasks": num_tasks,
-        "wall_time_s": wall,
-        "tasks_per_s": num_tasks / max(wall, 1e-9),
-        "ship_bytes": executor.ship_bytes,
-        "registry_hits": executor.registry_hits,
-        "kernels_compiled": executor.kernels_compiled,
-        "chunks": executor.chunks,
-        "identical_to_serial": _outcomes_identical(reference, result),
-    }
-
-
-def run_executor_bench(
-    smoke: bool = False, seed: int = 0, out: Optional[PathLike] = None
-) -> Dict[str, Any]:
-    """Run the executor throughput suite; validates, optionally writes,
-    and returns the ``repro.bench/1`` payload (``suite: "executor"``).
-
-    Two modes over the same grid, both with ``cache=False`` so cache
-    counters are schedule-independent and the chunked run can be
-    cross-checked bit-identically against the serial reference:
-
-    * ``serial`` — ``workers=1``, the baseline semantics;
-    * ``parallel-chunked`` — registry + chunked dispatch (the parallel
-      path).
-    """
-    workers = 2 if smoke else 4
-    num_tasks = 40 if smoke else 200
-    tasks = _executor_tasks(num_tasks, seed)
-
-    def timed(**kwargs: Any) -> Tuple[SweepResult, float]:
-        started = time.perf_counter()
-        result = run_sweep(tasks, cache=False, **kwargs)
-        return result, time.perf_counter() - started
-
-    serial_result, serial_wall = timed(workers=1)
-    chunked_result, chunked_wall = timed(workers=workers)
-
-    cases = [
-        _executor_case(
-            "serial", serial_result, serial_result, serial_wall,
-            num_tasks, 1, 0,
-        ),
-        _executor_case(
-            "parallel-chunked", chunked_result, serial_result, chunked_wall,
-            num_tasks, workers, auto_chunksize(num_tasks, workers),
-        ),
-    ]
-    serial_rate = cases[0]["tasks_per_s"]
-    chunked_rate = cases[1]["tasks_per_s"]
-    payload: Dict[str, Any] = {
-        "schema": SCHEMA,
-        "suite": "executor",
-        "smoke": smoke,
-        "seed": seed,
-        "cases": cases,
-        "totals": {
-            "cases": len(cases),
-            "identical": all(
-                case["identical_to_serial"] for case in cases
-            ),
-            "tasks": num_tasks,
-            "workers": workers,
-            "speedup_vs_serial": chunked_rate / max(serial_rate, 1e-9),
-        },
-    }
-    validate_bench(payload)
-    if out is not None:
-        write_bench(payload, out)
-    return payload
-
-
 _QON_REFERENCE_FIELDS = {
     "wall_time_s": (int, float),
     "evals_per_s": (int, float),
@@ -516,30 +343,6 @@ _TOTALS_FIELDS = {
     "meets_mult_target": bool,
 }
 
-_EXECUTOR_MODES = ("serial", "parallel-chunked")
-
-_EXECUTOR_CASE_FIELDS = {
-    "workers": int,
-    "chunksize": int,
-    "tasks": int,
-    "wall_time_s": (int, float),
-    "tasks_per_s": (int, float),
-    "ship_bytes": int,
-    "registry_hits": int,
-    "kernels_compiled": int,
-    "chunks": int,
-    "identical_to_serial": bool,
-}
-
-_EXECUTOR_TOTALS_FIELDS = {
-    "cases": int,
-    "identical": bool,
-    "tasks": int,
-    "workers": int,
-    "speedup_vs_serial": (int, float),
-}
-
-
 def _check_fields(
     payload: Dict[str, Any], fields: Dict[str, Any], where: str
 ) -> None:
@@ -574,14 +377,10 @@ def validate_bench(payload: Dict[str, Any]) -> None:
     )
     require(isinstance(payload["cases"], list), "bench.cases must be a list")
     require(payload["cases"], "bench.cases must be non-empty")
-    suite = payload["suite"]
     require(
-        suite in ("gap-families", "executor"),
-        f"bench.suite must be gap-families|executor, got {suite!r}",
+        payload["suite"] == "gap-families",
+        f"bench.suite must be gap-families, got {payload['suite']!r}",
     )
-    if suite == "executor":
-        _validate_executor_bench(payload)
-        return
     for position, case in enumerate(payload["cases"]):
         where = f"bench.cases[{position}]"
         require(isinstance(case, dict), f"{where} must be a dict")
@@ -615,30 +414,6 @@ def validate_bench(payload: Dict[str, Any]) -> None:
     )
 
 
-def _validate_executor_bench(payload: Dict[str, Any]) -> None:
-    for position, case in enumerate(payload["cases"]):
-        where = f"bench.cases[{position}]"
-        require(isinstance(case, dict), f"{where} must be a dict")
-        mode = case.get("mode")
-        require(
-            mode in _EXECUTOR_MODES,
-            f"{where}.mode must be one of {list(_EXECUTOR_MODES)}, "
-            f"got {mode!r}",
-        )
-        _check_fields(case, _EXECUTOR_CASE_FIELDS, where)
-        for name in (
-            "ship_bytes", "registry_hits", "kernels_compiled", "chunks"
-        ):
-            require(case[name] >= 0, f"{where}.{name} must be >= 0")
-    totals = payload["totals"]
-    require(isinstance(totals, dict), "bench.totals must be a dict")
-    _check_fields(totals, _EXECUTOR_TOTALS_FIELDS, "bench.totals")
-    require(
-        totals["cases"] == len(payload["cases"]),
-        "bench.totals.cases must equal len(bench.cases)",
-    )
-
-
 def write_bench(payload: Dict[str, Any], path: PathLike) -> Path:
     """Validate and write the payload as pretty JSON; returns the path."""
     validate_bench(payload)
@@ -658,29 +433,6 @@ def load_bench(path: PathLike) -> Dict[str, Any]:
 def bench_summary_lines(payload: Dict[str, Any]) -> List[str]:
     """Human-readable per-case summary for the CLI."""
     lines: List[str] = []
-    if payload.get("suite") == "executor":
-        for case in payload["cases"]:
-            lines.append(
-                "{mode:<16} workers={workers}  {rate:>8.1f} tasks/s  "
-                "ship {ship:>9} B  hits {hits:>4}  compiles {comp:>4}  "
-                "chunks {chunks:>3}  identical={same}".format(
-                    mode=case["mode"],
-                    workers=case["workers"],
-                    rate=case["tasks_per_s"],
-                    ship=case["ship_bytes"],
-                    hits=case["registry_hits"],
-                    comp=case["kernels_compiled"],
-                    chunks=case["chunks"],
-                    same=case["identical_to_serial"],
-                )
-            )
-        totals = payload["totals"]
-        lines.append(
-            "chunked vs serial {serial:.2f}x".format(
-                serial=totals["speedup_vs_serial"]
-            )
-        )
-        return lines
     for case in payload["cases"]:
         if case["family"] == "qon-t9":
             lines.append(

@@ -45,6 +45,7 @@ so a ``Fraction`` probe types its own term by plain arithmetic.
 
 from __future__ import annotations
 
+import threading
 import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
@@ -329,12 +330,6 @@ _QOH_CACHE: "weakref.WeakValueDictionary[int, CompiledQOH]" = (
     weakref.WeakValueDictionary()
 )
 
-#: Monotone count of kernel constructions in this process.  The sweep
-#: executor reads deltas of this to report ``kernels_compiled`` — the
-#: direct measure of how well worker-persistent instances (the runtime
-#: registry's live tier) are amortizing compilation.
-_COMPILES = 0
-
 # The weak memo alone cannot make kernels persist *across* tasks: the
 # evaluator is the only strong reference, so when a task's evaluator
 # dies the kernel is collected and the next task recompiles it even if
@@ -345,36 +340,45 @@ _COMPILES = 0
 # retention — lookups still go through the weak memo with its identity
 # check — so it can never change which kernel a caller sees, only how
 # long one stays warm.
-_PINNED: "OrderedDict[int, Union[CompiledQON, CompiledQOH]]" = OrderedDict()
-_PIN_LIMIT = 0
+#
+# The tier is per thread: the service daemon runs serial sweeps on
+# several worker threads at once, and one sweep's scope must neither
+# reset another's limit nor unpin its kernels.  A pool worker runs its
+# initializer and its chunks on one thread, so its pins cover them all.
+class _PinTier(threading.local):
+    def __init__(self) -> None:
+        self.limit = 0
+        self.kernels: "OrderedDict[int, Union[CompiledQON, CompiledQOH]]" = (
+            OrderedDict()
+        )
 
 
-def compiles_total() -> int:
-    """Kernels actually constructed so far (memo hits don't count)."""
-    return _COMPILES
+_PINS = _PinTier()
 
 
 def pin_kernels(limit: int) -> None:
-    """Strongly retain up to ``limit`` most-recently-used kernels.
+    """Strongly retain up to ``limit`` most-recently-used kernels
+    compiled or looked up on the calling thread.
 
     ``0`` (the default) disables pinning and releases every pinned
     kernel.  A pinned kernel keeps its instance alive, so callers
     should bound ``limit`` by how many distinct instances they expect
     live at once (the executor uses the registry's live-tier bound).
     """
-    global _PIN_LIMIT
     require(limit >= 0, "kernel pin limit must be >= 0")
-    _PIN_LIMIT = limit
+    pins = _PINS
+    pins.limit = limit
     if limit == 0:
-        _PINNED.clear()
-    while len(_PINNED) > limit:
-        _PINNED.popitem(last=False)
+        pins.kernels.clear()
+    while len(pins.kernels) > limit:
+        pins.kernels.popitem(last=False)
 
 
 @contextmanager
 def pinned_kernels(limit: int) -> Iterator[None]:
-    """Scoped :func:`pin_kernels`: restores the previous limit on exit."""
-    previous = _PIN_LIMIT
+    """Scoped :func:`pin_kernels`: restores the calling thread's
+    previous limit on exit."""
+    previous = _PINS.limit
     pin_kernels(limit)
     try:
         yield
@@ -383,24 +387,24 @@ def pinned_kernels(limit: int) -> Iterator[None]:
 
 
 def _pin(key: int, kernel: Union[CompiledQON, CompiledQOH]) -> None:
-    if _PIN_LIMIT == 0:
+    pins = _PINS
+    if pins.limit == 0:
         return
-    _PINNED[key] = kernel
-    _PINNED.move_to_end(key)
-    while len(_PINNED) > _PIN_LIMIT:
-        _PINNED.popitem(last=False)
+    pinned = pins.kernels
+    pinned[key] = kernel
+    pinned.move_to_end(key)
+    while len(pinned) > pins.limit:
+        pinned.popitem(last=False)
 
 
 def compile_qon(instance: "QONInstance") -> CompiledQON:
     """The compiled kernel for ``instance`` (memoized per live object)."""
-    global _COMPILES
     if isinstance(instance, CompiledQON):
         return instance
     kernel = _QON_CACHE.get(id(instance))
     if kernel is None or kernel.instance is not instance:
         kernel = CompiledQON(instance)
         _QON_CACHE[id(instance)] = kernel
-        _COMPILES += 1
         _metric_inc("perf.kernel_compiles")
     _pin(id(instance), kernel)
     return kernel
@@ -408,14 +412,12 @@ def compile_qon(instance: "QONInstance") -> CompiledQON:
 
 def compile_qoh(instance: "QOHInstance") -> CompiledQOH:
     """The compiled kernel for ``instance`` (memoized per live object)."""
-    global _COMPILES
     if isinstance(instance, CompiledQOH):
         return instance
     kernel = _QOH_CACHE.get(id(instance))
     if kernel is None or kernel.instance is not instance:
         kernel = CompiledQOH(instance)
         _QOH_CACHE[id(instance)] = kernel
-        _COMPILES += 1
         _metric_inc("perf.kernel_compiles")
     _pin(id(instance), kernel)
     return kernel

@@ -57,7 +57,6 @@ __all__ = [
     "read_journal",
     "task_fingerprint",
     "InstanceRegistry",
-    "RegistryStats",
     "instance_key",
 ]
 
@@ -77,7 +76,7 @@ _JOURNAL_NAMES = {
     "completed_by_fingerprint",
 }
 _REGISTRY_NAMES = {
-    "InstanceRegistry", "InstanceRef", "RegistryStats", "instance_key",
+    "InstanceRegistry", "InstanceRef", "instance_key",
 }
 
 

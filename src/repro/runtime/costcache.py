@@ -48,7 +48,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.observability.metrics import inc as _metric_inc
 from repro.observability.tracer import count as _trace_count
 
 #: The process-wide cache default (:func:`install_cache`); None means
@@ -216,16 +215,17 @@ class CostCache:
         if full_key in entries:
             self.hits += 1
             _trace_count("cache_hits")
-            _metric_inc("runtime.cache_hits")
             entries.move_to_end(full_key)
             return entries[full_key]
         self.misses += 1
         # A miss IS a cost evaluation — counting here (and only here)
         # keeps per-span trace counters exactly equal to the sweep
-        # metrics totals, whose ``cost_evaluations`` is the miss count,
-        # and equal to the live ``runtime.cost_evaluations`` metric.
+        # metrics totals, whose ``cost_evaluations`` is the miss count.
+        # The ``runtime.cost_evaluations`` metric is published from
+        # ``misses`` by the cache's owner when its unit of work ends
+        # (a sweep, a daemon job), which keeps the registry's lock and
+        # name check off this hot path.
         _trace_count("cost_evaluations")
-        _metric_inc("runtime.cost_evaluations")
         value = compute()
         if self._maxsize == 0:
             return value

@@ -72,21 +72,20 @@ def _lru_store(
     max_live: Optional[int],
     key: str,
     instance: object,
-) -> int:
-    """LRU-insert into a live tier; returns how many entries were
-    evicted.  Operates on the dict passed in — the registry calls this
-    with its lock held, so the helper itself takes no lock.
+) -> None:
+    """LRU-insert into a live tier, counting what the bound evicts.
+    Operates on the dict passed in — the registry calls this with its
+    lock held, so the helper itself takes no lock.
     """
     if max_live == 0:
-        return 0
+        return
     live[key] = instance
     live.move_to_end(key)
-    evicted = 0
-    if max_live is not None:
-        while len(live) > max_live:
+    if max_live is not None and len(live) > max_live:
+        evicted = len(live) - max_live
+        for _ in range(evicted):
             live.popitem(last=False)
-            evicted += 1
-    return evicted
+        _metric_inc("runtime.registry_evictions", evicted)
 
 
 @dataclass(frozen=True)
@@ -99,38 +98,6 @@ class InstanceRef:
     """
 
     key: str
-
-
-@dataclass(frozen=True)
-class RegistryStats:
-    """A snapshot of registry counters.
-
-    ``hits``/``misses`` count live-tier lookups; ``decodes`` counts
-    payload-tier unpickles (each one is an eviction *refetch* or a
-    first touch); ``evictions`` counts live instances dropped by the
-    LRU bound.  ``live``/``stored``/``payload_bytes`` describe current
-    occupancy, not movement.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    decodes: int = 0
-    evictions: int = 0
-    live: int = 0
-    stored: int = 0
-    payload_bytes: int = 0
-
-    def delta(self, earlier: "RegistryStats") -> "RegistryStats":
-        """Counter movement since an ``earlier`` snapshot."""
-        return RegistryStats(
-            hits=self.hits - earlier.hits,
-            misses=self.misses - earlier.misses,
-            decodes=self.decodes - earlier.decodes,
-            evictions=self.evictions - earlier.evictions,
-            live=self.live,
-            stored=self.stored,
-            payload_bytes=self.payload_bytes,
-        )
 
 
 class InstanceRegistry:
@@ -146,10 +113,7 @@ class InstanceRegistry:
     from concurrent connection handlers.
     """
 
-    __slots__ = (
-        "_max_live", "_payloads", "_live", "_lock",
-        "_hits", "_misses", "_decodes", "_evictions",
-    )
+    __slots__ = ("_max_live", "_payloads", "_live", "_lock")
 
     def __init__(self, max_live: Optional[int] = None) -> None:
         require(
@@ -160,10 +124,6 @@ class InstanceRegistry:
         self._payloads: Dict[str, bytes] = {}
         self._live: "OrderedDict[str, object]" = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._decodes = 0
-        self._evictions = 0
 
     @property
     def max_live(self) -> Optional[int]:
@@ -187,9 +147,7 @@ class InstanceRegistry:
         with self._lock:
             if key not in self._payloads:
                 self._payloads[key] = pickle.dumps(instance)
-            self._evictions += _lru_store(
-                self._live, self._max_live, key, instance
-            )
+            _lru_store(self._live, self._max_live, key, instance)
         return key
 
     def payloads(self) -> Dict[str, bytes]:
@@ -225,22 +183,16 @@ class InstanceRegistry:
         """
         with self._lock:
             if key in self._live:
-                self._hits += 1
                 self._live.move_to_end(key)
                 _metric_inc("runtime.registry_hits")
                 return self._live[key]
-            self._misses += 1
             _metric_inc("runtime.registry_misses")
             blob = self._payloads.get(key)
             if blob is None:
                 raise KeyError(f"instance key not registered: {key!r}")
             instance = pickle.loads(blob)
-            self._decodes += 1
             _metric_inc("runtime.registry_decodes")
-            evicted = _lru_store(self._live, self._max_live, key, instance)
-            self._evictions += evicted
-            if evicted:
-                _metric_inc("runtime.registry_evictions", evicted)
+            _lru_store(self._live, self._max_live, key, instance)
             return instance
 
     def canonical(self, key: str, instance: object) -> object:
@@ -260,30 +212,9 @@ class InstanceRegistry:
             return instance
         with self._lock:
             if key in self._live:
-                self._hits += 1
                 self._live.move_to_end(key)
                 _metric_inc("runtime.registry_hits")
                 return self._live[key]
-            self._misses += 1
             _metric_inc("runtime.registry_misses")
-            evicted = _lru_store(self._live, self._max_live, key, instance)
-            self._evictions += evicted
-            if evicted:
-                _metric_inc("runtime.registry_evictions", evicted)
+            _lru_store(self._live, self._max_live, key, instance)
             return instance
-
-    # -- introspection -------------------------------------------------
-
-    def stats(self) -> RegistryStats:
-        with self._lock:
-            return RegistryStats(
-                hits=self._hits,
-                misses=self._misses,
-                decodes=self._decodes,
-                evictions=self._evictions,
-                live=len(self._live),
-                stored=len(self._payloads),
-                payload_bytes=sum(
-                    len(blob) for blob in self._payloads.values()
-                ),
-            )

@@ -48,9 +48,14 @@ across schedules.
 
 Every outcome carries wall time, plans explored, and the cache-counter
 movement attributable to that task — the raw material for
-:mod:`repro.runtime.metrics`; the sweep-level :class:`ExecutorStats`
-(``ship_bytes``, ``registry_hits``, ``kernels_compiled``, ``chunks``)
-reports what the executor itself did to move the work.
+:mod:`repro.runtime.metrics`.  What the executor itself did to move the
+work is counted in :class:`~repro.observability.metrics.MetricsRegistry`
+scopes: each sweep keeps one tally that the executor runs under, and
+each pool chunk counts into a registry of its own whose counters the
+parent adds to it.  The tally is the one source of the sweep-level
+:class:`ExecutorStats` (``ship_bytes``, ``registry_hits``,
+``kernels_compiled``, ``chunks``) and of every counter the sweep
+publishes to the caller's registry.
 """
 
 from __future__ import annotations
@@ -76,6 +81,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -100,7 +106,11 @@ from repro.joinopt.optimizers import (
 )
 from repro.observability.events import active_event_log
 from repro.observability.events import emit as _emit_event
-from repro.observability.metrics import active_metrics
+from repro.observability.metrics import (
+    MetricsRegistry,
+    active_metrics,
+    use_metrics,
+)
 from repro.observability.tracer import Tracer, use_tracer
 from repro.runtime.costcache import CacheStats, CostCache, use_cache
 from repro.runtime.registry import InstanceRef, InstanceRegistry
@@ -194,14 +204,17 @@ class TaskOutcome:
 
 @dataclass(frozen=True)
 class ExecutorStats:
-    """What the executor did to move the work (not what tasks computed).
+    """What the executor did to move the work (not what tasks computed),
+    read from the sweep's counter tally (see the module docstring).
 
-    ``ship_bytes`` — pickled instance bytes shipped to workers: each
-    distinct payload travels once per worker per pool (respawns ship
-    again).  ``registry_hits`` — worker-side live-tier hits (a decoded
-    instance was reused across tasks).  ``kernels_compiled`` — actual
-    :mod:`repro.perf.kernels` constructions, summed over workers (or
-    over the serial loop).  ``chunks`` — chunk payloads dispatched;
+    ``ship_bytes`` (``runtime.ship_bytes``) — pickled instance bytes
+    shipped to workers: each distinct payload travels once per worker
+    per pool (respawns ship again).  ``registry_hits``
+    (``runtime.registry_hits``) — worker-side live-tier hits (a decoded
+    instance was reused across tasks).  ``kernels_compiled``
+    (``perf.kernel_compiles``) — actual :mod:`repro.perf.kernels`
+    constructions, summed over workers (or over the serial loop).
+    ``chunks`` (``runtime.sweep_chunks``) — chunk payloads dispatched;
     ``0`` in serial mode.
 
     All fields are additive and deliberately *excluded* from journal
@@ -213,14 +226,6 @@ class ExecutorStats:
     registry_hits: int = 0
     kernels_compiled: int = 0
     chunks: int = 0
-
-    def merged(self, other: "ExecutorStats") -> "ExecutorStats":
-        return ExecutorStats(
-            ship_bytes=self.ship_bytes + other.ship_bytes,
-            registry_hits=self.registry_hits + other.registry_hits,
-            kernels_compiled=self.kernels_compiled + other.kernels_compiled,
-            chunks=self.chunks + other.chunks,
-        )
 
     def to_dict(self) -> Dict[str, int]:
         return {
@@ -596,9 +601,8 @@ _ChunkPayload = Tuple[
     Tuple[Tuple[int, SweepTask, int], ...],
     Optional[float], bool, Optional["FaultPlan"],
 ]
-#: What a chunk sends back: its outcomes plus the worker-side deltas
-#: of registry live-tier hits and kernel compilations.
-_ChunkResult = Tuple[Tuple[TaskOutcome, ...], int, int]
+#: What a chunk sends back: its outcomes plus the counters it moved.
+_ChunkResult = Tuple[Tuple[TaskOutcome, ...], Dict[str, int]]
 
 
 def _worker_init(
@@ -630,32 +634,30 @@ def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
 
     The registry hands every task of a repeated instance the *same*
     decoded object, so the per-instance kernel memo in
-    :mod:`repro.perf.kernels` survives across tasks; the returned
-    deltas report how much reuse actually happened in this chunk.
+    :mod:`repro.perf.kernels` survives across tasks.  The chunk counts
+    into a registry of its own — registry hits and decodes, kernel
+    compiles — and returns its counters with the outcomes, so the
+    parent sees how much reuse actually happened in this chunk.
     """
-    from repro.perf.kernels import compiles_total
-
     entries, default_timeout, trace, fault_plan = payload
     registry = _WORKER_REGISTRY
-    hits_before = registry.stats().hits
-    compiled_before = compiles_total()
-    outcomes = tuple(
-        _execute(
-            index,
-            replace(
-                task,
-                instance=registry.get(cast(InstanceRef, task.instance).key),
-            ),
-            _WORKER_CACHE.for_attempt(), default_timeout,
-            trace=trace, attempt=attempt, fault_plan=fault_plan,
+    counters = MetricsRegistry()
+    with use_metrics(counters):
+        outcomes = tuple(
+            _execute(
+                index,
+                replace(
+                    task,
+                    instance=registry.get(
+                        cast(InstanceRef, task.instance).key
+                    ),
+                ),
+                _WORKER_CACHE.for_attempt(), default_timeout,
+                trace=trace, attempt=attempt, fault_plan=fault_plan,
+            )
+            for index, task, attempt in entries
         )
-        for index, task, attempt in entries
-    )
-    return (
-        outcomes,
-        registry.stats().hits - hits_before,
-        compiles_total() - compiled_before,
-    )
+    return outcomes, counters.snapshot()["counters"]
 
 
 def _make_executor(
@@ -794,10 +796,9 @@ def _run_serial(
     timeout: Optional[float],
     trace: bool,
     fault_plan: Optional["FaultPlan"],
-) -> ExecutorStats:
-    from repro.perf.kernels import compiles_total, pinned_kernels
+) -> None:
+    from repro.perf.kernels import pinned_kernels
 
-    compiled_before = compiles_total()
     # In-process tasks already share live instances; pin their kernels
     # for the duration of the sweep so compilation is per-instance,
     # matching what a registry worker sees.
@@ -820,13 +821,13 @@ def _run_serial(
             ledger.cancel(
                 pending[position + 1:], "cancelled before execution"
             )
-    return ExecutorStats(kernels_compiled=compiles_total() - compiled_before)
 
 
 def _run_parallel(
     tasks: Sequence[SweepTask],
     pending: Sequence[int],
     ledger: _Ledger,
+    tally: MetricsRegistry,
     workers: int,
     cache: bool,
     cache_maxsize: Optional[int],
@@ -835,14 +836,15 @@ def _run_parallel(
     trace: bool,
     fault_plan: Optional["FaultPlan"],
     registry_maxsize: Optional[int],
-) -> Optional[ExecutorStats]:
-    """Pool-backed loop; returns None when no pool can be created.
+) -> bool:
+    """Pool-backed loop; returns False when no pool can be created.
 
-    Dispatch is chunked (:func:`auto_chunksize`), but recovery stays at
-    *task* granularity: retry accounting, journal records and resume
-    fingerprints are all per task, and a chunk lost to a worker death
-    re-queues each of its tasks individually with one ``worker-died``
-    attempt charged.
+    Each chunk's counters, the bytes shipped per pool and the chunks
+    dispatched are added to ``tally``.  Dispatch is chunked
+    (:func:`auto_chunksize`), but recovery stays at *task* granularity:
+    retry accounting, journal records and resume fingerprints are all
+    per task, and a chunk lost to a worker death re-queues each of its
+    tasks individually with one ``worker-died`` attempt charged.
     """
     registry = InstanceRegistry()
     # Content-hash each instance *object* once, not once per task: a
@@ -860,24 +862,19 @@ def _run_parallel(
         )
     payloads = registry.payloads()
     per_chunk = auto_chunksize(len(pending), workers)
-    ship_bytes = 0
-    registry_hits = 0
-    kernels_compiled = 0
-    chunks = 0
 
     def spawn() -> ProcessPoolExecutor:
-        nonlocal ship_bytes
         pool = _make_executor(
             workers, cache, cache_maxsize, per_attempt, payloads,
             registry_maxsize,
         )
-        ship_bytes += registry.payload_bytes() * workers
+        tally.inc("runtime.ship_bytes", registry.payload_bytes() * workers)
         return pool
 
     try:
         executor = spawn()
     except Exception:  # no semaphores / sandboxed: degrade quietly
-        return None
+        return False
 
     queue: Deque[int] = deque(pending)
     futures: Dict["Future[_ChunkResult]", Tuple[int, ...]] = {}
@@ -907,12 +904,12 @@ def _run_parallel(
                         queue.extendleft(reversed(chunk))  # unsubmitted
                         raise
                     futures[future] = chunk
-                    chunks += 1
+                    tally.inc("runtime.sweep_chunks")
                 done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
                 for future in done:
                     indices = futures.pop(future)
                     try:
-                        outcomes, hits, compiled = future.result()
+                        outcomes, counters = future.result()
                     except BrokenExecutor:
                         futures[future] = indices  # recover below, in-flight
                         raise
@@ -922,8 +919,7 @@ def _run_parallel(
                                 index, "error", f"{type(exc).__name__}: {exc}"
                             ))
                         continue
-                    registry_hits += hits
-                    kernels_compiled += compiled
+                    _add_counters(tally, counters)
                     for outcome in outcomes:
                         requeue_unless_final(outcome.index, outcome)
             except BrokenExecutor:
@@ -967,24 +963,28 @@ def _run_parallel(
         )
     else:
         executor.shutdown()
-    return ExecutorStats(
-        ship_bytes=ship_bytes,
-        registry_hits=registry_hits,
-        kernels_compiled=kernels_compiled,
-        chunks=chunks,
-    )
+    return True
 
 
-def publish_sweep_telemetry(result: SweepResult) -> SweepResult:
-    """Publish a finished sweep's movement into the live telemetry.
+def _add_counters(
+    registry: MetricsRegistry, counters: Mapping[str, int]
+) -> None:
+    for name, value in counters.items():
+        registry.inc(name, value)
 
-    One call per sweep, parent-side.  Counters the parent's in-process
-    instrumentation already emitted live (serial cost evaluations,
-    daemon-side registry hits, serial kernel compiles) are *not*
-    re-published; only worker-side movement — which happened in other
-    processes, invisible to this process's registry — is folded in.
-    With no registry and no event log installed this is two global
-    reads.  Returns ``result`` unchanged, for call-site chaining.
+
+def publish_sweep_telemetry(
+    result: SweepResult, counters: Mapping[str, int]
+) -> SweepResult:
+    """Publish a finished sweep into the live telemetry.
+
+    One call per sweep, parent-side: the sweep's whole counter tally
+    (``counters``) goes to the caller's active registry, together with
+    the task, retry and recovery counts.  The executor ran under the
+    tally, so nothing inside the sweep reached that registry directly
+    and nothing is counted twice, whichever mode ran.  With no registry
+    and no event log installed this is two global reads.  Returns
+    ``result`` unchanged, for call-site chaining.
     """
     registry = active_metrics()
     if registry is not None:
@@ -993,18 +993,7 @@ def publish_sweep_telemetry(result: SweepResult) -> SweepResult:
         registry.inc("runtime.tasks_failed", len(result.outcomes) - ok)
         registry.inc("runtime.task_retries", result.retries)
         registry.inc("runtime.worker_recoveries", result.recovered_workers)
-        registry.inc("runtime.sweep_chunks", result.executor.chunks)
-        registry.inc("runtime.ship_bytes", result.executor.ship_bytes)
-        if result.mode == "parallel":
-            totals = result.cache_totals()
-            registry.inc("runtime.cost_evaluations", totals.misses)
-            registry.inc("runtime.cache_hits", totals.hits)
-            registry.inc(
-                "runtime.registry_hits", result.executor.registry_hits
-            )
-            registry.inc(
-                "perf.kernel_compiles", result.executor.kernels_compiled
-            )
+        _add_counters(registry, counters)
     if active_event_log() is not None:
         for outcome in result.outcomes:
             _emit_event(
@@ -1053,25 +1042,31 @@ def _run(
             journal, meta={"tasks": len(tasks), "resumed": len(completed)}
         )
     ledger = _Ledger(tasks, pending, retry, sleep, writer)
+    tally = MetricsRegistry()
     mode = "serial"
     try:
-        executor: Optional[ExecutorStats] = None
-        if workers > 1 and len(pending) > 1:
-            executor = _run_parallel(
-                tasks, pending, ledger, workers, cache, cache_maxsize,
-                per_attempt, timeout, trace, fault_plan, registry_maxsize,
-            )
-            if executor is not None:
+        with use_metrics(tally):
+            if workers > 1 and len(pending) > 1 and _run_parallel(
+                tasks, pending, ledger, tally, workers, cache,
+                cache_maxsize, per_attempt, timeout, trace, fault_plan,
+                registry_maxsize,
+            ):
                 mode = "parallel"
-        if executor is None:
-            executor = _run_serial(
-                tasks, pending, ledger,
-                _CacheScope(cache, cache_maxsize, per_attempt),
-                timeout, trace, fault_plan,
-            )
+            else:
+                _run_serial(
+                    tasks, pending, ledger,
+                    _CacheScope(cache, cache_maxsize, per_attempt),
+                    timeout, trace, fault_plan,
+                )
     finally:
         if writer is not None:
             writer.close()
+    # Cost-cache movement is counted from the outcomes this run
+    # produced: restored ones were counted by the run that journaled them.
+    ran = ledger.outcomes.values()
+    tally.inc("runtime.cost_evaluations", sum(o.cache.misses for o in ran))
+    tally.inc("runtime.cache_hits", sum(o.cache.hits for o in ran))
+    counters = tally.snapshot()["counters"]
 
     outcomes = _reassemble(
         [*completed.values(), *ledger.outcomes.values()], len(tasks)
@@ -1085,8 +1080,13 @@ def _run(
         retries=ledger.retries,
         recovered_workers=ledger.recovered,
         resumed=len(completed),
-        executor=executor,
-    ))
+        executor=ExecutorStats(
+            ship_bytes=counters.get("runtime.ship_bytes", 0),
+            registry_hits=counters.get("runtime.registry_hits", 0),
+            kernels_compiled=counters.get("perf.kernel_compiles", 0),
+            chunks=counters.get("runtime.sweep_chunks", 0),
+        ),
+    ), counters)
 
 
 def run_sweep(

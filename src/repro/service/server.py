@@ -462,7 +462,10 @@ class OptimizationServer:
     ) -> None:
         self.metrics.inc("service.received")
         try:
-            request = self._decode_request(op, payload)
+            # The decode counts instance-LRU hits and misses; this
+            # reader thread has no registry of its own to count them.
+            with use_metrics(self.metrics):
+                request = self._decode_request(op, payload)
             fingerprint = request.fingerprint()
         except (ValidationError, KeyError, TypeError, ValueError) as exc:
             self.metrics.inc("service.errors")
@@ -587,17 +590,17 @@ class OptimizationServer:
                 "trace_id": trace_id,
                 "parent_span": getattr(job.request, "parent_span", None),
             }
+        # Each job gets a fresh cost cache, so a worker retains nothing
+        # between requests (the result cache answers repeats).
+        cache = api.CostCache()
         started = time.perf_counter()
         try:
             # The worker thread's dynamic extent reports into the
-            # server's registry: cost evaluations/cache hits emitted by
-            # the cost cache during this request land in the same
-            # ``runtime.*`` counters the exporter snapshots.  Each job
-            # gets a fresh cost cache, so a worker retains nothing
-            # between requests (the result cache answers repeats).
+            # server's registry: kernel compiles and a sweep's tally
+            # land in the same counters the exporter snapshots.
             with use_metrics(self.metrics), \
                     use_event_log(self._event_log), \
-                    use_tracer(tracer), api.use_cache(api.CostCache()):
+                    use_tracer(tracer), api.use_cache(cache):
                 with tracer.span(f"execute.{job.fingerprint[:12]}"):
                     result = api.execute_request(job.request)
         except Exception as exc:
@@ -614,6 +617,11 @@ class OptimizationServer:
                     tuple(records) if wants_trace else None
                 ),
             )
+        finally:
+            # The job's own cost-cache movement (a sweep counts its own
+            # caches), published once whether or not it succeeded.
+            self.metrics.inc("runtime.cost_evaluations", cache.misses)
+            self.metrics.inc("runtime.cache_hits", cache.hits)
         self.metrics.inc("service.computed")
         elapsed = time.perf_counter() - started
         self.metrics.observe("service.latency_ms", elapsed * 1000.0)

@@ -403,18 +403,23 @@ class TestRuleFixtures:
         assert lint_paths([tree], select=["RPR013"]).ok
 
     def test_rpr014_flags_adhoc_module_counter(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/runtime/widgets.py": """\
-                _CALLS = 0
+        for module, name, function in (
+            ("runtime/widgets", "_CALLS", "frob"),
+            ("perf/kernels", "_BUILT", "compile_qon"),
+        ):
+            tree = make_tree(tmp_path / name, {
+                f"src/repro/{module}.py": f"""\
+                    {name} = 0
 
-                def frob():
-                    global _CALLS
-                    _CALLS += 1
-            """,
-        })
-        report = lint_paths([tree], select=["RPR014"])
-        assert codes_of(report) == ["RPR014"]
-        assert "metrics registry" in report.diagnostics[0].message
+                    def {function}(instance):
+                        global {name}
+                        {name} += 1
+                        return instance
+                """,
+            })
+            report = lint_paths([tree], select=["RPR014"])
+            assert codes_of(report) == ["RPR014"]
+            assert "metrics registry" in report.diagnostics[0].message
 
     def test_rpr014_ignores_non_telemetry_packages(self, tmp_path):
         tree = make_tree(tmp_path, {
@@ -441,19 +446,6 @@ class TestRuleFixtures:
                 def set_mode(mode):
                     global _MODE
                     _MODE = mode
-            """,
-        })
-        assert lint_paths([tree], select=["RPR014"]).ok
-
-    def test_rpr014_grandfathers_kernel_compile_counter(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/perf/kernels.py": """\
-                _COMPILES = 0
-
-                def compile_qon(instance):
-                    global _COMPILES
-                    _COMPILES += 1
-                    return instance
             """,
         })
         assert lint_paths([tree], select=["RPR014"]).ok

@@ -16,6 +16,7 @@ Covers, per ISSUE requirements:
 """
 
 import gc
+import threading
 import weakref
 from fractions import Fraction
 
@@ -41,6 +42,7 @@ from repro.perf.kernels import (
     compile_qon,
     is_exact_value,
     iter_bits,
+    pinned_kernels,
 )
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import CostCache
@@ -186,6 +188,44 @@ class TestKernelMemoization:
         del instance, evaluator
         gc.collect()
         assert finalized() is None
+
+
+class TestPinTier:
+    def test_interleaved_scopes_on_two_threads_leave_nothing_pinned(self):
+        """Scope A enters, scope B enters, A exits, B exits, each on
+        its own thread: neither limit outlives its scope, so a kernel
+        compiled afterwards is not kept alive by a stale pin."""
+        a_entered, b_entered, a_exited = (
+            threading.Event() for _ in range(3)
+        )
+
+        def scope_a():
+            with pinned_kernels(3):
+                a_entered.set()
+                b_entered.wait(10)
+            a_exited.set()
+
+        def scope_b():
+            a_entered.wait(10)
+            with pinned_kernels(2):
+                b_entered.set()
+                a_exited.wait(10)
+
+        threads = [
+            threading.Thread(target=scope_a),
+            threading.Thread(target=scope_b),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert a_exited.is_set() and b_entered.is_set()
+        instance = random_query(5, rng=11)
+        kernel = weakref.ref(compile_qon(instance))
+        del instance
+        gc.collect()
+        assert kernel() is None
 
 
 class _OpaqueInstance:

@@ -25,17 +25,18 @@ comparison.
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.runtime.journal import instance_token, task_fingerprint
 from repro.runtime.metrics import sweep_metrics, validate_metrics
 from repro.runtime.registry import (
     InstanceRef,
     InstanceRegistry,
-    RegistryStats,
     instance_key,
 )
 from repro.runtime import runner as runner_mod
@@ -51,6 +52,10 @@ from repro.runtime.runner import (
 )
 from repro.utils.validation import ValidationError
 from repro.workloads.queries import random_query
+
+
+def _counted(counters, name):
+    return counters.counter_value(f"runtime.registry_{name}")
 
 
 def _tasks(optimizers=("dp", "greedy-cost", "iterative"), seeds=2, n=5):
@@ -139,11 +144,12 @@ class TestRegistry:
         registry = InstanceRegistry()
         instance = random_query(5, rng=0)
         key = registry.register(instance)
-        assert registry.get(key) is instance
-        assert registry.get(key) is instance
-        stats = registry.stats()
-        assert stats.hits == 2
-        assert stats.decodes == 0
+        counters = MetricsRegistry()
+        with use_metrics(counters):
+            assert registry.get(key) is instance
+            assert registry.get(key) is instance
+        assert _counted(counters, "hits") == 2
+        assert _counted(counters, "decodes") == 0
 
     def test_unregistered_key_raises(self):
         with pytest.raises(KeyError):
@@ -155,35 +161,44 @@ class TestRegistry:
         registry = InstanceRegistry(max_live=1)
         first = random_query(5, rng=0)
         second = random_query(5, rng=1)
-        key_first = registry.register(first)
-        registry.register(second)  # evicts `first` from the live tier
-        assert registry.stats().evictions == 1
-        refetched = registry.get(key_first)
-        assert refetched is not first  # decoded copy, not the original
-        assert instance_key(refetched) == key_first  # same content
-        assert registry.stats().decodes == 1
-        # The refetched object is now live: next get is an identity hit.
-        assert registry.get(key_first) is refetched
+        counters = MetricsRegistry()
+        with use_metrics(counters):
+            key_first = registry.register(first)
+            registry.register(second)  # evicts `first` from the live tier
+            assert _counted(counters, "evictions") == 1
+            refetched = registry.get(key_first)
+            assert refetched is not first  # decoded copy, not the original
+            assert instance_key(refetched) == key_first  # same content
+            assert _counted(counters, "decodes") == 1
+            # The refetched object is now live: next get is a hit.
+            assert registry.get(key_first) is refetched
+        assert _counted(counters, "hits") == 1
+        assert _counted(counters, "evictions") == 2  # `second` went too
 
     def test_max_live_zero_is_pass_through(self):
         registry = InstanceRegistry(max_live=0)
         instance = random_query(5, rng=0)
         key = registry.register(instance)
         assert registry.canonical(key, instance) is instance
-        first = registry.get(key)
-        second = registry.get(key)
+        counters = MetricsRegistry()
+        with use_metrics(counters):
+            first = registry.get(key)
+            second = registry.get(key)
         assert first is not second  # nothing kept live: decode per get
-        assert registry.stats().live == 0
+        assert _counted(counters, "decodes") == 2
+        assert _counted(counters, "hits") == 0
 
     def test_canonical_dedups_decoded_instances(self):
         registry = InstanceRegistry(max_live=4)
         original = random_query(5, rng=0)
         copy = pickle.loads(pickle.dumps(original))
-        assert registry.canonical("k", original) is original
-        assert registry.canonical("k", copy) is original
-        stats = registry.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.stored == 0  # canonical never touches payloads
+        counters = MetricsRegistry()
+        with use_metrics(counters):
+            assert registry.canonical("k", original) is original
+            assert registry.canonical("k", copy) is original
+        assert _counted(counters, "hits") == 1
+        assert _counted(counters, "misses") == 1
+        assert len(registry) == 0  # canonical never touches payloads
 
     def test_from_payloads_round_trip(self):
         parent = InstanceRegistry()
@@ -197,15 +212,6 @@ class TestRegistry:
     def test_rejects_negative_max_live(self):
         with pytest.raises(ValidationError):
             InstanceRegistry(max_live=-1)
-
-    def test_stats_delta(self):
-        registry = InstanceRegistry()
-        key = registry.register(random_query(4, rng=0))
-        before = registry.stats()
-        registry.get(key)
-        movement = registry.stats().delta(before)
-        assert movement.hits == 1
-        assert movement.misses == 0
 
 
 # ---------------------------------------------------------------------
@@ -314,6 +320,34 @@ class TestChunkedBitIdentity:
         assert result.executor.chunks == 0
         assert result.executor.kernels_compiled >= 0
 
+    def test_concurrent_serial_sweeps_count_only_their_own_compiles(self):
+        """The service daemon runs serial sweeps on several threads at
+        once: each must report the kernels it compiled itself, one per
+        instance (its pin scope keeps them across its tasks)."""
+        barrier = threading.Barrier(2, timeout=60)
+        compiled = {}
+
+        def sweep(thread):
+            seeds = range(4 * thread, 4 * thread + 4)
+            tasks = grid_tasks(
+                ["dp", "greedy-cost", "iterative"],
+                [(f"c{seed}", random_query(9, rng=seed)) for seed in seeds],
+            )
+            barrier.wait()
+            result = run_sweep(tasks, workers=1)
+            compiled[thread] = result.executor.kernels_compiled
+
+        threads = [
+            threading.Thread(target=sweep, args=(thread,))
+            for thread in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert compiled == {0: 4, 1: 4}
+
 
 # ---------------------------------------------------------------------
 # Schedule independence (Hypothesis): chunk size/workers never matter
@@ -395,15 +429,11 @@ class TestWorkerDeathMidChunk:
     def test_executor_stats_default_and_merge(self):
         base = ExecutorStats()
         assert (base.ship_bytes, base.registry_hits) == (0, 0)
-        merged = base.merged(
-            ExecutorStats(
-                ship_bytes=5, registry_hits=2, kernels_compiled=1, chunks=3,
-            )
-        )
-        assert merged == ExecutorStats(
+        assert (base.kernels_compiled, base.chunks) == (0, 0)
+        stats = ExecutorStats(
             ship_bytes=5, registry_hits=2, kernels_compiled=1, chunks=3,
         )
-        assert merged.to_dict() == {
+        assert stats.to_dict() == {
             "ship_bytes": 5,
             "registry_hits": 2,
             "kernels_compiled": 1,

@@ -219,12 +219,13 @@ class TestResultCache:
             assert client.optimize(sampling).ok
             assert client.optimize(greedy).ok
         # One distinct wire payload -> one live decoded instance in the
-        # daemon's registry live tier (repro.runtime.registry).
-        registry_stats = server._registry.stats()
-        assert registry_stats.live == 1
-        # The second request reused the first decode instead of
-        # retaining a duplicate object.
-        assert registry_stats.hits >= 1
+        # daemon's registry live tier (repro.runtime.registry), counted
+        # in the daemon's own metrics: the first request's decode was
+        # the one miss, and the second reused it instead of retaining
+        # a duplicate object.
+        metrics = server.metrics
+        assert metrics.counter_value("runtime.registry_misses") == 1
+        assert metrics.counter_value("runtime.registry_hits") >= 1
 
 
 # ---------------------------------------------------------------------

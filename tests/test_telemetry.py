@@ -47,9 +47,10 @@ from repro.observability import (
     validate_metrics,
     validate_trace,
 )
+from repro.runtime.runner import run_sweep
 from repro.service import OptimizationServer, ServerConfig, ServiceClient
 from repro.utils.validation import ValidationError
-from repro.workloads import chain_query
+from repro.workloads import chain_query, random_query
 
 DRAIN_TIMEOUT = 30.0
 
@@ -466,6 +467,33 @@ class TestSweepTelemetry:
         kinds = [event["kind"] for event in load_events(events_path)]
         assert kinds.count("task.start") == len(result.outcomes)
         assert kinds.count("task.finish") == len(result.outcomes)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_published_counters_equal_the_sweep_totals(self, workers):
+        tasks = api.grid_tasks(
+            ["dp", "greedy-cost", "iterative"],
+            [(f"r{seed}", random_query(6, rng=seed)) for seed in range(3)],
+        )
+        reference = run_sweep(tasks, workers=1, cache=False)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            result = run_sweep(tasks, workers=workers, cache=False)
+        if workers > 1 and result.mode != "parallel":
+            pytest.skip("no process pool available here")
+        counted = registry.counter_value
+        totals = result.cache_totals()
+        assert counted("runtime.cost_evaluations") == totals.misses
+        assert counted("runtime.cache_hits") == totals.hits
+        executor = result.executor
+        assert counted("perf.kernel_compiles") == executor.kernels_compiled
+        assert counted("runtime.registry_hits") == executor.registry_hits
+        assert counted("runtime.ship_bytes") == executor.ship_bytes
+        assert counted("runtime.sweep_chunks") == executor.chunks
+        assert counted("runtime.tasks_completed") == sum(
+            1 for outcome in result if outcome.ok
+        ) == len(tasks)
+        # cache=False makes cost evaluations schedule-independent.
+        assert counted("runtime.cost_evaluations") == reference.evaluations
 
 
 # ---------------------------------------------------------------------
