@@ -11,14 +11,15 @@
 
 We instantiate ``g(m, b) = g_scale * (b - m) / (b - hjmin(b))``
 (clamped at zero), so ``h(hjmin(b), b_R, b_S) = Theta(b_R + b_S)``
-exactly as the paper requires.  All arithmetic is exact (``Fraction``).
+exactly as the paper requires.  All arithmetic is exact: ``g`` and
+``h`` are each built as one ``Fraction`` over an integer denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Tuple, Union
 
 from repro.utils.validation import require
 
@@ -70,23 +71,45 @@ class HashJoinCostModel:
 
     def g(self, memory: ExactReal, inner_pages: int) -> Fraction:
         """The partitioning-overhead factor; linear decreasing in memory."""
-        floor = self.hjmin(inner_pages)
-        require(memory >= floor, "memory below hjmin: join is infeasible")
-        if memory >= inner_pages:
-            return Fraction(0)
-        span = inner_pages - floor
-        if span <= 0:
-            return Fraction(0)
-        return Fraction(self.g_scale) * (Fraction(inner_pages) - Fraction(memory)) / span
+        numerator, denominator = self._g_ratio(memory, inner_pages, None)
+        return Fraction(numerator, denominator)
 
     def h(
-        self, memory: ExactReal, outer_pages: ExactReal, inner_pages: int
+        self,
+        memory: ExactReal,
+        outer_pages: ExactReal,
+        inner_pages: int,
+        floor: Optional[int] = None,
     ) -> Fraction:
-        """I/O cost of one hybrid hash join (outer streams, inner on disk)."""
-        overhead = self.g(memory, inner_pages)
+        """I/O cost of one hybrid hash join (outer streams, inner on disk).
+
+        ``(outer_pages + inner_pages) * g + inner_pages``.  ``floor`` is
+        ``hjmin(inner_pages)`` when the caller already has it; the value
+        is the same either way.
+        """
+        numerator, denominator = self._g_ratio(memory, inner_pages, floor)
+        outer_den = outer_pages.denominator
+        scan = inner_pages * outer_den
+        return Fraction(
+            (outer_pages.numerator + scan) * numerator + scan * denominator,
+            outer_den * denominator,
+        )
+
+    def _g_ratio(
+        self, memory: ExactReal, inner_pages: int, floor: Optional[int]
+    ) -> Tuple[int, int]:
+        """``g`` as an unreduced ratio ``(numerator, denominator)``."""
+        if floor is None:
+            floor = self.hjmin(inner_pages)
+        require(memory >= floor, "memory below hjmin: join is infeasible")
+        span = inner_pages - floor
+        if memory >= inner_pages or span <= 0:
+            return 0, 1
         return (
-            Fraction(outer_pages) + inner_pages
-        ) * overhead + inner_pages
+            self.g_scale
+            * (inner_pages * memory.denominator - memory.numerator),
+            memory.denominator * span,
+        )
 
     def is_feasible(self, memory: ExactReal, inner_pages: int) -> bool:
         """True when ``memory`` satisfies the ``hjmin`` floor."""

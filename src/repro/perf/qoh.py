@@ -183,12 +183,14 @@ class QOHEvaluator:
         self.fragments_computed += 1
         kernel = self.kernel
         outer_sizes = [intermediates[j - 1] for j in range(i, k + 1)]
-        inner_sizes = [kernel.sizes[sequence[j]] for j in range(i, k + 1)]
+        inner_sizes = [kernel.sizes[vertex] for vertex in inners]
+        floors = [kernel.hjmin[vertex] for vertex in inners]
         # Deferred import: hashjoin's search layers import this module.
         from repro.hashjoin.allocation import allocate_memory
 
         allocation = allocate_memory(
-            kernel.instance.model, outer_sizes, inner_sizes, kernel.memory
+            kernel.instance.model, outer_sizes, inner_sizes, kernel.memory,
+            floors=floors,
         )
         value: Optional[Fraction]
         if allocation is None:
