@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import api, io
@@ -368,7 +367,7 @@ def _cmd_scorecard(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.devtools import lint_paths, render_json, render_text
+    from repro.devtools import lint_paths, render_text
     from repro.devtools.reporter import render_rule_list
 
     if args.list_rules:
@@ -382,56 +381,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     except (FileNotFoundError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
-    return 0 if report.ok else 1
-
-
-#: Default committed baseline file, used when it exists and no
-#: ``--baseline`` was given.
-_DEFAULT_BASELINE = "analysis-baseline.json"
-
-
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    from repro.devtools.analysis import (
-        analyze_paths,
-        load_baseline,
-        raw_findings,
-        render_analysis_json,
-        render_analysis_text,
-        render_pass_list,
-        write_baseline,
-    )
-
-    if args.list_passes:
-        print(render_pass_list())
-        return 0
-    paths = args.paths or ["src"]
-    baseline = args.baseline
-    if baseline is None and Path(_DEFAULT_BASELINE).is_file():
-        baseline = _DEFAULT_BASELINE
-    try:
-        if args.update_baseline:
-            target = baseline or _DEFAULT_BASELINE
-            previous = (
-                load_baseline(target) if Path(target).is_file() else ()
-            )
-            entries = write_baseline(
-                target, raw_findings(paths), previous
-            )
-            print(f"{target}: {len(entries)} baselined finding"
-                  f"{'s' if len(entries) != 1 else ''} written")
-            return 0
-        report = analyze_paths(paths, baseline=baseline)
-    except (FileNotFoundError, OSError, ValueError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.output == "json":
-        print(render_analysis_json(report))
-    else:
-        print(render_analysis_text(report))
+    print(render_text(report))
     return 0 if report.ok else 1
 
 
@@ -888,55 +838,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = subparsers.add_parser(
         "lint",
-        help="run the project invariant linter (RPR rules) over "
-        "files/directories",
+        help="run the project's static checker (per-file RPR rules and "
+        "whole-program ANA passes) over files/directories",
     )
     lint.add_argument(
         "paths", nargs="*",
         help="files or directories to lint (default: src)",
     )
     lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (json follows the repro.lint/1 schema)",
-    )
-    lint.add_argument(
         "--select",
-        help="comma-separated rule codes to run (default: all rules)",
+        help="comma-separated RPR/ANA codes to report (default: all)",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
-        help="list the registered rules and exit",
+        help="list every RPR and ANA code and exit",
     )
     lint.set_defaults(func=_cmd_lint)
-
-    analyze = subparsers.add_parser(
-        "analyze",
-        help="run the whole-program analyzer (exactness taint, lock "
-        "discipline, schema registry) over files/directories",
-    )
-    analyze.add_argument(
-        "paths", nargs="*",
-        help="files or directories to analyze (default: src)",
-    )
-    analyze.add_argument(
-        "--output", choices=("text", "json"), default="text",
-        help="report format (json follows the repro.analysis/1 schema)",
-    )
-    analyze.add_argument(
-        "--baseline", default=None,
-        help="baseline file of accepted findings (default: "
-        f"{_DEFAULT_BASELINE} when present)",
-    )
-    analyze.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings "
-        "(preserving reasons of kept entries) and exit 0",
-    )
-    analyze.add_argument(
-        "--list-passes", action="store_true",
-        help="list the analyzer finding codes and exit",
-    )
-    analyze.set_defaults(func=_cmd_analyze)
 
     serve = subparsers.add_parser(
         "serve",

@@ -1,8 +1,8 @@
-"""The whole-program analyzer (the ``repro analyze`` pass).
+"""The whole-program passes of ``repro lint`` (the ``ANA...`` codes).
 
-Where :mod:`repro.devtools.rules` checks files one at a time, this
-package builds a name-resolved model of the whole ``repro`` package
-and runs three passes over it:
+Where :mod:`repro.devtools.rules` checks files one at a time, these
+modules build a name-resolved model of a whole ``repro`` package and
+run three passes over it:
 
 * :mod:`repro.devtools.analysis.model` — module/call-graph builder
   (imports, functions, classes, lock-attribute ownership);
@@ -12,50 +12,9 @@ and runs three passes over it:
   owning a ``_lock`` (``ANA201``);
 * :mod:`repro.devtools.analysis.schemas` — ``repro.<name>/<v>``
   schema-registry consistency (``ANA301``-``ANA303``);
-* :mod:`repro.devtools.analysis.baseline` — the committed baseline of
-  accepted findings (stale entries are ``ANA901``);
-* :mod:`repro.devtools.analysis.engine` / ``reporter`` — driving and
-  the text + ``repro.analysis/1`` JSON reports.
+* :mod:`repro.devtools.analysis.codes` — the ``ANA`` code catalogue.
 
-Findings share the lint ``Diagnostic`` record and the per-line
-``# repro: noqa`` suppression mechanism (with ``ANA...`` codes).
+:mod:`repro.devtools.engine` drives them alongside the per-file rules;
+findings share the ``Diagnostic`` record and the ``# repro: noqa``
+marker.
 """
-
-from repro.devtools.analysis.baseline import (
-    BASELINE_SCHEMA,
-    BaselineEntry,
-    load_baseline,
-    write_baseline,
-)
-from repro.devtools.analysis.codes import ANALYSIS_CODES, analysis_codes
-from repro.devtools.analysis.engine import (
-    AnalysisReport,
-    analyze_paths,
-    raw_findings,
-)
-from repro.devtools.analysis.reporter import (
-    ANALYSIS_SCHEMA_VERSION,
-    analysis_payload,
-    render_analysis_json,
-    render_analysis_text,
-    render_pass_list,
-    validate_analysis,
-)
-
-__all__ = [
-    "ANALYSIS_CODES",
-    "ANALYSIS_SCHEMA_VERSION",
-    "AnalysisReport",
-    "BASELINE_SCHEMA",
-    "BaselineEntry",
-    "analysis_codes",
-    "analysis_payload",
-    "analyze_paths",
-    "load_baseline",
-    "raw_findings",
-    "render_analysis_json",
-    "render_analysis_text",
-    "render_pass_list",
-    "validate_analysis",
-    "write_baseline",
-]

@@ -1,33 +1,22 @@
-"""The analyzer finding codes (``ANA...``) and their catalogue.
+"""The whole-program finding codes (``ANA...``) and their catalogue.
 
-Kept dependency-free so :mod:`repro.devtools.rules` can import the
-table (rule ``RPR012`` validates ``# repro: noqa[...]`` ids against
-the union of RPR and ANA codes) without creating an import cycle.
+Kept dependency-free so :mod:`repro.devtools.rules` can merge the
+table into the one code catalogue (rule ``RPR012`` validates
+``# repro: noqa[...]`` ids against it) without an import cycle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-#: Code reserved for files the analyzer cannot parse / model.
-MODEL_ERROR_CODE = "ANA000"
-
-#: Code emitted for baseline entries that no longer match any finding.
-STALE_BASELINE_CODE = "ANA901"
-
-#: Code -> (slug, one-line description), in code order.  ``ANA000``
-#: and ``ANA901`` are engine-level codes: they appear in reports but
-#: can be neither suppressed nor baselined.
+#: Code -> (slug, one-line description), in code order.
 ANALYSIS_CODES: Dict[str, Tuple[str, str]] = {
-    MODEL_ERROR_CODE: (
-        "model-error",
-        "file could not be parsed into the whole-program model",
-    ),
     "ANA101": (
         "tainted-value-in-exact-sink",
         "a float-tainted value is produced or returned inside a "
         "declared exact sink (cost models, perf kernels, codec encode "
-        "paths)",
+        "paths), or a float literal, float(...) call or math import "
+        "appears anywhere in a cost-model or perf-kernel module",
     ),
     "ANA102": (
         "tainted-argument-to-exact-sink",
@@ -54,16 +43,7 @@ ANALYSIS_CODES: Dict[str, Tuple[str, str]] = {
         "a 'repro.<name>/<v>' schema string is never compared against "
         "an incoming payload",
     ),
-    STALE_BASELINE_CODE: (
-        "stale-baseline-entry",
-        "a baseline entry matched no finding and must be removed",
-    ),
 }
-
-
-def analysis_codes() -> List[str]:
-    """All analyzer codes, sorted."""
-    return sorted(ANALYSIS_CODES)
 
 
 def rule_name(code: str) -> str:

@@ -3,8 +3,7 @@
 The gap certificates only mean anything while every cost is computed
 in exact arithmetic, so a ``float`` that leaks *through a call chain*
 into a cost model, a perf kernel or a codec encode path is a
-correctness bug even when no float literal appears in those modules
-(the per-file lint rules RPR001/RPR009 already ban the literals).
+correctness bug even when no float literal appears in those modules.
 
 Taint sources are float literals, ``float(...)`` conversions,
 ``math.*`` / ``time.*`` (and friends) calls or attributes, and true
@@ -20,7 +19,10 @@ its body is not analyzed as a sink.
 Findings:
 
 * ``ANA101`` — a float-tainted value is produced or returned inside a
-  declared exact sink function;
+  declared exact sink function; and, anywhere in a module of
+  :data:`EXACT_SINK_MODULES` (module and class statements, decorators,
+  defaults, nested and boundary functions included), a float literal,
+  a ``float(...)`` call or a ``math`` import;
 * ``ANA102`` — a float-tainted argument is passed into a declared
   exact sink function, from anywhere in the program.
 """
@@ -36,6 +38,7 @@ from repro.devtools.analysis.model import (
     CallTarget,
     ClassInfo,
     FunctionInfo,
+    FunctionNode,
     ModuleInfo,
     ProjectModel,
     attr_chain,
@@ -60,9 +63,9 @@ _ENCODE_MODULES = ("io", "core.requests")
 
 #: Modules that are declared boundaries wholesale: ``utils.lognum``
 #: is the project's audited log-domain representation (float-domain
-#: helpers belong there by design, see the RPR001 rule docs) and
-#: ``utils.rng`` is the audited seeded-randomness provider (the RNG
-#: objects it hands out are not cost values).
+#: helpers belong there by design) and ``utils.rng`` is the audited
+#: seeded-randomness provider (the RNG objects it hands out are not
+#: cost values).
 BOUNDARY_MODULES = ("utils.lognum", "utils.rng")
 
 #: External modules whose calls/attributes produce floats.  ``random``
@@ -486,7 +489,60 @@ def run_taint(model: ProjectModel) -> List[Diagnostic]:
         diagnostics.extend(_sink_argument_findings(analysis, fn, ev, nodes))
         if is_exact_sink(fn):
             diagnostics.extend(_sink_body_findings(fn, ev, nodes))
+    for module in model.modules.values():
+        if module.name in EXACT_SINK_MODULES:
+            diagnostics.extend(_module_findings(module, diagnostics))
     return diagnostics
+
+
+def _module_findings(
+    module: ModuleInfo, body_findings: Sequence[Diagnostic]
+) -> List[Diagnostic]:
+    """Float sources anywhere in an exact module, as ``ANA101``.
+
+    The function-body analysis sees neither module or class statements,
+    decorators and defaults, nor nested or boundary functions; this
+    walk does.  A spot a body finding already reports is skipped, so
+    each source is one finding.
+    """
+    path = str(module.file.path)
+    covered = {
+        (d.line, d.col)
+        for d in body_findings
+        if d.path == path and d.code == "ANA101"
+    }
+    found: List[Diagnostic] = []
+    for node in ast.walk(module.file.tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            source = f"float literal {node.value!r}"
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "float"
+        ):
+            source = "float(...) conversion"
+        elif (
+            isinstance(node, ast.Import)
+            and any(alias.name == "math" for alias in node.names)
+        ) or (isinstance(node, ast.ImportFrom) and node.module == "math"):
+            source = "math import"
+        else:
+            continue
+        if (node.lineno, node.col_offset) in covered:
+            continue
+        found.append(Diagnostic(
+            path=path,
+            line=node.lineno,
+            col=node.col_offset,
+            code="ANA101",
+            rule=rule_name("ANA101"),
+            message=(
+                f"{source} in exact module '{module.name}'; use int, "
+                "Fraction or LogNumber (float-domain helpers belong in "
+                "repro.utils.lognum)"
+            ),
+        ))
+    return found
 
 
 def _diag(

@@ -1,11 +1,10 @@
-"""The diagnostic record every lint rule emits."""
+"""The diagnostic record every rule and pass emits."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Union
 
-#: Code reserved for files the linter cannot parse at all.
+#: Code reserved for files the checker cannot parse at all.
 PARSE_ERROR_CODE = "RPR000"
 
 
@@ -27,14 +26,3 @@ class Diagnostic:
     def render(self) -> str:
         """The one-line human-readable form."""
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message}"
-
-    def to_json(self) -> Dict[str, Union[str, int]]:
-        """The JSON-reporter form (all keys always present)."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "rule": self.rule,
-            "message": self.message,
-        }

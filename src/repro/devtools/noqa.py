@@ -4,7 +4,7 @@ A diagnostic is suppressed when its line carries a project noqa
 comment:
 
 * ``# repro: noqa`` — suppress every rule on that line;
-* ``# repro: noqa[RPR001]`` / ``# repro: noqa[RPR001,RPR005]`` —
+* ``# repro: noqa[RPR002]`` / ``# repro: noqa[RPR002,ANA101]`` —
   suppress only the listed codes.
 
 Plain flake8-style ``# noqa`` is deliberately *not* honoured: the

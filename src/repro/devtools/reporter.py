@@ -1,15 +1,11 @@
-"""Text and JSON renderers for lint reports."""
+"""The text report and the code listing of ``repro lint``."""
 
 from __future__ import annotations
 
-import json
-from typing import Any, Dict, List
+from typing import List
 
 from repro.devtools.engine import LintReport
-from repro.devtools.rules import RULES
-
-#: Schema tag of the JSON report (bump on incompatible change).
-JSON_SCHEMA_VERSION = "repro.lint/1"
+from repro.devtools.rules import CODES
 
 
 def render_text(report: LintReport) -> str:
@@ -31,82 +27,10 @@ def render_text(report: LintReport) -> str:
     return "\n".join(lines)
 
 
-def report_payload(report: LintReport) -> Dict[str, Any]:
-    """The JSON report as a plain dict (see :data:`JSON_SCHEMA_VERSION`).
-
-    Layout::
-
-        {"version": "repro.lint/1",
-         "ok": bool,
-         "files_checked": int,
-         "counts": {code: int},
-         "diagnostics": [{"path", "line", "col", "code", "rule",
-                          "message"}, ...]}
-    """
-    return {
-        "version": JSON_SCHEMA_VERSION,
-        "ok": report.ok,
-        "files_checked": report.files_checked,
-        "counts": report.counts(),
-        "diagnostics": [
-            diagnostic.to_json() for diagnostic in report.diagnostics
-        ],
-    }
-
-
-def render_json(report: LintReport) -> str:
-    """The JSON report, pretty-printed with stable key order."""
-    return json.dumps(report_payload(report), indent=2, sort_keys=False)
-
-
-def validate_lint(payload: Dict[str, Any]) -> None:
-    """Check a ``repro.lint/1`` payload (``ValueError`` on failure).
-
-    CI consumes the uploaded report artifact; this is the gate that
-    rejects a corrupt or incompatibly-versioned one.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("lint payload must be an object")
-    if payload.get("version") != JSON_SCHEMA_VERSION:
-        raise ValueError(
-            f"lint payload version must be {JSON_SCHEMA_VERSION!r}, "
-            f"got {payload.get('version')!r}"
-        )
-    for field, kind in (
-        ("ok", bool),
-        ("files_checked", int),
-        ("counts", dict),
-        ("diagnostics", list),
-    ):
-        if not isinstance(payload.get(field), kind):
-            raise ValueError(
-                f"lint payload field {field!r} must be {kind.__name__}"
-            )
-    for item in payload["diagnostics"]:
-        if not isinstance(item, dict):
-            raise ValueError("lint diagnostics must be objects")
-        for field, kind in (
-            ("path", str),
-            ("line", int),
-            ("col", int),
-            ("code", str),
-            ("rule", str),
-            ("message", str),
-        ):
-            if not isinstance(item.get(field), kind):
-                raise ValueError(
-                    f"lint diagnostic field {field!r} must be "
-                    f"{kind.__name__}"
-                )
-    if payload["ok"] != (not payload["diagnostics"]):
-        raise ValueError("lint payload 'ok' is inconsistent with 'diagnostics'")
-
-
 def render_rule_list() -> str:
     """The ``--list-rules`` table: code, slug, one-line description."""
     lines: List[str] = []
-    for code in sorted(RULES):
-        rule = RULES[code]
-        lines.append(f"{code}  {rule.name}")
-        lines.append(f"       {rule.description}")
+    for code, (name, description) in CODES.items():
+        lines.append(f"{code}  {name}")
+        lines.append(f"       {description}")
     return "\n".join(lines)

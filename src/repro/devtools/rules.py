@@ -1,4 +1,4 @@
-"""The invariant rules (``RPR001``...) and their registry.
+"""The per-file invariant rules (``RPR...``) and the code catalogue.
 
 Each rule is a generator over one parsed file (plus the shared
 :class:`~repro.devtools.project.Project` context) yielding
@@ -24,7 +24,9 @@ from typing import (
     Tuple,
 )
 
-from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.analysis.codes import ANALYSIS_CODES
+from repro.devtools.diagnostics import PARSE_ERROR_CODE, Diagnostic
+from repro.devtools.noqa import listed_suppressions
 from repro.devtools.project import Project, SourceFile, module_matches
 
 Finding = Tuple[int, int, str]
@@ -77,61 +79,6 @@ def register(code: str, name: str, description: str) -> Callable[[CheckFn], Chec
 
 def _loc(node: ast.AST) -> Tuple[int, int]:
     return getattr(node, "lineno", 1), getattr(node, "col_offset", 0)
-
-
-# ---------------------------------------------------------------------
-# RPR001 — exact cost arithmetic
-# ---------------------------------------------------------------------
-
-#: Modules implementing the paper's cost recursions.  Costs there are
-#: compared across gaps of size alpha**Theta(n); one float round-trip
-#: collapses the Theorem 9/15 separations, so these modules must stay
-#: on int / Fraction / LogNumber arithmetic.
-COST_MODEL_MODULES = ("joinopt.cost", "hashjoin.cost_model", "starqo.cost")
-
-
-@register(
-    "RPR001",
-    "raw-float-in-cost-model",
-    "cost-model modules must use exact arithmetic "
-    "(int/Fraction/LogNumber), not raw floats",
-)
-def _check_raw_float(
-    file: SourceFile, project: Project
-) -> Iterator[Finding]:
-    if file.module not in COST_MODEL_MODULES:
-        return
-    for node in ast.walk(file.tree):
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            line, col = _loc(node)
-            yield line, col, (
-                f"float literal {node.value!r} in cost-model module; "
-                "use int, Fraction or LogNumber so gap comparisons stay exact"
-            )
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "float"
-        ):
-            line, col = _loc(node)
-            yield line, col, (
-                "float(...) conversion in cost-model module; "
-                "cost values must not round-trip through floats"
-            )
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "math":
-                    line, col = _loc(node)
-                    yield line, col, (
-                        "math import in cost-model module; float-domain "
-                        "helpers belong in repro.utils.lognum"
-                    )
-        elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            line, col = _loc(node)
-            yield line, col, (
-                "math import in cost-model module; float-domain "
-                "helpers belong in repro.utils.lognum"
-            )
 
 
 # ---------------------------------------------------------------------
@@ -514,18 +461,12 @@ def _check_benchmark_globals(
 
 
 # ---------------------------------------------------------------------
-# RPR009 — perf kernels stay exact and cache-routed
+# RPR009 — perf evaluators are cache-routed
 # ---------------------------------------------------------------------
 
-#: The compiled/incremental evaluation layer.  Its contract is
-#: bit-identity with the reference cost path, so the same exact-
-#: arithmetic discipline as the cost models applies (floats would make
-#: "identical" meaningless)...
-PERF_EXACT_MODULES = ("perf.kernels", "perf.incremental", "perf.qoh")
-
-#: ...and the evaluator modules must consult the active CostCache so
-#: sweeps report exact cost_evaluations/cache_hits whichever path
-#: computed an entry.
+#: The evaluator modules must consult the active CostCache so sweeps
+#: report exact cost_evaluations/cache_hits whichever path computed an
+#: entry.  (Their exact-arithmetic discipline is ANA101's.)
 PERF_CACHE_ROUTED_MODULES = ("perf.incremental", "perf.qoh")
 
 CACHE_HOME = "repro.runtime.costcache"
@@ -533,66 +474,30 @@ CACHE_HOME = "repro.runtime.costcache"
 
 @register(
     "RPR009",
-    "perf-kernel-discipline",
-    "perf evaluation kernels must stay on exact arithmetic and route "
-    "evaluations through the active cost cache",
+    "perf-cache-routing",
+    "perf evaluator modules must route evaluations through the active "
+    "cost cache",
 )
-def _check_perf_kernels(
+def _check_perf_cache_routing(
     file: SourceFile, project: Project
 ) -> Iterator[Finding]:
-    if file.module in PERF_EXACT_MODULES:
-        for node in ast.walk(file.tree):
-            if isinstance(node, ast.Constant) and isinstance(
-                node.value, float
-            ):
-                line, col = _loc(node)
-                yield line, col, (
-                    f"float literal {node.value!r} in a perf kernel "
-                    "module; kernels must reproduce the reference costs "
-                    "bit for bit (int/Fraction, or replaying the "
-                    "instance's own values)"
-                )
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "float"
-            ):
-                line, col = _loc(node)
-                yield line, col, (
-                    "float(...) conversion in a perf kernel module; "
-                    "kernel results must not round-trip through floats"
-                )
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "math":
-                        line, col = _loc(node)
-                        yield line, col, (
-                            "math import in a perf kernel module; "
-                            "float-domain helpers belong in "
-                            "repro.utils.lognum"
-                        )
-            elif isinstance(node, ast.ImportFrom) and node.module == "math":
-                line, col = _loc(node)
-                yield line, col, (
-                    "math import in a perf kernel module; float-domain "
-                    "helpers belong in repro.utils.lognum"
-                )
-    if file.module in PERF_CACHE_ROUTED_MODULES:
-        routed = any(
-            isinstance(node, ast.ImportFrom)
-            and node.module == CACHE_HOME
-            or (
-                isinstance(node, ast.Import)
-                and any(alias.name == CACHE_HOME for alias in node.names)
-            )
-            for node in ast.walk(file.tree)
+    if file.module not in PERF_CACHE_ROUTED_MODULES:
+        return
+    routed = any(
+        isinstance(node, ast.ImportFrom)
+        and node.module == CACHE_HOME
+        or (
+            isinstance(node, ast.Import)
+            and any(alias.name == CACHE_HOME for alias in node.names)
         )
-        if not routed:
-            yield 1, 0, (
-                f"evaluator module {file.module!r} never imports "
-                f"{CACHE_HOME}; kernel evaluations must flow through "
-                "the active CostCache so sweep metrics stay exact"
-            )
+        for node in ast.walk(file.tree)
+    )
+    if not routed:
+        yield 1, 0, (
+            f"evaluator module {file.module!r} never imports "
+            f"{CACHE_HOME}; kernel evaluations must flow through "
+            "the active CostCache so sweep metrics stay exact"
+        )
 
 
 # ---------------------------------------------------------------------
@@ -727,20 +632,13 @@ def _check_unknown_suppression(
     """A typo'd suppression id is worse than none: the author walks
     away convinced a finding is silenced while the real code keeps
     firing (or, for a not-yet-triggered rule, *would* fire unseen).
-    Validate every bracketed id against the union of the lint (RPR)
-    and analyzer (ANA) catalogues."""
-    from repro.devtools.analysis.codes import ANALYSIS_CODES
-    from repro.devtools.diagnostics import PARSE_ERROR_CODE
-    from repro.devtools.noqa import listed_suppressions
-
-    known = set(RULES) | set(ANALYSIS_CODES) | {PARSE_ERROR_CODE}
+    Validate every bracketed id against the code catalogue."""
     for line, col, code in listed_suppressions(file.lines):
-        if code not in known:
+        if code not in CODES:
             yield line, col, (
                 f"unknown rule code {code!r} in a '# repro: noqa[...]' "
-                "suppression; known codes are the RPR rules "
-                "(repro lint --list-rules) and the ANA analyzer codes "
-                "(repro analyze --list-passes)"
+                "suppression; repro lint --list-rules lists the known "
+                "RPR and ANA codes"
             )
 
 
@@ -867,3 +765,23 @@ def _check_adhoc_counters(
                 "(repro.observability.metrics.inc) so the counter is "
                 "visible to repro top and the telemetry exporter"
             )
+
+
+#: Every code ``repro lint`` reports, code -> (slug, one-line
+#: description): the parse-error code, the per-file rules and the
+#: whole-program ``ANA`` codes.  ``--select``, ``--list-rules`` and
+#: ``RPR012`` all read this one table.
+CODES: Dict[str, Tuple[str, str]] = dict(
+    sorted(
+        {
+            PARSE_ERROR_CODE: (
+                "parse-error",
+                "file could not be parsed; always reported, never "
+                "suppressed",
+            ),
+            **{code: (rule.name, rule.description)
+               for code, rule in RULES.items()},
+            **ANALYSIS_CODES,
+        }.items()
+    )
+)

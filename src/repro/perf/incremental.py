@@ -116,7 +116,7 @@ def sample_moves(n: int, rng: Random, count: int) -> List[Move]:
     moves: List[Move] = []
     for _ in range(count):
         # The historical one-coin draw; not cost arithmetic.
-        if rng.random() < 0.5:  # repro: noqa[RPR009,ANA101]
+        if rng.random() < 0.5:  # repro: noqa[ANA101]
             moves.append(AdjacentSwap(rng.randrange(n - 1)))
         else:
             source = rng.randrange(n)

@@ -1,20 +1,22 @@
-"""Tests for the project invariant linter (``repro.devtools``).
+"""Tests for the project static checker (``repro lint``).
 
-Covers, per ISSUE requirements:
+Covers:
 
 * one failing fixture per RPR rule (miniature ``repro`` trees under a
   tmpdir, exercising the path-based classification);
 * the clean-tree assertion: ``repro lint`` over the real ``src``,
   ``benchmarks`` and ``examples`` trees reports zero violations;
 * ``# repro: noqa`` suppression semantics;
-* the ``repro.lint/1`` JSON reporter schema;
-* the ``repro lint`` CLI subcommand (exit codes, --select, --format,
+* the text report;
+* the ``repro lint`` CLI subcommand (exit codes, --select,
   --list-rules).
+
+The whole-program ``ANA`` passes have their fixtures in
+``tests/test_devtools_analysis.py``.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
@@ -22,13 +24,13 @@ import pytest
 
 from repro.cli import main
 from repro.devtools import (
-    JSON_SCHEMA_VERSION,
+    CODES,
     RULES,
     lint_paths,
-    render_json,
     render_text,
     rule_codes,
 )
+from repro.devtools.analysis.codes import ANALYSIS_CODES
 from repro.devtools.diagnostics import PARSE_ERROR_CODE
 from repro.devtools.engine import collect_files
 
@@ -54,29 +56,6 @@ def codes_of(report) -> list:
 
 
 class TestRuleFixtures:
-    def test_rpr001_flags_floats_in_cost_model(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/joinopt/cost.py": """\
-                import math
-                SCALE = 0.5
-
-                def total_cost(x):
-                    return float(x) * math.sqrt(2)
-            """,
-        })
-        report = lint_paths([tree])
-        assert codes_of(report) == ["RPR001", "RPR001", "RPR001"]
-        messages = " ".join(d.message for d in report.diagnostics)
-        assert "float literal" in messages
-        assert "float(...)" in messages
-        assert "math import" in messages
-
-    def test_rpr001_ignores_floats_elsewhere(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/joinopt/explain.py": "SHARE = 0.5\n",
-        })
-        assert lint_paths([tree]).ok
-
     def test_rpr002_flags_direct_random(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/workloads.py": """\
@@ -224,23 +203,6 @@ class TestRuleFixtures:
         })
         assert lint_paths([tree], select=["RPR008"]).ok
 
-    def test_rpr009_floats_in_perf_kernels(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/perf/kernels.py": """\
-                import math
-                EPSILON = 1e-9
-
-                def approx(value):
-                    return float(value) * math.sqrt(2)
-            """,
-        })
-        report = lint_paths([tree], select=["RPR009"])
-        assert codes_of(report) == ["RPR009"] * 3
-        messages = " ".join(d.message for d in report.diagnostics)
-        assert "float literal" in messages
-        assert "float(...)" in messages
-        assert "math import" in messages
-
     def test_rpr009_evaluator_must_import_cost_cache(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/perf/incremental.py": """\
@@ -263,14 +225,14 @@ class TestRuleFixtures:
                     return Fraction(sum(sequence))
             """,
         })
-        assert lint_paths([tree], select=["RPR009"]).ok
+        assert lint_paths([tree]).ok
 
     def test_rpr009_ignores_bench_and_instrument(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/perf/bench.py": "SCALE = 0.5\n",
             "src/repro/perf/instrument.py": "RATE = 2.5\n",
         })
-        assert lint_paths([tree], select=["RPR009"]).ok
+        assert lint_paths([tree]).ok
 
     def test_rpr010_flags_fault_plan_outside_resilience(self, tmp_path):
         tree = make_tree(tmp_path, {
@@ -452,18 +414,20 @@ class TestRuleFixtures:
 
     def test_rpr000_parse_error_is_a_finding(self, tmp_path):
         tree = make_tree(tmp_path, {
-            "src/repro/broken.py": "def oops(:\n",
+            "src/repro/broken.py": "def oops(:  # repro: noqa\n",
         })
         report = lint_paths([tree])
         assert codes_of(report) == [PARSE_ERROR_CODE]
         assert not report.ok
+        for select in (["RPR002"], ["ANA101"]):
+            report = lint_paths([tree], select=select)
+            assert codes_of(report) == [PARSE_ERROR_CODE]
 
     def test_every_rule_has_a_registry_entry(self):
         assert rule_codes() == [
-            "RPR001", "RPR002", "RPR004", "RPR005",
-            "RPR006", "RPR007", "RPR008", "RPR009",
-            "RPR010", "RPR011", "RPR012", "RPR013",
-            "RPR014",
+            "RPR002", "RPR004", "RPR005", "RPR006",
+            "RPR007", "RPR008", "RPR009", "RPR010",
+            "RPR011", "RPR012", "RPR013", "RPR014",
         ]
         for code, rule in RULES.items():
             assert rule.code == code
@@ -493,7 +457,7 @@ class TestNoqa:
     def test_wrong_code_does_not_suppress(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/workloads.py":
-                "import random  # repro: noqa[RPR001]\n",
+                "import random  # repro: noqa[RPR006]\n",
         })
         report = lint_paths([tree])
         assert codes_of(report) == ["RPR002"]
@@ -508,7 +472,7 @@ class TestNoqa:
     def test_multiple_codes_in_one_suppression(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/joinopt/cost.py":
-                "import random  # repro: noqa[RPR002,RPR001]\n",
+                "import random  # repro: noqa[RPR002,ANA101]\n",
         })
         assert lint_paths([tree]).ok
 
@@ -576,23 +540,6 @@ class TestEngine:
 
 
 class TestReporters:
-    def test_json_schema(self, tmp_path):
-        tree = make_tree(tmp_path, {
-            "src/repro/workloads.py": "import random\n",
-        })
-        report = lint_paths([tree])
-        payload = json.loads(render_json(report))
-        assert payload["version"] == JSON_SCHEMA_VERSION == "repro.lint/1"
-        assert payload["ok"] is False
-        assert payload["files_checked"] == 1
-        assert payload["counts"] == {"RPR002": 1}
-        (entry,) = payload["diagnostics"]
-        assert set(entry) == {
-            "path", "line", "col", "code", "rule", "message",
-        }
-        assert entry["code"] == "RPR002"
-        assert entry["line"] == 1
-
     def test_text_report_lists_findings_and_summary(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/workloads.py": "import random\n",
@@ -643,15 +590,6 @@ class TestLintCli:
         out = capsys.readouterr().out
         assert "RPR002" in out
 
-    def test_json_format(self, tmp_path, capsys):
-        tree = make_tree(tmp_path, {
-            "src/repro/workloads.py": "import random\n",
-        })
-        assert main(["lint", str(tree), "--format", "json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "repro.lint/1"
-        assert payload["ok"] is False
-
     def test_select_limits_rules(self, tmp_path, capsys):
         tree = make_tree(tmp_path, {
             "src/repro/workloads.py": "import random\n",
@@ -671,5 +609,14 @@ class TestLintCli:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in rule_codes():
-            assert code in out
+        assert set(CODES) == (
+            set(RULES) | set(ANALYSIS_CODES) | {PARSE_ERROR_CODE}
+        )
+        for code, (name, _description) in CODES.items():
+            assert f"{code}  {name}" in out
+
+    def test_analyze_is_an_unknown_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
