@@ -6,9 +6,9 @@ heuristics are *provably unable* (Theorem 9) to stay within any
 polylogarithmic factor — and measurably blow up.
 
 Both sections fan their optimizer x instance grid through the public
-facade (:func:`repro.api.sweep`, backed by the instrumented runner),
-so repeated cost evaluations are memoized and the cache/work counters
-are printed at the end.
+facade (a :class:`repro.api.SweepSpec` run by :func:`repro.api.sweep`,
+backed by the instrumented runner), so repeated cost evaluations are
+memoized and the cache/work counters are printed at the end.
 
 Run:  python examples/optimizer_shootout.py
 """
@@ -33,10 +33,14 @@ HEURISTICS = [
 _SEEDED = {"iterative", "annealing", "sampling"}
 
 
-def _kwargs_for(name: str, label: str) -> dict:
-    if name in _SEEDED:
-        return {"rng": int(label.rsplit("-s", 1)[1])}
-    return {}
+def _spec(optimizers: list, instances: list) -> api.SweepSpec:
+    """The grid as a sweep spec; seeded heuristics get rng=<label seed>."""
+    params = {
+        (name, label): {"rng": int(label.rsplit("-s", 1)[1])}
+        for name in optimizers if name in _SEEDED
+        for label, _instance in instances
+    }
+    return api.SweepSpec.build(optimizers, instances, params, workers=1)
 
 
 def _report_sweep(section: str, sweep: SweepResult) -> None:
@@ -58,14 +62,7 @@ def benign_section() -> None:
         for seed in range(5)
     ]
     optimizers = ["dp"] + [registry for _, registry in HEURISTICS]
-    sweep = api.sweep(
-        {
-            "optimizers": optimizers,
-            "instances": instances,
-            "kwargs_for": _kwargs_for,
-        },
-        workers=1,
-    )
+    sweep = api.sweep(_spec(optimizers, instances))
     cells = {(o.label, o.optimizer): o.result for o in sweep if o.ok}
     print(f"{'workload':<10}" + "".join(f"{name:>20}" for name, _ in HEURISTICS))
     for label in workloads:
@@ -102,12 +99,7 @@ def adversarial_section() -> None:
         # Heuristics attack the NO instance (log-domain for speed).
         instances.append((f"gap-n{n}-s0", pair.no_reduction.instance.to_log_domain()))
     sweep = api.sweep(
-        {
-            "optimizers": [registry for _, registry in HEURISTICS],
-            "instances": instances,
-            "kwargs_for": _kwargs_for,
-        },
-        workers=1,
+        _spec([registry for _, registry in HEURISTICS], instances)
     )
     cells = {(o.label, o.optimizer): o.result for o in sweep if o.ok}
     for n, k_yes, k_no in combos:

@@ -10,22 +10,21 @@ which subpackage implements what.
     instance = api.generate("random", n=8, seed=1)
     result = api.optimize(instance, algorithm="dp")
     chain = api.reduce("qon", formula)
-    sweep = api.sweep({"optimizers": ["dp", "greedy-cost"],
-                       "instances": [("q0", instance)]}, trace=True)
+    spec = api.SweepSpec.build(["dp", "greedy-cost"], [("q0", instance)],
+                               trace=True)
+    sweep = api.sweep(spec)
 
-Since the service layer landed, the canonical way to describe work is
-a typed request object — :class:`OptimizeRequest` for one run,
-:class:`SweepSpec` for a grid — executed with :func:`execute_request`
-(or shipped to a ``repro serve`` daemon unchanged, since both
-round-trip through JSON exactly):
+Work is described by typed request objects — :class:`OptimizeRequest`
+for one run, :class:`SweepSpec` for a grid — executed with
+:func:`execute_request` (or shipped to a ``repro serve`` daemon
+unchanged, since both round-trip through JSON exactly):
 
-    request = api.OptimizeRequest.build(instance, "dp")
+    request = api.OptimizeRequest.build(instance, "sampling", rng=0)
     result = api.execute_request(request)
 
-:func:`optimize` and :func:`sweep` accept request objects directly and
-keep their historical kwarg forms as shims that build the request
-internally (a one-time :class:`DeprecationWarning` fires when the old
-kwarg spellings are used).
+:func:`optimize` takes ``(instance, algorithm)`` or an
+:class:`OptimizeRequest`, which is where per-optimizer kwargs go;
+:func:`sweep` takes only a :class:`SweepSpec`.
 
 The deeper modules remain importable — the facade adds no state — but
 only the names exported here are covered by the compatibility promise.
@@ -33,20 +32,8 @@ only the names exported here are covered by the compatibility promise.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.requests import (
     REPLY_SCHEMA,
@@ -71,12 +58,10 @@ from repro.runtime.runner import (
     OPTIMIZERS,
     RetryPolicy,
     SweepResult,
-    SweepTask,
     default_workers,
     grid_tasks,
     run_sweep,
 )
-from repro.runtime.runner import resume_sweep as _resume_sweep
 from repro.utils.validation import require
 from repro.workloads import (
     chain_query,
@@ -96,7 +81,7 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.3"
+API_VERSION = "1.4"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
@@ -106,21 +91,6 @@ RPC_SCHEMAS: Tuple[str, ...] = (
     METRICS_SCHEMA,
     EVENTS_SCHEMA,
 )
-
-_warned: Set[str] = set()
-
-
-def _warn_once(key: str, message: str) -> None:
-    if key in _warned:
-        return
-    _warned.add(key)
-    warnings.warn(message, DeprecationWarning, stacklevel=4)
-
-
-def _reset_deprecation_warnings() -> None:
-    """Re-arm the warn-once latches (test helper)."""
-    _warned.clear()
-
 
 def capabilities() -> Dict[str, Any]:
     """What this facade can do, as plain JSON-safe data.
@@ -252,19 +222,17 @@ def reduce(chain: str, source: Any, **kwargs: Any) -> Any:
     return registry[chain](source, **kwargs)
 
 
-def optimize(instance: Any, algorithm: str = "dp", **kwargs: Any) -> PlanResult:
+def optimize(
+    instance: Any, algorithm: Optional[str] = None
+) -> PlanResult:
     """Run one optimizer on one instance; returns a :class:`PlanResult`.
 
-    The canonical spelling passes an :class:`OptimizeRequest` as the
-    sole argument::
+    Either ``optimize(instance, algorithm)`` — ``algorithm`` defaults
+    to ``"dp"`` — or ``optimize(request)`` with an
+    :class:`OptimizeRequest`, which is where per-optimizer kwargs go
+    (they serialize and fingerprint with the request)::
 
-        api.optimize(api.OptimizeRequest.build(instance, "dp"))
-
-    The historical form ``optimize(instance, algorithm, **kwargs)``
-    still works: it builds the request internally.  Passing
-    per-optimizer ``**kwargs`` positionally like that is deprecated
-    (one :class:`DeprecationWarning` per process) — put them in the
-    request instead, where they serialize and fingerprint.
+        api.optimize(api.OptimizeRequest.build(instance, "sampling", rng=0))
 
     ``algorithm`` is a name from :func:`optimizer_names`; the instance
     type must match the algorithm's substrate (``qoh-*`` expect a
@@ -274,19 +242,15 @@ def optimize(instance: Any, algorithm: str = "dp", **kwargs: Any) -> PlanResult:
     """
     if isinstance(instance, OptimizeRequest):
         require(
-            algorithm == "dp" and not kwargs,
+            algorithm is None,
             "optimize(request) takes no extra arguments; set the "
             "algorithm and params on the OptimizeRequest",
         )
         request = instance
     else:
-        if kwargs:
-            _warn_once(
-                "optimize-kwargs",
-                "passing optimizer kwargs to api.optimize() is "
-                "deprecated; build an api.OptimizeRequest instead",
-            )
-        request = OptimizeRequest.build(instance, algorithm, **kwargs)
+        request = OptimizeRequest.build(
+            instance, "dp" if algorithm is None else algorithm
+        )
     return execute_request(request)
 
 
@@ -312,10 +276,8 @@ def execute_request(
 
     The single entry point the service daemon is allowed to call (lint
     rule RPR011): an :class:`OptimizeRequest` runs its optimizer and
-    returns a :class:`PlanResult`; a :class:`SweepSpec` runs its grid
-    through :func:`~repro.runtime.runner.run_sweep` (whose attempts get
-    fresh cost caches when the spec sets ``retries > 1`` or
-    ``backoff > 0``) and returns a :class:`SweepResult`.  Results are
+    returns a :class:`PlanResult`; a :class:`SweepSpec` runs through
+    :func:`sweep` and returns a :class:`SweepResult`.  Results are
     produced by the same code paths as :func:`optimize` /
     :func:`sweep`, so a served reply decodes bit-identically to a
     direct call.
@@ -333,197 +295,68 @@ def execute_request(
         isinstance(request, SweepSpec),
         f"expected OptimizeRequest or SweepSpec, got {type(request)!r}",
     )
-    tasks = grid_tasks(
-        request.optimizers,
-        request.instances,
-        kwargs_for=request.kwargs_for,
-        timeout=request.timeout,
-    )
-    return run_sweep(
-        tasks,
-        workers=request.workers,
-        cache=request.cache,
-        cache_maxsize=request.cache_maxsize,
-        timeout=request.timeout,
-        trace=request.trace,
-        retry=RetryPolicy(
-            attempts=max(1, request.retries), backoff=request.backoff
-        ),
-    )
-
-
-GridLike = Union[Sequence[SweepTask], Mapping]
-
-
-def _grid_to_tasks(grid: GridLike) -> List[SweepTask]:
-    if isinstance(grid, Mapping):
-        require(
-            "optimizers" in grid and "instances" in grid,
-            "grid mapping needs 'optimizers' and 'instances' keys",
-        )
-        return grid_tasks(
-            grid["optimizers"],
-            grid["instances"],
-            kwargs_for=grid.get("kwargs_for"),
-            timeout=grid.get("timeout"),
-        )
-    return list(grid)
+    return sweep(request)
 
 
 def sweep(
-    grid: Union[SweepSpec, GridLike],
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retries: int = 1,
-    backoff: float = 0.0,
+    spec: SweepSpec,
+    *,
     journal: Optional[Any] = None,
     resume: bool = False,
-    fault_plan: Optional[Any] = None,
     registry_maxsize: Optional[int] = None,
 ) -> SweepResult:
     """Run an optimizer x instance grid through the instrumented runner.
 
-    The canonical spelling passes a :class:`SweepSpec`, which carries
-    the grid *and* the runner settings as one serializable value::
+    ``spec`` carries the grid *and* the runner settings as one
+    serializable value::
 
         spec = api.SweepSpec.build(["dp", "greedy-cost"],
                                    [("q0", instance)], workers=1)
         result = api.sweep(spec)
 
-    Only the host-local operational arguments — ``journal``,
-    ``resume``, ``fault_plan``, ``registry_maxsize`` — may accompany a
-    spec; they are deliberately not part of the spec (a spec must be
-    safe to accept over a socket, and ``registry_maxsize`` never
-    changes results — only memory — so it stays out of request
-    fingerprints).
+    Only host-local operational arguments may accompany it; they are
+    deliberately not part of the spec (a spec must be safe to accept
+    over a socket, and ``registry_maxsize`` never changes results —
+    only memory — so it stays out of request fingerprints):
 
-    The historical form still works: ``grid`` as a prepared sequence
-    of :class:`~repro.runtime.runner.SweepTask` or a mapping with
+    * ``journal`` — path of an fsynced ``repro.journal/2`` record of
+      completed tasks;
+    * ``resume=True`` — restore the tasks ``journal`` already holds and
+      run the rest (:func:`~repro.runtime.runner.run_sweep` with
+      ``resume=True``);
+    * ``registry_maxsize`` — bound on each pool worker's live decoded
+      instances (see :mod:`repro.runtime.registry`).
 
-    * ``"optimizers"`` — algorithm names (or callables),
-    * ``"instances"`` — ``(label, instance)`` pairs,
-    * ``"kwargs_for"`` — optional ``(name, label) -> dict`` hook,
-
-    flattened with :func:`~repro.runtime.runner.grid_tasks`.  Passing
-    the runner settings as keywords alongside an old-style grid is
-    deprecated (one :class:`DeprecationWarning` per process) — put
-    them on a :class:`SweepSpec`.  With ``trace=True`` the result's
+    The spec's ``retries`` tries per task with deterministic
+    exponential ``backoff``.  A journal or a retry setting other than
+    the default makes outcomes task-isolated (fresh cost cache per
+    attempt); otherwise the sweep shares its cache.  With
+    ``trace=True`` on the spec, the result's
     :meth:`~repro.runtime.runner.SweepResult.trace_records` yields the
     merged ``repro.trace/1`` span tree.
-
-    Everything runs through :func:`~repro.runtime.runner.run_sweep`:
-    ``retries`` tries per task with deterministic exponential
-    ``backoff``, an fsynced ``journal`` (``repro.journal/1``) of
-    completed tasks, and ``resume=True`` to skip tasks the journal
-    already holds (requires ``journal``, then goes through
-    :func:`~repro.runtime.runner.resume_sweep`).  ``fault_plan``
-    installs a deterministic chaos schedule — test tooling only.  Any
-    of these set to a non-default makes outcomes task-isolated (fresh
-    cost cache per attempt); otherwise the sweep shares its cache.
-    ``registry_maxsize`` bounds each pool worker's live decoded
-    instances (see :mod:`repro.runtime.registry`).
     """
-    if isinstance(grid, SweepSpec):
-        spec = grid
-        require(
-            workers is None and cache and cache_maxsize is None
-            and timeout is None and not trace and retries == 1
-            and backoff == 0.0,
-            "sweep(spec) takes runner settings on the SweepSpec itself; "
-            "only journal/resume/fault_plan/registry_maxsize may be "
-            "passed alongside",
-        )
-        if (journal is None and not resume and fault_plan is None
-                and registry_maxsize is None):
-            result = execute_request(spec)
-            assert isinstance(result, SweepResult)
-            return result
-        workers = spec.workers
-        cache = spec.cache
-        cache_maxsize = spec.cache_maxsize
-        timeout = spec.timeout
-        trace = spec.trace
-        retries = spec.retries
-        backoff = spec.backoff
-        tasks = grid_tasks(
-            spec.optimizers,
-            spec.instances,
-            kwargs_for=spec.kwargs_for,
-            timeout=spec.timeout,
-        )
-    else:
-        if (
-            workers is not None or not cache or cache_maxsize is not None
-            or timeout is not None or trace or retries != 1
-            or backoff != 0.0
-        ):
-            _warn_once(
-                "sweep-kwargs",
-                "passing runner settings as api.sweep() keywords is "
-                "deprecated; build an api.SweepSpec instead",
-            )
-        tasks = _grid_to_tasks(grid)
-    retry = RetryPolicy(attempts=max(1, retries), backoff=backoff)
-    if resume:
-        require(journal is not None, "resume requires a journal path")
-        return _resume_sweep(
-            journal,
-            tasks,
-            workers=workers,
-            cache=cache,
-            cache_maxsize=cache_maxsize,
-            timeout=timeout,
-            trace=trace,
-            retry=retry,
-            fault_plan=fault_plan,
-            registry_maxsize=registry_maxsize,
-        )
+    require(
+        isinstance(spec, SweepSpec),
+        f"sweep() takes a SweepSpec, got {type(spec).__name__}; build "
+        "one with api.SweepSpec.build(optimizers, instances, params=...)",
+    )
+    tasks = grid_tasks(
+        spec.optimizers,
+        spec.instances,
+        kwargs_for=spec.kwargs_for,
+        timeout=spec.timeout,
+    )
     return run_sweep(
         tasks,
-        workers=workers,
-        cache=cache,
-        cache_maxsize=cache_maxsize,
-        timeout=timeout,
-        trace=trace,
-        retry=retry,
-        fault_plan=fault_plan,
+        workers=spec.workers,
+        cache=spec.cache,
+        cache_maxsize=spec.cache_maxsize,
+        timeout=spec.timeout,
+        trace=spec.trace,
+        retry=RetryPolicy(attempts=max(1, spec.retries), backoff=spec.backoff),
         journal=journal,
+        resume=resume,
         registry_maxsize=registry_maxsize,
-    )
-
-
-def resume_sweep(
-    journal: Any,
-    grid: GridLike,
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retries: int = 1,
-    backoff: float = 0.0,
-) -> SweepResult:
-    """Resume a journaled sweep; equivalent to ``sweep(resume=True)``.
-
-    Tasks whose fingerprint already has a completed record in
-    ``journal`` are restored bit-identically; the rest run and are
-    appended to the same journal.  The merged result's ``resumed``
-    counter says how many tasks were restored.
-    """
-    return sweep(
-        grid,
-        workers=workers,
-        cache=cache,
-        cache_maxsize=cache_maxsize,
-        timeout=timeout,
-        trace=trace,
-        retries=retries,
-        backoff=backoff,
-        journal=journal,
-        resume=True,
     )
 
 
@@ -741,7 +574,6 @@ __all__ = [
     "ServiceReply",
     "SweepResult",
     "SweepSpec",
-    "SweepTask",
     "bench_summary_lines",
     "capabilities",
     "default_workers",
@@ -752,7 +584,6 @@ __all__ = [
     "gap_pair",
     "gap_report_numbers",
     "generate",
-    "grid_tasks",
     "instance_key",
     "load_bench",
     "load_metrics",
@@ -762,7 +593,6 @@ __all__ = [
     "reduce",
     "reduction_names",
     "request_fingerprint",
-    "resume_sweep",
     "run_bench",
     "scorecard",
     "substrate_of",

@@ -223,12 +223,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         retries=args.retries,
         backoff=args.backoff,
     )
-    result = api.sweep(
-        spec,
-        journal=args.journal,
-        resume=args.resume,
-        registry_maxsize=args.registry_maxsize,
-    )
+    from repro.utils.validation import ValidationError
+
+    try:
+        result = api.sweep(
+            spec,
+            journal=args.journal,
+            resume=args.resume,
+            registry_maxsize=args.registry_maxsize,
+        )
+    except ValidationError as exc:  # e.g. a journal of another schema
+        print(f"cannot run the sweep: {exc}", file=sys.stderr)
+        return 2
 
     header = (
         f"{'instance':<16}{'algorithm':<14}{'log2 cost':>10}"
@@ -797,7 +803,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--journal", default=None,
-        help="append an fsynced repro.journal/1 record per completed "
+        help="append an fsynced repro.journal/2 record per completed "
         "task at this path (enables crash-safe resumption)",
     )
     sweep.add_argument(

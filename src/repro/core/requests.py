@@ -1,11 +1,8 @@
 """Typed, versioned, JSON-serializable request/reply objects.
 
-The ``repro.api`` facade historically took kwarg sprawl —
-``optimize(instance, algorithm=..., **kwargs)`` and a ``sweep`` with
-eleven keyword arguments.  This module replaces that surface with three
-frozen dataclasses that round-trip through JSON *exactly* (the
-prerequisite for the ``repro.rpc/1`` wire protocol the service daemon
-speaks):
+The ``repro.api`` facade takes its work as three frozen dataclasses
+that round-trip through JSON *exactly* (the prerequisite for the
+``repro.rpc/1`` wire protocol the service daemon speaks):
 
 * :class:`OptimizeRequest` — one optimizer on one instance;
 * :class:`SweepSpec` — an optimizer x instance grid plus the runner
@@ -36,12 +33,18 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import io
 from repro.core.results import PlanResult
 from repro.utils.lognum import LogNumber
-from repro.utils.validation import ValidationError, require
+from repro.utils.validation import (
+    FieldType,
+    ValidationError,
+    require,
+    require_fields,
+)
 
 #: Schema tag stamped on every request payload.
 REQUEST_SCHEMA = "repro.request/1"
@@ -219,6 +222,16 @@ def result_to_dict(result: PlanResult) -> Dict[str, Any]:
     }
 
 
+_RESULT_FIELDS: Dict[str, FieldType] = {
+    "cost": dict,
+    "sequence": list,
+    "optimizer": str,
+    "explored": int,
+    "is_exact": bool,
+    "plan": (dict, type(None)),
+}
+
+
 def result_from_dict(payload: Dict[str, Any]) -> PlanResult:
     """Decode :func:`result_to_dict` output into an equal result.
 
@@ -231,6 +244,7 @@ def result_from_dict(payload: Dict[str, Any]) -> PlanResult:
         f"result payload type must be 'plan_result', "
         f"got {payload.get('type')!r}",
     )
+    require_fields(payload, _RESULT_FIELDS, "result")
     return PlanResult(
         cost=decode_cost(payload["cost"]),
         sequence=tuple(payload["sequence"]),
@@ -250,22 +264,12 @@ def result_from_dict(payload: Dict[str, Any]) -> PlanResult:
 def outcome_to_dict(outcome: Any) -> Dict[str, Any]:
     """Encode one :class:`~repro.runtime.runner.TaskOutcome`.
 
-    Mirrors the journal record layout but stays pickle-free: the plan
-    result travels through the typed codec, and per-task span trees
-    stay on the server (the reply-level trace covers the request).
+    The task-outcome record plus ``result`` in the typed codec above;
+    per-task span trees stay on the server (the reply-level trace
+    covers the request).
     """
     return {
-        "index": outcome.index,
-        "optimizer": outcome.optimizer,
-        "label": outcome.label,
-        "ok": outcome.ok,
-        "timed_out": outcome.timed_out,
-        "error": outcome.error,
-        "failure": outcome.failure,
-        "attempts": outcome.attempts,
-        "wall_time_s": outcome.wall_time,
-        "explored": outcome.explored,
-        "cache": outcome.cache.to_dict(),
+        **outcome.to_record(),
         "result": (
             result_to_dict(outcome.result)
             if isinstance(outcome.result, PlanResult) else None
@@ -273,33 +277,17 @@ def outcome_to_dict(outcome: Any) -> Dict[str, Any]:
     }
 
 
-def outcome_from_dict(payload: Dict[str, Any]) -> Any:
-    """Decode :func:`outcome_to_dict` output into a real TaskOutcome."""
-    from repro.runtime.costcache import CacheStats
-    from repro.runtime.runner import TaskOutcome
+def outcome_from_dict(payload: Any, where: str = "outcome") -> Any:
+    """Validate and decode :func:`outcome_to_dict` output into a real
+    TaskOutcome; ``where`` names the payload in error messages."""
+    from repro.runtime.runner import TaskOutcome, validate_task_record
 
-    cache = payload["cache"]
-    result = None
-    if payload["result"] is not None:
-        result = result_from_dict(payload["result"])
-    return TaskOutcome(
-        index=payload["index"],
-        optimizer=payload["optimizer"],
-        label=payload["label"],
-        result=result,
-        wall_time=payload["wall_time_s"],
-        timed_out=payload["timed_out"],
-        error=payload["error"],
-        failure=payload["failure"],
-        attempts=payload["attempts"],
-        cache=CacheStats(
-            hits=cache["hits"],
-            misses=cache["misses"],
-            evictions=cache["evictions"],
-            size=cache["size"],
-            peak_size=cache["peak_size"],
-        ),
-        trace=None,
+    validate_task_record(payload, where)
+    require("result" in payload, f"{where}: missing field 'result'")
+    encoded = payload["result"]
+    return TaskOutcome.from_record(
+        payload,
+        result=None if encoded is None else result_from_dict(encoded),
     )
 
 
@@ -319,6 +307,18 @@ def sweep_result_to_dict(result: Any) -> Dict[str, Any]:
     }
 
 
+_SWEEP_RESULT_FIELDS: Dict[str, FieldType] = {
+    "mode": str,
+    "workers": int,
+    "cache_enabled": bool,
+    "wall_time_s": (int, float),
+    "retries": int,
+    "recovered_workers": int,
+    "resumed": int,
+    "outcomes": list,
+}
+
+
 def sweep_result_from_dict(payload: Dict[str, Any]) -> Any:
     """Decode into a real :class:`SweepResult` (traces stay remote)."""
     from repro.runtime.runner import ExecutorStats, SweepResult
@@ -328,12 +328,15 @@ def sweep_result_from_dict(payload: Dict[str, Any]) -> Any:
         f"sweep payload type must be 'sweep_result', "
         f"got {payload.get('type')!r}",
     )
+    require_fields(payload, _SWEEP_RESULT_FIELDS, "sweep_result")
+    outcomes = payload["outcomes"]
     # Additive: payloads encoded before executor stats existed decode
     # to all-zero counters.
     executor = payload.get("executor") or {}
     return SweepResult(
         outcomes=tuple(
-            outcome_from_dict(entry) for entry in payload["outcomes"]
+            outcome_from_dict(entry, f"sweep_result.outcomes[{position}]")
+            for position, entry in enumerate(outcomes)
         ),
         mode=payload["mode"],
         workers=payload["workers"],
@@ -475,11 +478,9 @@ CellParams = Tuple[Tuple[str, str, Params], ...]
 class SweepSpec:
     """An optimizer x instance grid plus the runner settings.
 
-    The serializable replacement for ``api.sweep``'s kwarg sprawl.
-    ``params`` materializes the old ``kwargs_for`` hook as per-cell
-    data; :meth:`kwargs_for` turns it back into the hook
-    :func:`~repro.runtime.runner.grid_tasks` expects.  Host-local
-    operational arguments (journal path, resume, fault plans) stay
+    The one input form of ``api.sweep``.  ``params`` holds the per-cell
+    optimizer kwargs as data; :meth:`kwargs_for` looks one cell up.
+    Host-local operational arguments (journal path, resume) stay
     *outside* the spec — a spec must be safe to accept over a socket.
     """
 
@@ -516,12 +517,17 @@ class SweepSpec:
             **settings,
         )
 
+    @cached_property
+    def _cells(self) -> Dict[Tuple[str, str], Params]:
+        cells: Dict[Tuple[str, str], Params] = {}
+        for name, label, items in self.params:
+            cells.setdefault((name, label), items)  # first entry wins
+        return cells
+
     def kwargs_for(self, name: str, label: str) -> Dict[str, Any]:
-        """The per-cell kwargs hook, reconstructed from the data."""
-        for cell_name, cell_label, items in self.params:
-            if cell_name == name and cell_label == label:
-                return dict(items)
-        return {}
+        """The per-cell kwargs hook: one dict lookup per call, the
+        cell table built once per spec."""
+        return dict(self._cells.get((name, label), ()))
 
     def fingerprint(self) -> str:
         """Stable content hash over every cell plus the runner
@@ -610,21 +616,21 @@ class SweepSpec:
 
 _REQUEST_TYPES = ("optimize_request", "sweep_spec")
 
-_OPTIMIZE_FIELDS: Dict[str, type] = {
+_OPTIMIZE_FIELDS: Dict[str, FieldType] = {
     "instance": dict,
     "algorithm": str,
     "params": list,
     "no_cache": bool,
 }
 
-_SWEEP_FIELDS: Dict[str, type] = {
+_SWEEP_FIELDS: Dict[str, FieldType] = {
     "optimizers": list,
     "instances": list,
     "params": list,
     "cache": bool,
     "trace": bool,
     "retries": int,
-    "backoff": (int, float),  # type: ignore[dict-item]
+    "backoff": (int, float),
     "no_cache": bool,
 }
 
@@ -648,18 +654,11 @@ def validate_request(payload: Dict[str, Any]) -> None:
         kind in _REQUEST_TYPES,
         f"request type must be one of {list(_REQUEST_TYPES)}, got {kind!r}",
     )
-    fields = _OPTIMIZE_FIELDS if kind == "optimize_request" else _SWEEP_FIELDS
-    for name, expected in fields.items():
-        require(name in payload, f"request: missing field {name!r}")
-        value = payload[name]
-        ok = isinstance(value, expected) and not (
-            expected is not bool and isinstance(value, bool)
-        )
-        require(
-            ok,
-            f"request.{name}: expected {expected}, "
-            f"got {type(value).__name__}",
-        )
+    require_fields(
+        payload,
+        _OPTIMIZE_FIELDS if kind == "optimize_request" else _SWEEP_FIELDS,
+        "request",
+    )
     if kind == "optimize_request":
         # Optional trace-context delivery metadata (additive fields).
         trace_id = payload.get("trace_id")
@@ -804,12 +803,12 @@ class ServiceReply:
         return cls.from_dict(json.loads(text))
 
 
-_REPLY_FIELDS: Dict[str, type] = {
+_REPLY_FIELDS: Dict[str, FieldType] = {
     "op": str,
     "status": str,
     "cached": bool,
     "coalesced": bool,
-    "wall_time_s": (int, float),  # type: ignore[dict-item]
+    "wall_time_s": (int, float),
     "counters": dict,
 }
 
@@ -826,16 +825,7 @@ def validate_reply(payload: Dict[str, Any]) -> None:
         payload.get("type") == "service_reply",
         f"reply type must be 'service_reply', got {payload.get('type')!r}",
     )
-    for name, expected in _REPLY_FIELDS.items():
-        require(name in payload, f"reply: missing field {name!r}")
-        value = payload[name]
-        ok = isinstance(value, expected) and not (
-            expected is not bool and isinstance(value, bool)
-        )
-        require(
-            ok,
-            f"reply.{name}: expected {expected}, got {type(value).__name__}",
-        )
+    require_fields(payload, _REPLY_FIELDS, "reply")
     require(
         payload["status"] in REPLY_STATUSES,
         f"reply.status must be one of {list(REPLY_STATUSES)}, "

@@ -7,14 +7,15 @@ The layers:
 * :mod:`repro.runtime.runner` — the one sweep executor: chunked
   process pool or serial loop, retries, worker-death recovery,
   journaling and resume, with the cost-cache scope derived from those
-  settings (``run_sweep`` / ``resume_sweep`` / ``RetryPolicy`` /
-  ``SweepTask`` / ``grid_tasks``);
+  settings (``run_sweep`` / ``RetryPolicy`` / ``SweepTask`` /
+  ``grid_tasks``), and the task-outcome record every outcome payload
+  builds on (``TaskOutcome.to_record`` / ``validate_task_record``);
 * :mod:`repro.runtime.metrics` — the JSON instrumentation schema
   (``sweep_metrics`` / ``validate_metrics`` / ``write_metrics``);
 * :mod:`repro.runtime.resilience` — deterministic fault injection for
   the chaos tests (``FaultPlan``);
 * :mod:`repro.runtime.journal` — the crash-safe JSONL task journal
-  behind resumability (``repro.journal/1``);
+  behind resumability (``repro.journal/2``);
 * :mod:`repro.runtime.registry` — the content-addressed instance
   store behind chunked dispatch and the service daemon's keep-alive
   LRU (``InstanceRegistry`` / ``instance_key``).
@@ -53,7 +54,6 @@ __all__ = [
     "write_metrics",
     "load_metrics",
     "RetryPolicy",
-    "resume_sweep",
     "read_journal",
     "task_fingerprint",
     "InstanceRegistry",
@@ -64,11 +64,11 @@ _RUNNER_NAMES = {
     "OPTIMIZERS", "SweepTask", "TaskOutcome", "SweepResult",
     "run_sweep", "grid_tasks", "default_workers", "SweepTimeout",
     "WorkerDied", "ExecutorStats", "auto_chunksize", "RetryPolicy",
-    "resume_sweep",
+    "FAILURE_KINDS",
 }
 _METRICS_NAMES = {
     "sweep_metrics", "validate_metrics", "write_metrics", "load_metrics",
-    "SCHEMA", "FAILURE_KINDS",
+    "SCHEMA",
 }
 _RESILIENCE_NAMES = {"FaultInjection", "FaultPlan", "FaultInjected"}
 _JOURNAL_NAMES = {

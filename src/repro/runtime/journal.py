@@ -1,4 +1,4 @@
-"""Crash-safe task journal for resumable sweeps (``repro.journal/1``).
+"""Crash-safe task journal for resumable sweeps (``repro.journal/2``).
 
 A journal is an append-only JSONL file: a header line identifying the
 schema, then exactly one record per *completed* task.  Each record is
@@ -7,10 +7,17 @@ flushed and fsynced before the runner moves on, so after a hard kill
 and at most one torn trailing line — which :func:`read_journal`
 detects and drops.
 
-Records carry the full :class:`~repro.runtime.runner.TaskOutcome`,
-including the optimizer result itself (pickled, base64-armored), so a
-resumed sweep reconstructs outcomes *bit-identically* — costs stay
-``int``/``Fraction``, ``explored`` and cache counters are exact.
+A record is the task-outcome record
+(:meth:`~repro.runtime.runner.TaskOutcome.to_record`) plus ``record``,
+``fingerprint``, the task's span records (``trace``) and its
+``result`` in the typed :class:`~repro.core.results.PlanResult` codec
+the service replies use (:func:`repro.core.requests.result_to_dict`).
+A resumed sweep therefore reconstructs outcomes *bit-identically* in
+value, type and ``repr``: costs stay ``int``/``Fraction``/``LogNumber``,
+plans stay ``PipelineDecomposition``/``StarPlan``, and ``explored``
+and the cache counters are exact.  A result that is not a
+``PlanResult`` cannot be journaled: :meth:`JournalWriter.append`
+raises :class:`~repro.utils.validation.ValidationError`.
 
 Tasks are matched across processes by :func:`task_fingerprint`, a
 content hash over the task's position, optimizer, label, kwargs and
@@ -22,29 +29,32 @@ cut short.
 
 File layout::
 
-    {"schema": "repro.journal/1", "meta": {...}}
+    {"schema": "repro.journal/2", "meta": {...}}
     {"record": "task", "fingerprint": "...", "index": 0, ...}
     {"record": "task", "fingerprint": "...", "index": 1, ...}
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
-import pickle
 from pathlib import Path
 from types import TracebackType
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from repro.runtime.costcache import CacheStats
-from repro.runtime.metrics import FAILURE_KINDS
+from repro.core.requests import result_from_dict, result_to_dict
+from repro.core.results import PlanResult
 from repro.runtime.registry import instance_key
-from repro.runtime.runner import SweepTask, TaskOutcome
-from repro.utils.validation import ValidationError, require
+from repro.runtime.runner import SweepTask, TaskOutcome, validate_task_record
+from repro.utils.validation import (
+    FieldType,
+    ValidationError,
+    require,
+    require_fields,
+)
 
-SCHEMA = "repro.journal/1"
+SCHEMA = "repro.journal/2"
 
 PathLike = Union[str, Path]
 
@@ -104,26 +114,20 @@ def request_fingerprint(
 
 def outcome_to_record(fingerprint: str, outcome: TaskOutcome) -> Dict[str, Any]:
     """Serialize one completed outcome as a journal record."""
-    result_b64 = None
-    if outcome.result is not None:
-        result_b64 = base64.b64encode(pickle.dumps(outcome.result)).decode(
-            "ascii"
-        )
+    require(
+        outcome.result is None or isinstance(outcome.result, PlanResult),
+        f"journal: task {outcome.index} returned a "
+        f"{type(outcome.result).__name__}, not a PlanResult; only "
+        "PlanResults can be journaled",
+    )
     return {
+        **outcome.to_record(),
         "record": "task",
         "fingerprint": fingerprint,
-        "index": outcome.index,
-        "optimizer": outcome.optimizer,
-        "label": outcome.label,
-        "ok": outcome.ok,
-        "timed_out": outcome.timed_out,
-        "error": outcome.error,
-        "failure": outcome.failure,
-        "attempts": outcome.attempts,
-        "wall_time_s": outcome.wall_time,
-        "explored": outcome.explored,
-        "cache": outcome.cache.to_dict(),
-        "result_b64": result_b64,
+        "result": (
+            None if outcome.result is None
+            else result_to_dict(outcome.result)
+        ),
         "trace": (
             [dict(span) for span in outcome.trace]
             if outcome.trace is not None else None
@@ -134,111 +138,35 @@ def outcome_to_record(fingerprint: str, outcome: TaskOutcome) -> Dict[str, Any]:
 def record_to_outcome(record: Dict[str, Any]) -> TaskOutcome:
     """Reconstruct the exact :class:`TaskOutcome` a record was made from."""
     validate_record(record)
-    cache = record["cache"]
-    result = None
-    if record["result_b64"] is not None:
-        result = pickle.loads(base64.b64decode(record["result_b64"]))
-    trace: Optional[Tuple[dict, ...]] = None
-    if record["trace"] is not None:
-        trace = tuple(dict(span) for span in record["trace"])
-    return TaskOutcome(
-        index=record["index"],
-        optimizer=record["optimizer"],
-        label=record["label"],
-        result=result,
-        wall_time=record["wall_time_s"],
-        timed_out=record["timed_out"],
-        error=record["error"],
-        failure=record["failure"],
-        attempts=record["attempts"],
-        cache=CacheStats(
-            hits=cache["hits"],
-            misses=cache["misses"],
-            evictions=cache["evictions"],
-            size=cache["size"],
-            peak_size=cache["peak_size"],
+    return TaskOutcome.from_record(
+        record,
+        result=(
+            None if record["result"] is None
+            else result_from_dict(record["result"])
         ),
-        trace=trace,
+        trace=(
+            None if record["trace"] is None
+            else tuple(dict(span) for span in record["trace"])
+        ),
     )
 
 
-_RECORD_FIELDS: Dict[str, Union[type, Tuple[type, ...]]] = {
+#: What a journal record adds to the task-outcome record.
+_RECORD_FIELDS: Dict[str, FieldType] = {
     "fingerprint": str,
-    "index": int,
-    "optimizer": str,
-    "label": str,
-    "ok": bool,
-    "timed_out": bool,
-    "attempts": int,
-    "wall_time_s": (int, float),
-    "explored": int,
-}
-
-_CACHE_FIELDS: Dict[str, Union[type, Tuple[type, ...]]] = {
-    "hits": int,
-    "misses": int,
-    "evictions": int,
-    "size": int,
-    "peak_size": int,
-    "hit_rate": (int, float),
+    "result": (dict, type(None)),
+    "trace": (list, type(None)),
 }
 
 
 def validate_record(record: Dict[str, Any]) -> None:
     """Raise :class:`ValidationError` unless ``record`` fits the schema."""
-    require(isinstance(record, dict), "journal record must be a dict")
+    validate_task_record(record, "journal record")
     require(
         record.get("record") == "task",
         f"journal record type must be 'task', got {record.get('record')!r}",
     )
-    for name, kind in _RECORD_FIELDS.items():
-        require(name in record, f"journal record: missing field {name!r}")
-        value = record[name]
-        ok = isinstance(value, kind) and not (
-            kind is not bool and isinstance(value, bool)
-        )
-        require(
-            ok,
-            f"journal record.{name}: expected {kind}, "
-            f"got {type(value).__name__}",
-        )
-    require("error" in record, "journal record: missing field 'error'")
-    require(
-        record["error"] is None or isinstance(record["error"], str),
-        "journal record.error must be null or a string",
-    )
-    require("failure" in record, "journal record: missing field 'failure'")
-    failure = record["failure"]
-    require(
-        failure is None or failure in FAILURE_KINDS,
-        f"journal record.failure must be null or one of "
-        f"{list(FAILURE_KINDS)}, got {failure!r}",
-    )
-    require(record["attempts"] >= 0, "journal record.attempts must be >= 0")
-    require("cache" in record, "journal record: missing field 'cache'")
-    cache = record["cache"]
-    require(isinstance(cache, dict), "journal record.cache must be a dict")
-    for name, kind in _CACHE_FIELDS.items():
-        require(name in cache, f"journal record.cache: missing {name!r}")
-        value = cache[name]
-        require(
-            isinstance(value, kind) and not isinstance(value, bool),
-            f"journal record.cache.{name}: expected {kind}, "
-            f"got {type(value).__name__}",
-        )
-    require(
-        "result_b64" in record, "journal record: missing field 'result_b64'"
-    )
-    require(
-        record["result_b64"] is None
-        or isinstance(record["result_b64"], str),
-        "journal record.result_b64 must be null or a base64 string",
-    )
-    require("trace" in record, "journal record: missing field 'trace'")
-    require(
-        record["trace"] is None or isinstance(record["trace"], list),
-        "journal record.trace must be null or a list of span dicts",
-    )
+    require_fields(record, _RECORD_FIELDS, "journal record")
 
 
 class JournalWriter:
@@ -296,7 +224,7 @@ def read_journal(
 ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
     """Read a journal; returns ``(meta, records)``.
 
-    The header line must carry the ``repro.journal/1`` schema and every
+    The header line must carry the ``repro.journal/2`` schema and every
     record must validate.  A torn *final* line — the signature of a
     process killed mid-write — is silently dropped; garbage anywhere
     else raises :class:`ValidationError`.
@@ -349,3 +277,25 @@ def completed_by_fingerprint(
             continue
         completed[record["fingerprint"]] = record
     return completed
+
+
+def restore_outcomes(
+    path: PathLike, tasks: Sequence[SweepTask]
+) -> Dict[int, TaskOutcome]:
+    """The outcomes a resumed sweep restores, by task index.
+
+    Each task whose fingerprint has a completed record in the journal
+    at ``path`` gets that record's outcome back, bit-identically.  A
+    missing or empty journal file restores nothing.
+    """
+    journal = Path(path)
+    if not journal.exists() or journal.stat().st_size == 0:
+        return {}
+    _, records = read_journal(journal)
+    by_fingerprint = completed_by_fingerprint(records)
+    restored: Dict[int, TaskOutcome] = {}
+    for index, task in enumerate(tasks):
+        record = by_fingerprint.get(task_fingerprint(index, task))
+        if record is not None:
+            restored[index] = record_to_outcome(record)
+    return restored

@@ -13,16 +13,7 @@ Payload layout::
       "workers": int,
       "cache_enabled": bool,
       "wall_time_s": float,           # whole-sweep wall clock
-      "tasks": [
-        {"index": int, "optimizer": str, "label": str,
-         "ok": bool, "timed_out": bool, "error": str | null,
-         "failure": str | null,        # taxonomy label, see FAILURE_KINDS
-         "attempts": int,              # tries consumed (0 = cancelled early)
-         "wall_time_s": float, "explored": int,
-         "cache": {"hits": int, "misses": int, "evictions": int,
-                   "size": int, "peak_size": int, "hit_rate": float}},
-        ...
-      ],
+      "tasks": [{...}, ...],          # one task-outcome record per task
       "totals": {
         "tasks": int, "ok": int, "timed_out": int, "errors": int,
         "wall_time_s": float,         # summed task wall clock
@@ -41,11 +32,13 @@ Payload layout::
       }
     }
 
-The resilience fields (``failure``/``attempts`` per task, the three
-counters in ``totals``) and the executor fields (the last four totals,
+Each task entry is the task-outcome record of
+:meth:`~repro.runtime.runner.TaskOutcome.to_record`, checked by
+:func:`~repro.runtime.runner.validate_task_record` — the same record
+and check the journal and the sweep replies build on.  The resilience
+counters in ``totals`` and the executor fields (the last four totals,
 from :class:`~repro.runtime.runner.ExecutorStats`) are validated when
-present but not required — payloads written before those layers
-existed still validate.  Executor fields describe scheduling, not
+present but not required.  Executor fields describe scheduling, not
 results: they are excluded from every bit-identity contract.
 
 ``validate_metrics`` is the schema check the tests run against every
@@ -57,43 +50,26 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Union
 
-from repro.utils.validation import ValidationError, require
-
-if TYPE_CHECKING:  # circular at runtime: runner imports metrics
-    from repro.runtime.runner import SweepResult
+from repro.runtime.runner import SweepResult, validate_task_record
+from repro.utils.validation import (
+    FieldType,
+    ValidationError,
+    require,
+    require_fields,
+)
 
 SCHEMA = "repro.sweep/1"
-
-#: The failure taxonomy shared by the runner, the journal and this
-#: schema: a failed task is exactly one of these.
-FAILURE_KINDS = ("timeout", "error", "worker-died", "cancelled")
 
 PathLike = Union[str, Path]
 
 
 def sweep_metrics(
-    result: "SweepResult", grid: Optional[Dict[str, Any]] = None
+    result: SweepResult, grid: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
     """Build the schema payload for one sweep result."""
-    tasks = []
-    for outcome in result.outcomes:
-        tasks.append(
-            {
-                "index": outcome.index,
-                "optimizer": outcome.optimizer,
-                "label": outcome.label,
-                "ok": outcome.ok,
-                "timed_out": outcome.timed_out,
-                "error": outcome.error,
-                "failure": outcome.failure,
-                "attempts": outcome.attempts,
-                "wall_time_s": outcome.wall_time,
-                "explored": outcome.explored,
-                "cache": outcome.cache.to_dict(),
-            }
-        )
+    tasks = [outcome.to_record() for outcome in result.outcomes]
     totals_cache = result.cache_totals()
     payload = {
         "schema": SCHEMA,
@@ -130,26 +106,7 @@ def sweep_metrics(
     return payload
 
 
-_TASK_FIELDS = {
-    "index": int,
-    "optimizer": str,
-    "label": str,
-    "ok": bool,
-    "timed_out": bool,
-    "wall_time_s": (int, float),
-    "explored": int,
-}
-
-_CACHE_FIELDS = {
-    "hits": int,
-    "misses": int,
-    "evictions": int,
-    "size": int,
-    "peak_size": int,
-    "hit_rate": (int, float),
-}
-
-_TOTALS_FIELDS = {
+_TOTALS_FIELDS: Dict[str, FieldType] = {
     "tasks": int,
     "ok": int,
     "timed_out": int,
@@ -162,19 +119,6 @@ _TOTALS_FIELDS = {
     "cache_evictions": int,
     "peak_subproblems": int,
 }
-
-
-def _check_fields(payload: Dict[str, Any], fields: Dict, where: str) -> None:
-    for name, kind in fields.items():
-        require(name in payload, f"{where}: missing field {name!r}")
-        value = payload[name]
-        # bool is an int subclass; don't let True satisfy a numeric field.
-        ok = isinstance(value, kind) and not (
-            kind is not bool and isinstance(value, bool)
-        )
-        require(
-            ok, f"{where}.{name}: expected {kind}, got {type(value).__name__}"
-        )
 
 
 def validate_metrics(payload: Dict[str, Any]) -> None:
@@ -194,34 +138,10 @@ def validate_metrics(payload: Dict[str, Any]) -> None:
     )
     require(isinstance(payload["tasks"], list), "metrics.tasks must be a list")
     for position, task in enumerate(payload["tasks"]):
-        where = f"metrics.tasks[{position}]"
-        require(isinstance(task, dict), f"{where} must be a dict")
-        _check_fields(task, _TASK_FIELDS, where)
-        require("error" in task, f"{where}: missing field 'error'")
-        require(
-            task["error"] is None or isinstance(task["error"], str),
-            f"{where}.error must be null or a string",
-        )
-        if "failure" in task:
-            failure = task["failure"]
-            require(
-                failure is None or failure in FAILURE_KINDS,
-                f"{where}.failure must be null or one of "
-                f"{list(FAILURE_KINDS)}, got {failure!r}",
-            )
-        if "attempts" in task:
-            attempts = task["attempts"]
-            require(
-                isinstance(attempts, int)
-                and not isinstance(attempts, bool)
-                and attempts >= 0,
-                f"{where}.attempts must be a non-negative int",
-            )
-        require("cache" in task, f"{where}: missing field 'cache'")
-        _check_fields(task["cache"], _CACHE_FIELDS, f"{where}.cache")
+        validate_task_record(task, f"metrics.tasks[{position}]")
     totals = payload["totals"]
     require(isinstance(totals, dict), "metrics.totals must be a dict")
-    _check_fields(totals, _TOTALS_FIELDS, "metrics.totals")
+    require_fields(totals, _TOTALS_FIELDS, "metrics.totals")
     require(
         totals["tasks"] == len(payload["tasks"]),
         "metrics.totals.tasks must equal len(metrics.tasks)",

@@ -27,7 +27,7 @@ a :class:`RetryPolicy` re-runs failed tasks with deterministic backoff,
 a dead worker takes down the pool, which is respawned with every
 in-flight task charged a ``worker-died`` attempt, and an optional
 journal (:mod:`repro.runtime.journal`) durably records each finished
-task so :func:`resume_sweep` can skip it after a crash.
+task so ``run_sweep(..., resume=True)`` can skip it after a crash.
 
 **Cache scope** is derived, not configured.  An attempt gets a *fresh*
 cache whenever its outcome may be journaled, replayed or retried —
@@ -47,8 +47,10 @@ type, ``repr``), which ``tests/test_runtime_registry.py`` enforces
 across schedules.
 
 Every outcome carries wall time, plans explored, and the cache-counter
-movement attributable to that task — the raw material for
-:mod:`repro.runtime.metrics`.  What the executor itself did to move the
+movement attributable to that task.  :meth:`TaskOutcome.to_record` is
+the one plain-data form of an outcome: ``repro.sweep/1``
+(:mod:`repro.runtime.metrics`) writes it per task, and journal records
+and sweep replies extend it.  What the executor itself did to move the
 work is counted in :class:`~repro.observability.metrics.MetricsRegistry`
 scopes: each sweep keeps one tally that the executor runs under, and
 each pool chunk counts into a registry of its own whose counters the
@@ -75,6 +77,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Deque,
     Dict,
@@ -116,7 +119,7 @@ from repro.runtime.costcache import CacheStats, CostCache, use_cache
 from repro.runtime.registry import InstanceRef, InstanceRegistry
 from repro.starqo.dp import sqocp_dp
 from repro.starqo.optimizer import sqocp_optimal
-from repro.utils.validation import require
+from repro.utils.validation import FieldType, require, require_fields
 
 if TYPE_CHECKING:  # runtime imports would be circular: both import this
     from repro.runtime.journal import JournalWriter
@@ -170,6 +173,10 @@ class SweepTask:
         return getattr(self.optimizer, "__name__", repr(self.optimizer))
 
 
+#: The failure taxonomy: a failed task is exactly one of these.
+FAILURE_KINDS = ("timeout", "error", "worker-died", "cancelled")
+
+
 @dataclass(frozen=True)
 class TaskOutcome:
     """What happened when one task ran."""
@@ -182,8 +189,8 @@ class TaskOutcome:
     timed_out: bool = False
     error: Optional[str] = None
     #: Failure taxonomy: ``None`` on success, else one of
-    #: :data:`repro.runtime.metrics.FAILURE_KINDS` — ``"timeout"``,
-    #: ``"error"``, ``"worker-died"`` or ``"cancelled"``.
+    #: :data:`FAILURE_KINDS` — ``"timeout"``, ``"error"``,
+    #: ``"worker-died"`` or ``"cancelled"``.
     failure: Optional[str] = None
     #: Attempts consumed to produce this outcome (``> 1`` after
     #: retries; ``0`` for tasks cancelled before ever running).
@@ -200,6 +207,106 @@ class TaskOutcome:
     @property
     def explored(self) -> int:
         return getattr(self.result, "explored", 0) if self.result else 0
+
+    def to_record(self) -> Dict[str, Any]:
+        """The task-outcome record: this outcome as plain JSON data.
+
+        ``repro.sweep/1`` writes it as it is; journal records add
+        ``record``, ``fingerprint``, ``result`` and ``trace``, and sweep
+        replies add ``result``.  :func:`validate_task_record` checks it
+        and :meth:`from_record` inverts it.
+        """
+        return {
+            "index": self.index,
+            "optimizer": self.optimizer,
+            "label": self.label,
+            "ok": self.ok,
+            "timed_out": self.timed_out,
+            "error": self.error,
+            "failure": self.failure,
+            "attempts": self.attempts,
+            "wall_time_s": self.wall_time,
+            "explored": self.explored,
+            "cache": self.cache.to_dict(),
+        }
+
+    @classmethod
+    def from_record(
+        cls,
+        record: Mapping[str, Any],
+        result: object = None,
+        trace: Optional[Tuple[Dict[str, Any], ...]] = None,
+    ) -> "TaskOutcome":
+        """Rebuild the outcome a validated record was made from.
+
+        The record does not hold the result or the span records;
+        whoever extended it decodes those and passes them in.
+        ``explored`` and ``ok`` are derived, so they are not read back.
+        """
+        cache = record["cache"]
+        return cls(
+            index=record["index"],
+            optimizer=record["optimizer"],
+            label=record["label"],
+            result=result,
+            wall_time=record["wall_time_s"],
+            timed_out=record["timed_out"],
+            error=record["error"],
+            failure=record["failure"],
+            attempts=record["attempts"],
+            cache=CacheStats(
+                hits=cache["hits"],
+                misses=cache["misses"],
+                evictions=cache["evictions"],
+                size=cache["size"],
+                peak_size=cache["peak_size"],
+            ),
+            trace=trace,
+        )
+
+
+_NULLABLE_STR = (str, type(None))
+
+_RECORD_FIELDS: Dict[str, FieldType] = {
+    "index": int,
+    "optimizer": str,
+    "label": str,
+    "ok": bool,
+    "timed_out": bool,
+    "error": _NULLABLE_STR,
+    "failure": _NULLABLE_STR,
+    "attempts": int,
+    "wall_time_s": (int, float),
+    "explored": int,
+    "cache": dict,
+}
+
+_CACHE_FIELDS: Dict[str, FieldType] = {
+    "hits": int,
+    "misses": int,
+    "evictions": int,
+    "size": int,
+    "peak_size": int,
+    "hit_rate": (int, float),
+}
+
+
+def validate_task_record(record: object, where: str) -> None:
+    """Raise :class:`ValidationError` unless ``record`` holds a valid
+    task-outcome record (:meth:`TaskOutcome.to_record`); extra fields
+    are the extending schema's business.  ``where`` names the record in
+    messages (``"journal record"``, ``"metrics.tasks[3]"``, ...).
+    """
+    require(isinstance(record, dict), f"{where} must be a dict")
+    assert isinstance(record, dict)
+    require_fields(record, _RECORD_FIELDS, where)
+    require(
+        record["failure"] is None or record["failure"] in FAILURE_KINDS,
+        f"{where}.failure must be null or one of {list(FAILURE_KINDS)}, "
+        f"got {record['failure']!r}",
+    )
+    require(record["attempts"] >= 0, f"{where}.attempts must be >= 0")
+    require_fields(record["cache"], _CACHE_FIELDS, f"{where}.cache")
 
 
 @dataclass(frozen=True)
@@ -248,8 +355,8 @@ class SweepResult:
     #: Resilience counters — all zero for a clean, unjournaled sweep.
     #: ``retries`` = extra attempts consumed beyond each task's first,
     #: ``recovered_workers`` = worker pools respawned after a death,
-    #: ``resumed`` = outcomes restored from a journal by
-    #: :func:`resume_sweep`.
+    #: ``resumed`` = outcomes restored from a journal by a resumed
+    #: :func:`run_sweep`.
     retries: int = 0
     recovered_workers: int = 0
     resumed: int = 0
@@ -883,6 +990,7 @@ def _run_parallel(
         if ledger.settle(index, outcome):
             queue.append(index)
 
+    finished = False
     try:
         while queue or futures:
             try:
@@ -954,15 +1062,17 @@ def _run_parallel(
                     requeue_unless_final(index, ledger.failed(
                         index, "worker-died", "worker process died mid-task"
                     ))
+        finished = True
     except KeyboardInterrupt:
-        executor.shutdown(wait=False, cancel_futures=True)
         ledger.cancel(
             [index for indices in futures.values() for index in indices]
             + list(queue),
             "cancelled by interrupt",
         )
-    else:
-        executor.shutdown()
+    finally:
+        # Leaving by an interrupt or an error (a journal refusing a
+        # result, say) must not leave the pool and its chunks running.
+        executor.shutdown(wait=finished, cancel_futures=not finished)
     return True
 
 
@@ -1009,22 +1119,61 @@ def publish_sweep_telemetry(
     return result
 
 
-def _run(
-    tasks: List[SweepTask],
-    completed: Dict[int, TaskOutcome],
-    workers: Optional[int],
-    cache: bool,
-    cache_maxsize: Optional[int],
-    timeout: Optional[float],
-    trace: bool,
-    retry: Optional[RetryPolicy],
-    fault_plan: Optional["FaultPlan"],
-    journal: Optional[PathLike],
-    sleep: Callable[[float], None],
-    registry_maxsize: Optional[int],
+def run_sweep(
+    tasks: Sequence[SweepTask],
+    workers: Optional[int] = None,
+    cache: bool = True,
+    cache_maxsize: Optional[int] = None,
+    timeout: Optional[float] = None,
+    trace: bool = False,
+    retry: Optional[RetryPolicy] = None,
+    fault_plan: Optional["FaultPlan"] = None,
+    journal: Optional[PathLike] = None,
+    sleep: Callable[[float], None] = time.sleep,
+    registry_maxsize: Optional[int] = None,
+    resume: bool = False,
 ) -> SweepResult:
-    """The executor behind :func:`run_sweep` and :func:`resume_sweep`;
-    ``completed`` holds outcomes already restored from a journal."""
+    """Run every task and return outcomes in task order.
+
+    Args:
+        tasks: the grid, already flattened (order defines output order).
+        workers: pool size; ``None`` picks a machine default, ``<= 1``
+            runs serially.  Pool creation failure falls back to serial.
+        cache: memoize cost evaluations.  When False a pass-through
+            cache still *counts* evaluations, so cached and uncached
+            sweeps are comparable on the same instrumentation.
+        cache_maxsize: bound the cache (LRU) at this many entries;
+            ``None`` is unbounded.
+        timeout: default per-task wall-clock budget in seconds
+            (``SweepTask.timeout`` overrides per task).
+        trace: record a per-task span tree on every outcome; merge the
+            lot with :meth:`SweepResult.trace_records`.
+        retry: attempts/backoff schedule; default is one attempt, no
+            backoff.
+        fault_plan: deterministic chaos schedule (tests only).
+        journal: path to append fsynced per-task records to.
+        sleep: backoff clock, injectable so tests assert the schedule
+            without waiting it out.
+        registry_maxsize: bound on each worker's *live* decoded
+            instances (the payload tier keeps everything, so eviction
+            only costs a re-decode).  ``None`` is unbounded.
+        resume: restore every task whose fingerprint has a completed
+            record in ``journal`` (bit-identical result, ``explored``,
+            cache counters) and run only the rest, appending their
+            records to the same journal.  Needs ``journal``; a missing
+            or empty journal file restores nothing.
+
+    A journal, a retry policy with more than one attempt or any
+    backoff, or a fault plan gives every attempt a fresh cost cache
+    (see the module docstring); otherwise the cache is shared.
+    """
+    tasks = list(tasks)
+    completed: Dict[int, TaskOutcome] = {}
+    if resume:
+        require(journal is not None, "resume requires a journal path")
+        from repro.runtime.journal import restore_outcomes
+
+        completed = restore_outcomes(journal, tasks)
     retry = retry or RetryPolicy()
     if workers is None:
         workers = default_workers()
@@ -1087,93 +1236,6 @@ def _run(
             chunks=counters.get("runtime.sweep_chunks", 0),
         ),
     ), counters)
-
-
-def run_sweep(
-    tasks: Sequence[SweepTask],
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    journal: Optional[PathLike] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    registry_maxsize: Optional[int] = None,
-) -> SweepResult:
-    """Run every task and return outcomes in task order.
-
-    Args:
-        tasks: the grid, already flattened (order defines output order).
-        workers: pool size; ``None`` picks a machine default, ``<= 1``
-            runs serially.  Pool creation failure falls back to serial.
-        cache: memoize cost evaluations.  When False a pass-through
-            cache still *counts* evaluations, so cached and uncached
-            sweeps are comparable on the same instrumentation.
-        cache_maxsize: bound the cache (LRU) at this many entries;
-            ``None`` is unbounded.
-        timeout: default per-task wall-clock budget in seconds
-            (``SweepTask.timeout`` overrides per task).
-        trace: record a per-task span tree on every outcome; merge the
-            lot with :meth:`SweepResult.trace_records`.
-        retry: attempts/backoff schedule; default is one attempt, no
-            backoff.
-        fault_plan: deterministic chaos schedule (tests only).
-        journal: path to append fsynced per-task records to.
-        sleep: backoff clock, injectable so tests assert the schedule
-            without waiting it out.
-        registry_maxsize: bound on each worker's *live* decoded
-            instances (the payload tier keeps everything, so eviction
-            only costs a re-decode).  ``None`` is unbounded.
-
-    A journal, a retry policy with more than one attempt or any
-    backoff, or a fault plan gives every attempt a fresh cost cache
-    (see the module docstring); otherwise the cache is shared.
-    """
-    return _run(
-        list(tasks), {}, workers, cache, cache_maxsize, timeout, trace,
-        retry, fault_plan, journal, sleep, registry_maxsize,
-    )
-
-
-def resume_sweep(
-    journal_path: PathLike,
-    tasks: Sequence[SweepTask],
-    workers: Optional[int] = None,
-    cache: bool = True,
-    cache_maxsize: Optional[int] = None,
-    timeout: Optional[float] = None,
-    trace: bool = False,
-    retry: Optional[RetryPolicy] = None,
-    fault_plan: Optional["FaultPlan"] = None,
-    sleep: Callable[[float], None] = time.sleep,
-    registry_maxsize: Optional[int] = None,
-) -> SweepResult:
-    """Resume a journaled sweep, merging stored and fresh outcomes.
-
-    Tasks whose fingerprint has a completed record in the journal are
-    restored verbatim (bit-identical result, ``explored``, cache
-    counters); the rest run as in :func:`run_sweep`, appending their
-    records to the same journal.  A missing or empty journal file
-    resumes nothing and behaves like a fresh journaled sweep.
-    """
-    from repro.runtime import journal
-
-    tasks = list(tasks)
-    path = Path(journal_path)
-    completed: Dict[int, TaskOutcome] = {}
-    if path.exists() and path.stat().st_size > 0:
-        _, records = journal.read_journal(path)
-        by_fingerprint = journal.completed_by_fingerprint(records)
-        for index, task in enumerate(tasks):
-            record = by_fingerprint.get(journal.task_fingerprint(index, task))
-            if record is not None:
-                completed[index] = journal.record_to_outcome(record)
-    return _run(
-        tasks, completed, workers, cache, cache_maxsize, timeout, trace,
-        retry, fault_plan, path, sleep, registry_maxsize,
-    )
 
 
 def grid_tasks(

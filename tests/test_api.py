@@ -5,7 +5,7 @@ import pytest
 from repro import api
 from repro.core.results import PlanResult
 from repro.joinopt.instance import QONInstance
-from repro.runtime.runner import SweepTask
+from repro.runtime.runner import SweepTask, run_sweep
 from repro.sat.gapfamilies import yes_instance
 from repro.utils.validation import ValidationError
 
@@ -67,8 +67,10 @@ class TestOptimize:
         assert any(name.startswith("sqocp-") for name in names)
 
     def test_unknown_algorithm_raises(self):
-        with pytest.raises(ValidationError, match="unknown algorithm"):
-            api.optimize(api.generate("random", 4), algorithm="quantum")
+        instance = api.generate("random", 4)
+        for name in ("quantum", ""):
+            with pytest.raises(ValidationError, match="unknown algorithm"):
+                api.optimize(instance, algorithm=name)
 
 
 class TestSweep:
@@ -77,10 +79,10 @@ class TestSweep:
                 for seed in range(2)]
 
     def test_mapping_grid(self):
-        result = api.sweep({
-            "optimizers": ["dp", "greedy-cost"],
-            "instances": self._instances(),
-        }, workers=1)
+        """The old mapping grid runs as ``SweepSpec.build(**grid)``."""
+        grid = {"optimizers": ["dp", "greedy-cost"],
+                "instances": self._instances()}
+        result = api.sweep(api.SweepSpec.build(**grid, workers=1))
         assert len(result) == 4
         assert all(o.ok for o in result)
 
@@ -90,35 +92,44 @@ class TestSweep:
             SweepTask(optimizer="dp", instance=instance, label=label)
             for label, instance in instances
         ]
-        from_tasks = api.sweep(tasks, workers=1)
-        from_map = api.sweep(
-            {"optimizers": ["dp"], "instances": instances}, workers=1
-        )
+        from_tasks = run_sweep(tasks, workers=1)
+        from_map = api.sweep(api.SweepSpec.build(
+            optimizers=["dp"], instances=instances, workers=1,
+        ))
         assert [o.result.cost for o in from_tasks] == [
             o.result.cost for o in from_map
         ]
 
     def test_kwargs_for_hook(self):
-        result = api.sweep({
-            "optimizers": ["sampling"],
-            "instances": self._instances(),
-            "kwargs_for": lambda name, label: {"rng": 0, "samples": 10},
-        }, workers=1)
+        instances = self._instances()
+        spec = api.SweepSpec.build(
+            ["sampling"], instances,
+            params={("sampling", label): {"rng": 0, "samples": 10}
+                    for label, _instance in instances},
+            workers=1,
+        )
+        assert spec.kwargs_for("sampling", "s0") == {"rng": 0, "samples": 10}
+        result = api.sweep(spec)
         assert all(o.ok for o in result)
         assert all(o.explored == 10 for o in result)
 
     def test_trace_flag_produces_mergeable_records(self):
         from repro.observability import counter_totals, validate_trace
 
-        result = api.sweep({
-            "optimizers": ["dp"],
-            "instances": self._instances(),
-        }, workers=1, trace=True)
+        result = api.sweep(api.SweepSpec.build(
+            ["dp"], self._instances(), workers=1, trace=True,
+        ))
         records = result.trace_records()
         validate_trace(records)
         totals = counter_totals(records)
         assert totals["cost_evaluations"] == result.evaluations
 
-    def test_mapping_needs_both_keys(self):
-        with pytest.raises(ValidationError, match="grid mapping"):
-            api.sweep({"optimizers": ["dp"]})
+    def test_only_a_spec_is_accepted(self):
+        instances = self._instances()
+        for grid in (
+            {"optimizers": ["dp"]},
+            {"optimizers": ["dp"], "instances": instances},
+            [SweepTask(optimizer="dp", instance=instances[0][1])],
+        ):
+            with pytest.raises(ValidationError, match="SweepSpec"):
+                api.sweep(grid)

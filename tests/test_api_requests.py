@@ -8,8 +8,8 @@ Covers, per ISSUE requirements:
   LogNumber costs; pipeline and star plans);
 * schema validation errors with messages, not stack traces;
 * stable content fingerprints (``no_cache`` excluded from identity);
-* the deprecated kwarg shims on ``api.optimize`` / ``api.sweep``
-  (warn once per process, re-armable for tests);
+* malformed sweep replies raise ``ValidationError``, not ``KeyError``;
+* the two forms ``api.optimize`` takes;
 * ``api.capabilities()`` as plain JSON-safe data.
 """
 
@@ -73,13 +73,6 @@ def sqocp_instance():
         satellite_access=[1, 1],
         center_access=[1, 1],
     )
-
-
-@pytest.fixture(autouse=True)
-def rearm_deprecation_warnings():
-    api._reset_deprecation_warnings()
-    yield
-    api._reset_deprecation_warnings()
 
 
 def assert_bit_identical(left, right):
@@ -254,10 +247,7 @@ class TestSweepSpec:
         served = api.execute_request(
             api.SweepSpec.from_json(spec.to_json())
         )
-        direct = api.sweep(
-            {"optimizers": ["dp"], "instances": [("q5", qon_instance)]},
-            workers=1,
-        )
+        direct = api.sweep(spec)
         assert [o.result.cost for o in served] == [
             o.result.cost for o in direct
         ]
@@ -302,6 +292,34 @@ class TestServiceReply:
         with pytest.raises(ValidationError, match="status"):
             validate_reply(payload)
 
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda r: r["outcomes"][0].pop("cache"), id="no-cache"),
+        pytest.param(lambda r: r["outcomes"][0].pop("index"), id="no-index"),
+        pytest.param(
+            lambda r: r["outcomes"][0].pop("optimizer"), id="no-optimizer"
+        ),
+        pytest.param(
+            lambda r: r.update(outcomes="dp"), id="outcomes-not-a-list"
+        ),
+        pytest.param(
+            lambda r: r["outcomes"][0].update(failure="exploded"),
+            id="unknown-failure",
+        ),
+        pytest.param(lambda r: r.pop("mode"), id="no-mode"),
+        pytest.param(
+            lambda r: r["outcomes"][0]["result"].pop("cost"),
+            id="result-without-cost",
+        ),
+    ])
+    def test_malformed_sweep_reply_is_rejected(self, qon_instance, corrupt):
+        spec = api.SweepSpec.build(["dp"], [("q5", qon_instance)], workers=1)
+        reply = api.ServiceReply(op="sweep", result=api.sweep(spec))
+        payload = reply.to_dict()
+        api.ServiceReply.from_dict(payload)  # the intact reply decodes
+        corrupt(payload["result"])
+        with pytest.raises(ValidationError):
+            api.ServiceReply.from_dict(payload)
+
     def test_non_ok_reply_cannot_carry_a_result(self, qon_instance):
         payload = api.ServiceReply(
             op="optimize", result=api.optimize(qon_instance, "dp"),
@@ -313,43 +331,16 @@ class TestServiceReply:
 
 
 # ---------------------------------------------------------------------
-# Deprecated kwarg shims
+# The two forms of optimize (the kwarg shims are gone)
 # ---------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_optimize_kwargs_warn_once(self, qon_instance):
-        with pytest.warns(DeprecationWarning, match="OptimizeRequest"):
-            api.optimize(qon_instance, "sampling", samples=20, rng=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            api.optimize(qon_instance, "sampling", samples=20, rng=1)
-
     def test_optimize_without_kwargs_does_not_warn(self, qon_instance):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             api.optimize(qon_instance, "dp")
             api.optimize(api.OptimizeRequest.build(qon_instance, "dp"))
-
-    def test_reset_rearms_the_warning(self, qon_instance):
-        with pytest.warns(DeprecationWarning):
-            api.optimize(qon_instance, "sampling", samples=20, rng=1)
-        api._reset_deprecation_warnings()
-        with pytest.warns(DeprecationWarning):
-            api.optimize(qon_instance, "sampling", samples=20, rng=1)
-
-    def test_sweep_runner_kwargs_warn_once(self, qon_instance):
-        grid = {"optimizers": ["dp"], "instances": [("q5", qon_instance)]}
-        with pytest.warns(DeprecationWarning, match="SweepSpec"):
-            api.sweep(grid, workers=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            api.sweep(grid, workers=1)
-
-    def test_spec_refuses_duplicate_runner_kwargs(self, qon_instance):
-        spec = api.SweepSpec.build(["dp"], [("q5", qon_instance)])
-        with pytest.raises(ValidationError, match="SweepSpec itself"):
-            api.sweep(spec, workers=2)
 
     def test_request_shim_refuses_extra_arguments(self, qon_instance):
         request = api.OptimizeRequest.build(qon_instance, "dp")

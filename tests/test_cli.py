@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro import io
@@ -222,6 +224,38 @@ class TestSweepCommand:
         totals = payload["totals"]
         assert totals["resumed_tasks"] == totals["tasks"]
         assert totals["ok"] == totals["tasks"]
+
+    def test_resume_refuses_a_journal_of_another_schema(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "old.jsonl"
+        journal.write_text('{"meta": {}, "schema": "repro.journal/1"}\n')
+        code = main([
+            "sweep", "--n", "5", "--quick", "--journal", str(journal),
+            "--resume", "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        assert code == 2
+        assert "repro.journal/2" in capsys.readouterr().err
+
+    def test_resume_refuses_a_record_with_a_truncated_result(
+        self, tmp_path, capsys
+    ):
+        journal = tmp_path / "sweep.jsonl"
+        args = [
+            "sweep", "--n", "5", "--quick", "--workers", "1",
+            "--journal", str(journal),
+            "--metrics-out", str(tmp_path / "m.json"),
+        ]
+        assert main(args) == 0
+        header, first, *rest = journal.read_text().splitlines()
+        record = json.loads(first)
+        del record["result"]["cost"]
+        journal.write_text(
+            "\n".join([header, json.dumps(record), *rest]) + "\n"
+        )
+        capsys.readouterr()
+        assert main([*args, "--resume"]) == 2
+        assert "'cost'" in capsys.readouterr().err
 
     def test_resume_requires_journal(self, capsys):
         assert main(["sweep", "--n", "5", "--quick", "--resume"]) == 2

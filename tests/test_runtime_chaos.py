@@ -19,9 +19,14 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from repro.graphs.graph import Graph
+from repro.hashjoin.instance import HashJoinCostModel, QOHInstance
+from repro.hashjoin.pipeline import PipelineDecomposition
 
 from repro.runtime.journal import (
     SCHEMA as JOURNAL_SCHEMA,
@@ -31,7 +36,6 @@ from repro.runtime.journal import (
     task_fingerprint,
 )
 from repro.runtime.metrics import (
-    FAILURE_KINDS,
     sweep_metrics,
     validate_metrics,
     write_metrics,
@@ -44,15 +48,17 @@ from repro.runtime.resilience import (
     apply_fault,
 )
 from repro.runtime.runner import (
+    FAILURE_KINDS,
     OPTIMIZERS,
     RetryPolicy,
     SweepTask,
     SweepTimeout,
     WorkerDied,
     grid_tasks,
-    resume_sweep,
     run_sweep,
 )
+from repro.starqo.instance import SQOCPInstance, StarPlan
+from repro.utils.lognum import LogNumber
 from repro.utils.validation import ValidationError
 from repro.workloads.queries import random_query
 
@@ -357,7 +363,7 @@ class TestResume:
         journal = tmp_path / "crashed.jsonl"
         # Simulate dying after 3 of 6 tasks: journal only a prefix.
         run_sweep(tasks[:3], workers=1, journal=journal)
-        resumed = resume_sweep(journal, tasks, workers=1)
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 3
         assert [o.index for o in resumed] == list(range(len(tasks)))
         assert_equivalent(resumed, uninterrupted)
@@ -366,11 +372,11 @@ class TestResume:
         tasks = _tasks()
         journal = tmp_path / "sweep.jsonl"
         run_sweep(tasks[:2], workers=1, journal=journal)
-        resumed = resume_sweep(journal, tasks, workers=1)
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 2
         assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
         # The journal now covers everything: a second resume runs nothing.
-        again = resume_sweep(journal, tasks, workers=1)
+        again = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert again.resumed == len(tasks)
         assert_equivalent(again, resumed)
 
@@ -378,7 +384,7 @@ class TestResume:
         tasks = _tasks(optimizers=("dp", "bnb", "greedy-cost"), seeds=2)
         journal = tmp_path / "crashed.jsonl"
         run_sweep(tasks[:3], workers=1, journal=journal)
-        resumed = resume_sweep(journal, tasks, workers=2)
+        resumed = run_sweep(tasks, workers=2, journal=journal, resume=True)
         if resumed.mode != "parallel":
             pytest.skip("no process pool available here")
         assert resumed.resumed == 3
@@ -392,18 +398,100 @@ class TestResume:
             [(f"c-s{seed}", random_query(5, rng=seed + 10))
              for seed in range(2)],
         )
-        resumed = resume_sweep(journal, different, workers=1)
+        resumed = run_sweep(different, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 0
         assert all(o.ok for o in resumed)
+
+    def test_resume_restores_every_result_type(self, tmp_path):
+        """QO_H plans, SQO-CP plans and LogNumber costs survive the
+        typed journal codec: equal value, type and repr."""
+        qoh = QOHInstance(
+            Graph(4, [(0, 1), (1, 2), (2, 3)]),
+            [64, 32, 128, 16],
+            {(0, 1): Fraction(1, 8), (1, 2): Fraction(1, 16),
+             (2, 3): Fraction(1, 4)},
+            memory=64,
+            model=HashJoinCostModel(psi=Fraction(1, 3), g_scale=2),
+        )
+        sqocp = SQOCPInstance(
+            num_satellites=2, sort_passes=4, page_size=8,
+            tuples=[10_000, 3, 5_000], pages=[10_000, 1, 5_000],
+            sort_costs=[40_000, 4, 20_000],
+            selectivities=[Fraction(1, 10_000), Fraction(1, 5_000)],
+            satellite_access=[1, 1], center_access=[1, 1],
+        )
+        tasks = [
+            SweepTask(optimizer="qoh-greedy", instance=qoh, label="qoh"),
+            SweepTask(optimizer="sqocp-dp", instance=sqocp, label="star"),
+            SweepTask(
+                optimizer="greedy-cost", label="log",
+                instance=random_query(5, rng=0).to_log_domain(),
+            ),
+        ]
+        journal = tmp_path / "sweep.jsonl"
+        original = run_sweep(tasks, workers=1, journal=journal)
+        qoh_result, star_result, log_result = (o.result for o in original)
+        assert isinstance(qoh_result.plan, PipelineDecomposition)
+        assert isinstance(star_result.plan, StarPlan)
+        assert isinstance(log_result.cost, LogNumber)
+        assert "result_b64" not in journal.read_text()
+
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
+        assert resumed.resumed == len(tasks)
+        for got, want in zip(resumed, original):
+            assert got.result == want.result
+            assert type(got.result) is type(want.result)
+            assert repr(got.result) == repr(want.result)
+            assert type(got.result.cost) is type(want.result.cost)
+            assert type(got.result.plan) is type(want.result.plan)
+            assert (got.explored, got.cache) == (want.explored, want.cache)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_plan_result_is_refused_at_append(
+        self, tmp_path, monkeypatch, workers
+    ):
+        from repro.runtime import runner as runner_mod
+
+        pools = []
+        make_executor = runner_mod._make_executor
+
+        def recording(*args):
+            pool = make_executor(*args)
+            shutdown = pool.shutdown
+
+            def record_shutdown(wait=True, *, cancel_futures=False):
+                pools.append((wait, cancel_futures))
+                shutdown(wait=wait, cancel_futures=cancel_futures)
+
+            pool.shutdown = record_shutdown
+            return pool
+
+        monkeypatch.setattr(runner_mod, "_make_executor", recording)
+        tasks = [
+            SweepTask(
+                optimizer=_not_a_plan, instance=random_query(4, rng=seed),
+                label=f"int{seed}",
+            )
+            for seed in range(4)
+        ]
+        with pytest.raises(ValidationError, match="PlanResult"):
+            run_sweep(tasks, workers=workers, journal=tmp_path / "s.jsonl")
+        if workers > 1:
+            # The error leaves the sweep; the pool must not outlive it.
+            assert pools == [(False, True)]
 
     def test_resumed_metrics_validate(self, tmp_path):
         tasks = _tasks()
         journal = tmp_path / "sweep.jsonl"
         run_sweep(tasks[:2], workers=1, journal=journal)
-        resumed = resume_sweep(journal, tasks, workers=1)
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         payload = sweep_metrics(resumed, grid={"resumed": True})
         validate_metrics(payload)
         assert payload["totals"]["resumed_tasks"] == 2
+
+
+def _not_a_plan(_instance, **_kwargs):
+    return 42
 
 
 def _interruptible(instance, flag="", **_kwargs):
@@ -437,7 +525,7 @@ class TestCancellation:
         assert len(records) == 1
         # Clear the tripwire; resume re-runs exactly the cancelled tasks.
         flag.unlink()
-        resumed = resume_sweep(journal, tasks, workers=1)
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 1
         assert all(o.ok for o in resumed)
         assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
@@ -497,7 +585,7 @@ class TestRealSigkill:
         assert len(records) == 2  # exactly the tasks that finished
 
         tasks = _tasks(optimizers=("dp", "bnb", "greedy-cost"), seeds=2)
-        resumed = resume_sweep(journal, tasks, workers=1)
+        resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 2
         assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
 

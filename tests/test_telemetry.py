@@ -47,7 +47,7 @@ from repro.observability import (
     validate_metrics,
     validate_trace,
 )
-from repro.runtime.runner import run_sweep
+from repro.runtime.runner import grid_tasks, run_sweep
 from repro.service import OptimizationServer, ServerConfig, ServiceClient
 from repro.utils.validation import ValidationError
 from repro.workloads import chain_query, random_query
@@ -452,13 +452,13 @@ class TestSweepTelemetry:
         registry = MetricsRegistry()
         log = EventLog(events_path)
         instance = chain_query(5, rng=5)
-        tasks = api.grid_tasks(
+        spec = api.SweepSpec.build(
             ["dp", "greedy-cost"], [("chain5", instance)]
         )
         from repro.observability import use_event_log
 
         with use_metrics(registry), use_event_log(log):
-            result = api.sweep(tasks)
+            result = api.sweep(spec)
         log.close()
         assert registry.counter_value("runtime.tasks_completed") == len(
             result.outcomes
@@ -470,7 +470,7 @@ class TestSweepTelemetry:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_published_counters_equal_the_sweep_totals(self, workers):
-        tasks = api.grid_tasks(
+        tasks = grid_tasks(
             ["dp", "greedy-cost", "iterative"],
             [(f"r{seed}", random_query(6, rng=seed)) for seed in range(3)],
         )
