@@ -45,6 +45,7 @@ from repro.core.requests import (
 from repro.core.results import PlanResult
 from repro.observability.events import EVENTS_SCHEMA
 from repro.observability.metrics import METRICS_SCHEMA
+from repro.perf.kernels import pin_kernels
 from repro.runtime.costcache import CostCache, use_cache
 from repro.runtime.registry import InstanceRegistry, instance_key
 from repro.runtime.journal import read_journal
@@ -589,6 +590,7 @@ __all__ = [
     "load_metrics",
     "optimize",
     "optimizer_names",
+    "pin_kernels",
     "read_journal",
     "reduce",
     "reduction_names",

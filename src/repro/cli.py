@@ -872,8 +872,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to listen: a unix socket path, or host:port "
         "(port 0 picks a free port; default 127.0.0.1:0)",
     )
-    serve.add_argument("--workers", type=int, default=2,
-                       help="worker threads = max in-flight computations")
+    serve.add_argument(
+        "--workers", type=int, default=2,
+        help="worker processes = max in-flight computations",
+    )
     serve.add_argument(
         "--max-queue", type=int, default=32,
         help="pending requests admitted beyond the in-flight ones; "
@@ -887,7 +889,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--instance-cache-size", type=int, default=64,
-        help="decoded instances kept alive for compiled-kernel reuse",
+        help="decoded instances each worker process keeps alive (and "
+        "kernels it pins) for compiled-kernel reuse",
     )
     serve.add_argument(
         "--metrics-out", default=None,

@@ -119,6 +119,19 @@ class EventLog:
             self._stream.flush()
             self._emitted += 1
 
+    def replay(self, lines: str) -> None:
+        """Append event lines another log wrote — a daemon worker
+        process's in-memory log — with their own stamps; no-op after
+        :meth:`close`."""
+        if not lines:
+            return
+        with self._lock:
+            if self._closed:
+                return
+            self._stream.write(lines)
+            self._stream.flush()
+            self._emitted += lines.count("\n")
+
     def observe_latency(self, wall_time_s: float, **fields: object) -> bool:
         """Emit a sampled ``service.slow_request`` if over threshold.
 

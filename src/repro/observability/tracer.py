@@ -49,8 +49,9 @@ from typing import Callable, Dict, Iterator, List, Optional
 #: The process-wide tracer default (:func:`install_tracer`); None means
 #: "tracing off".  :func:`use_tracer` scopes a tracer to the *current
 #: thread's* dynamic extent on top of this default, so concurrent
-#: server worker threads can each trace their own request without
-#: clobbering each other.
+#: threads can each trace their own unit of work without clobbering
+#: each other (the service daemon's worker threads compute on
+#: themselves only when it has no process pool).
 _INSTALLED: Optional["Tracer"] = None
 
 #: Per-thread dynamic-extent override; holds an entry only while the
@@ -240,8 +241,7 @@ def use_tracer(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
     """Install ``tracer`` for the dynamic extent of the ``with`` block.
 
     The installation is scoped to the current thread, so concurrent
-    extents in different threads (the service worker pool) each see
-    their own tracer; ``use_tracer(None)`` masks any process-wide
+    extents in different threads each see their own tracer; ``use_tracer(None)`` masks any process-wide
     default within the block.
     """
     previous = _TLS.__dict__.get("tracer", _UNSET)

@@ -341,10 +341,11 @@ _QOH_CACHE: "weakref.WeakValueDictionary[int, CompiledQOH]" = (
 # check — so it can never change which kernel a caller sees, only how
 # long one stays warm.
 #
-# The tier is per thread: the service daemon runs serial sweeps on
-# several worker threads at once, and one sweep's scope must neither
-# reset another's limit nor unpin its kernels.  A pool worker runs its
-# initializer and its chunks on one thread, so its pins cover them all.
+# The tier is per thread: threads running serial sweeps at once (the
+# service daemon's worker threads, when it has no process pool) must
+# neither reset one another's limit nor unpin one another's kernels.
+# A pool worker, the sweep runner's or the daemon's, runs its
+# initializer and its jobs on one thread, so its pins cover them all.
 class _PinTier(threading.local):
     def __init__(self) -> None:
         self.limit = 0

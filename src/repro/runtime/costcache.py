@@ -53,7 +53,8 @@ from repro.observability.tracer import count as _trace_count
 #: The process-wide cache default (:func:`install_cache`); None means
 #: "memoization off".  :func:`use_cache` scopes a cache to the current
 #: *thread's* dynamic extent on top of this default, so concurrent
-#: service worker threads each consult their own cache.
+#: threads each consult their own cache (the service daemon's worker
+#: threads compute on themselves only when it has no process pool).
 _INSTALLED: Optional["CostCache"] = None
 
 #: Per-thread dynamic-extent override; holds an entry only while the

@@ -82,10 +82,19 @@ class ServiceClient:
         frame = protocol.request_frame(op, frame_id, payload)
         self._sock.sendall(protocol.encode_frame(frame))
         while True:
-            line = self._stream.readline()
+            # One byte past the cap at most, as the daemon reads.
+            line = self._stream.readline(protocol.MAX_FRAME_BYTES + 1)
             if not line:
                 raise ServiceError(
                     f"connection to {self._address!r} closed mid-call"
+                )
+            if len(line) > protocol.MAX_FRAME_BYTES:
+                # The rest of the line is still unread: the connection
+                # can carry no further reply.
+                self.close()
+                raise ServiceError(
+                    f"reply from {self._address!r} exceeds the "
+                    f"{protocol.MAX_FRAME_BYTES}-byte frame cap"
                 )
             if not line.strip():
                 continue

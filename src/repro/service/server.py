@@ -24,28 +24,47 @@ What the admission path guarantees, in order:
    draining) the request is *rejected with an explicit retry-after
    reply*; nothing is ever silently dropped.
 
-Workers run each computation through :func:`repro.api.execute_request`
-— the only optimization entry point this package may touch (lint rule
-RPR011) — under a per-worker-thread
-:class:`~repro.runtime.costcache.CostCache` and a per-request
-:class:`~repro.observability.tracer.Tracer`, so replies carry span
-counter totals and optional span trees.  Decoded instances are kept in
-a bounded keep-alive cache keyed by their wire payload, so repeated
-requests against the same instance reuse the per-instance compiled
-cost kernels (which are memoized per *live* object).
+Computation runs in worker processes, so requests compute in parallel
+instead of taking turns on one interpreter lock.  ``start()`` forks a
+``ProcessPoolExecutor`` of ``config.workers`` processes before it binds
+the listener or starts a thread, so no worker inherits a socket or a
+lock held by another thread.  Each of ``config.workers`` worker threads
+takes an admitted job off the queue and hands it to the pool; in the
+worker process :func:`_compute` runs it through
+:func:`repro.api.execute_request` — the only optimization entry point
+this package may touch (lint rule RPR011) — under a fresh
+:class:`~repro.runtime.costcache.CostCache`,
+:class:`~repro.observability.tracer.Tracer`, metrics registry and (when
+the daemon logs events) in-memory event log, and returns the result or
+error with everything those recorded.  The thread publishes the
+counters and events into the daemon's registry and event log and
+builds the reply, so replies carry span counter totals and optional
+span trees.  A dead worker breaks the pool: its jobs get error replies
+and the next job runs on a respawned pool.  Only when no pool can be
+created at all do the threads run :func:`_compute` themselves.
+
+Each worker process keeps a bounded keep-alive LRU of decoded
+instances, keyed by their canonical wire JSON, and pins as many
+compiled kernels, so repeated requests against the same instance on
+the same worker reuse its compiled cost kernels (memoized per *live*
+object).
 
 SIGTERM/SIGINT (or the ``shutdown`` op) triggers a graceful drain:
 the listener closes, late requests get retry-after rejections, queued
 work finishes, workers exit, and :meth:`OptimizationServer.shutdown`
 returns the final ``repro.metrics/1`` snapshot — whose ``service.*``
 admission counters sum to exactly the number of compute requests
-received.
+received.  Worker processes ignore both signals, so one sent to the
+whole process group (Ctrl-C in a terminal) starts the drain in the
+parent without killing a job mid-flight.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -53,6 +72,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
@@ -68,6 +88,9 @@ Address = Union[str, Tuple[str, int]]
 
 RequestLike = Union[api.OptimizeRequest, api.SweepSpec]
 
+#: How often a worker process checks that the daemon is still alive.
+_PARENT_POLL_S = 0.5
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -76,14 +99,15 @@ class ServerConfig:
     ``address`` — AF_UNIX socket path (str) or ``(host, port)`` tuple;
     ``port 0`` picks a free port (read it back from
     :attr:`OptimizationServer.address`).
-    ``workers`` — worker threads = max in-flight computations.
+    ``workers`` — worker processes (each fed by one worker thread) =
+    max in-flight computations.
     ``max_queue`` — pending requests admitted beyond the in-flight
     ones; the backpressure bound.
     ``retry_after_s`` — the hint attached to rejection replies.
     ``result_cache_size`` — result-cache entries (0 disables caching
     *and* dedup-by-cache, not dedup-by-inflight).
-    ``instance_cache_size`` — decoded instances kept alive for
-    compiled-kernel reuse.
+    ``instance_cache_size`` — decoded instances each worker process
+    keeps alive, and compiled kernels it pins, for kernel reuse.
     ``metrics_out`` — append ``repro.metrics/1`` snapshot lines here
     every ``metrics_interval_s`` seconds (None disables the exporter;
     the live registry and the ``metrics`` RPC op work either way).
@@ -108,17 +132,206 @@ class ServerConfig:
 class _Job:
     """One admitted computation plus everyone waiting on it."""
 
-    __slots__ = ("op", "request", "fingerprint", "waiters", "done")
+    __slots__ = ("op", "request", "payload", "fingerprint", "waiters", "done")
 
     def __init__(
-        self, op: str, request: RequestLike, fingerprint: str,
+        self,
+        op: str,
+        request: RequestLike,
+        payload: Dict[str, Any],
+        fingerprint: str,
     ) -> None:
         self.op = op
         self.request = request
+        #: The wire payload, kept for the instance keys (computed only
+        #: for jobs that reach a worker).
+        self.payload = payload
         self.fingerprint = fingerprint
         #: ``(connection, frame_id, coalesced)`` per requester.
         self.waiters: List[Tuple["_Connection", int, bool]] = []
         self.done = False
+
+
+# -- compute side (a pool worker process) ------------------------------
+
+
+@dataclass(frozen=True)
+class _Work:
+    """What computing one job needs, shipped to a worker process.
+
+    ``instance_keys`` holds the canonical JSON of each instance of the
+    request, in request order (empty when the instance LRU is off);
+    ``events`` asks for the events the computation emits.
+    """
+
+    op: str
+    request: RequestLike
+    fingerprint: str
+    instance_keys: Tuple[str, ...]
+    events: bool
+
+
+@dataclass(frozen=True)
+class _Computed:
+    """What one computation produced and recorded, shipped back.
+
+    ``wall_time_s`` is the time around ``api.execute_request``;
+    ``counters`` what the job counted (kernel compiles, instance-LRU
+    hits and misses, its cost cache's evaluations and hits, a sweep's
+    tally); ``events`` the ``repro.events/1`` lines it emitted.
+    """
+
+    result: Any = None
+    error: Optional[str] = None
+    wall_time_s: float = 0.0
+    records: Tuple[Dict[str, Any], ...] = ()
+    counters: Dict[str, int] = dataclasses.field(default_factory=dict)
+    events: str = ""
+
+
+#: The keep-alive instance LRU of a worker process, built by
+#: :func:`_init_worker`.
+_INSTANCES = api.InstanceRegistry(max_live=0)
+
+
+def _init_worker(instance_cache_size: int) -> None:
+    """Pool initializer.
+
+    SIGINT and SIGTERM are the parent's: its drain lets a running job
+    finish, so a signal sent to the whole process group must not kill
+    the worker.  While the LRU keeps a decoded instance live, its
+    compiled kernel stays pinned too, as in the sweep runner's workers.
+    """
+    global _INSTANCES
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),),
+        name="repro-parent-watch", daemon=True,
+    ).start()
+    _INSTANCES = api.InstanceRegistry(max_live=instance_cache_size)
+    api.pin_kernels(instance_cache_size)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End a worker process once the daemon is gone.
+
+    A daemon killed outright never shuts its pool down, and its
+    workers ignore SIGTERM, so without this they would wait on the
+    job queue for ever.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
+def _canonical(
+    request: RequestLike,
+    keys: Tuple[str, ...],
+    instances: "api.InstanceRegistry",
+) -> RequestLike:
+    """``request`` with each instance swapped for the live object the
+    LRU holds under its key, so repeated requests share one compiled
+    kernel."""
+    if not keys:
+        return request
+    if isinstance(request, api.OptimizeRequest):
+        return dataclasses.replace(
+            request, instance=instances.canonical(keys[0], request.instance)
+        )
+    return dataclasses.replace(
+        request,
+        instances=tuple(
+            (label, instances.canonical(key, instance))
+            for (label, instance), key in zip(request.instances, keys)
+        ),
+    )
+
+
+def _compute(
+    work: _Work, instances: Optional["api.InstanceRegistry"] = None
+) -> _Computed:
+    """Compute one job: in a pool worker, or on a worker thread when
+    no pool can be created (then with the daemon's own ``instances``).
+
+    Everything the job counts, traces and emits goes to stores made
+    for this job alone and travels back in the :class:`_Computed`, the
+    pattern of the sweep runner's pool chunks.  A fresh cost cache per
+    job means a worker retains nothing between requests (the result
+    cache answers repeats).
+    """
+    request = work.request
+    trace_id = getattr(request, "trace_id", None)
+    tracer = Tracer(root_name=f"service.{work.op}")
+    if trace_id is not None:
+        tracer.root["attrs"] = {
+            "trace_id": trace_id,
+            "parent_span": getattr(request, "parent_span", None),
+        }
+    counters = MetricsRegistry()
+    sink = io.StringIO() if work.events else None
+    log = EventLog(sink) if sink is not None else None
+    cache = api.CostCache()
+    result: Any = None
+    error: Optional[str] = None
+    with use_metrics(counters), use_event_log(log), \
+            use_tracer(tracer), api.use_cache(cache):
+        request = _canonical(
+            request, work.instance_keys,
+            _INSTANCES if instances is None else instances,
+        )
+        started = time.perf_counter()
+        try:
+            with tracer.span(f"execute.{work.fingerprint[:12]}"):
+                result = api.execute_request(request)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+        wall = time.perf_counter() - started
+    # The job's own cost-cache movement (a sweep counts its own
+    # caches), published once whether or not it succeeded.
+    counters.inc("runtime.cost_evaluations", cache.misses)
+    counters.inc("runtime.cache_hits", cache.hits)
+    return _Computed(
+        result=result,
+        error=error,
+        wall_time_s=wall,
+        records=tuple(tracer.finish()),
+        counters=counters.snapshot()["counters"],
+        events=sink.getvalue() if sink is not None else "",
+    )
+
+
+def _instance_keys(op: str, payload: Dict[str, Any]) -> Tuple[str, ...]:
+    """The canonical JSON of each instance in a request payload."""
+    encoded = (
+        [payload["instance"]] if op == "optimize"
+        else [entry for _label, entry in payload["instances"]]
+    )
+    return tuple(json.dumps(entry, sort_keys=True) for entry in encoded)
+
+
+def _start_pool(
+    workers: int, instance_cache_size: int
+) -> Optional[ProcessPoolExecutor]:
+    """A forked pool of ``workers`` compute processes, up and
+    answering, or None when none can be created (no ``fork``, no
+    semaphores, a sandbox)."""
+    try:
+        pool = ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(instance_cache_size,),
+        )
+    except Exception:
+        return None
+    try:
+        # Under fork the first submit forks every worker at once.
+        pool.submit(int).result()
+    except Exception:
+        pool.shutdown(wait=False, cancel_futures=True)
+        return None
+    return pool
 
 
 class _Connection:
@@ -179,11 +392,13 @@ class OptimizationServer:
         self._inflight: Dict[str, _Job] = {}
         self._running_count = 0
         self._results: "OrderedDict[str, api.ServiceReply]" = OrderedDict()
-        # Keep-alive instance LRU, shared machinery with the sweep
-        # runner: the live tier of the runtime's content-addressed
-        # registry (internally locked; max_live=0 is pass-through).
-        self._registry = api.InstanceRegistry(
-            max_live=max(self.config.instance_cache_size, 0)
+        self._instance_cache_size = max(self.config.instance_cache_size, 0)
+        # The compute pool; None until start() and when no pool can be
+        # created (then the worker threads compute, with this LRU).
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_lock = threading.Lock()
+        self._instances = api.InstanceRegistry(
+            max_live=self._instance_cache_size
         )
         self._connections: List[_Connection] = []
         self._threads: List[threading.Thread] = []
@@ -205,21 +420,33 @@ class OptimizationServer:
         return self._address
 
     def start(self) -> Address:
-        """Bind, listen, and launch the accept + worker threads."""
+        """Fork the compute pool, then bind, listen, and launch the
+        accept + worker threads."""
         require(not self._started, "server already started")
         self._started = True
+        # Fork first, while no thread of this server runs and no socket
+        # is open: the workers inherit neither.
+        pool = _start_pool(self.config.workers, self._instance_cache_size)
+        with self._pool_lock:
+            self._pool = pool
         address = self.config.address
-        if isinstance(address, str):
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(address)
-            self._unix_path = address
-            self._address = address
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind(address)
-            self._address = listener.getsockname()[:2]
-        listener.listen(128)
+        try:
+            if isinstance(address, str):
+                listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                listener.bind(address)
+                self._unix_path = address
+                self._address = address
+            else:
+                listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+                listener.setsockopt(
+                    socket.SOL_SOCKET, socket.SO_REUSEADDR, 1
+                )
+                listener.bind(address)
+                self._address = listener.getsockname()[:2]
+            listener.listen(128)
+        except OSError:
+            self._stop_pool(drained=True)  # nothing was admitted
+            raise
         self._listener = listener
         if self.config.metrics_out is not None:
             self._exporter = TelemetryExporter(
@@ -261,6 +488,8 @@ class OptimizationServer:
         reject late arrivals with retry-after, waits for every queued
         and running computation to finish and its replies to be sent,
         then stops the workers and closes the remaining connections.
+        The worker processes exit before this returns; a job still
+        running when ``drain_timeout`` expires has its worker ended.
         """
         self._stop_event.set()
         if self._listener is not None:
@@ -277,11 +506,13 @@ class OptimizationServer:
                 if remaining <= 0:
                     break
                 self._drained.wait(remaining)
+            drained = not (self._pending or self._running_count)
             self._closed = True
             self._work_ready.notify_all()
             connections = list(self._connections)
         for connection in connections:
             connection.close()
+        self._stop_pool(drained)
         if self._unix_path is not None:
             try:
                 os.unlink(self._unix_path)
@@ -360,13 +591,18 @@ class OptimizationServer:
             "rb", buffering=protocol.MAX_FRAME_BYTES
         )
         try:
-            for line in stream:
+            while True:
+                # One byte past the cap at most: an endless line is
+                # refused at the cap, never buffered whole.
+                line = stream.readline(protocol.MAX_FRAME_BYTES + 1)
+                if not line:
+                    return
                 if not line.strip():
                     continue
                 try:
                     frame = protocol.decode_line(line)
                 except ValidationError:
-                    return  # not even a JSON object: hang up
+                    return  # over the cap or not a JSON object: hang up
                 self._handle_frame(connection, frame)
         except (OSError, ValueError):
             pass
@@ -418,40 +654,8 @@ class OptimizationServer:
         self, op: str, payload: Dict[str, Any]
     ) -> RequestLike:
         if op == "optimize":
-            request = api.OptimizeRequest.from_dict(payload)
-            return dataclasses.replace(
-                request,
-                instance=self._canonical_instance(
-                    payload["instance"], request.instance
-                ),
-            )
-        spec = api.SweepSpec.from_dict(payload)
-        return dataclasses.replace(
-            spec,
-            instances=tuple(
-                (label, self._canonical_instance(encoded, instance))
-                for (label, instance), (_label, encoded)
-                in zip(spec.instances, payload["instances"])
-            ),
-        )
-
-    def _canonical_instance(
-        self, encoded: Dict[str, Any], decoded: Any
-    ) -> Any:
-        """One live object per distinct instance payload.
-
-        The compiled cost kernels are memoized per live instance, so
-        serving repeated requests from the same decoded object makes
-        every request after the first reuse the compiled kernel
-        instead of recompiling it.  The LRU itself lives in
-        :mod:`repro.runtime.registry` (via the :mod:`repro.api`
-        facade) — the same live tier the chunked sweep runner's
-        workers use — keyed here by the canonical request JSON.
-        """
-        if self.config.instance_cache_size <= 0:
-            return decoded
-        key = json.dumps(encoded, sort_keys=True)
-        return self._registry.canonical(key, decoded)
+            return api.OptimizeRequest.from_dict(payload)
+        return api.SweepSpec.from_dict(payload)
 
     def _admit(
         self,
@@ -462,10 +666,7 @@ class OptimizationServer:
     ) -> None:
         self.metrics.inc("service.received")
         try:
-            # The decode counts instance-LRU hits and misses; this
-            # reader thread has no registry of its own to count them.
-            with use_metrics(self.metrics):
-                request = self._decode_request(op, payload)
+            request = self._decode_request(op, payload)
             fingerprint = request.fingerprint()
         except (ValidationError, KeyError, TypeError, ValueError) as exc:
             self.metrics.inc("service.errors")
@@ -511,7 +712,7 @@ class OptimizationServer:
                         fingerprint=fingerprint,
                     )
                 else:
-                    job = _Job(op, request, fingerprint)
+                    job = _Job(op, request, payload, fingerprint)
                     job.waiters.append((connection, frame_id, False))
                     if not bypass:
                         self._inflight[fingerprint] = job
@@ -576,68 +777,108 @@ class OptimizationServer:
                 )
 
     def _run_job(self, job: _Job) -> api.ServiceReply:
-        trace_id = getattr(job.request, "trace_id", None)
+        computed = self._compute_job(_Work(
+            op=job.op,
+            request=job.request,
+            fingerprint=job.fingerprint,
+            instance_keys=(
+                _instance_keys(job.op, job.payload)
+                if self._instance_cache_size else ()
+            ),
+            events=self._event_log is not None,
+        ))
+        # What the job counted and emitted where it ran reaches the
+        # daemon's one registry and event log here.
+        for name, value in computed.counters.items():
+            self.metrics.inc(name, value)
+        if self._event_log is not None and computed.events:
+            self._event_log.replay(computed.events)
         # A request-supplied trace context implies the caller is
         # reconstructing a distributed trace, so the server-side spans
         # always travel back with the reply in that case.
         wants_trace = (
             bool(getattr(job.request, "trace", False))
-            or trace_id is not None
+            or getattr(job.request, "trace_id", None) is not None
         )
-        tracer = Tracer(root_name=f"service.{job.op}")
-        if trace_id is not None:
-            tracer.root["attrs"] = {
-                "trace_id": trace_id,
-                "parent_span": getattr(job.request, "parent_span", None),
-            }
-        # Each job gets a fresh cost cache, so a worker retains nothing
-        # between requests (the result cache answers repeats).
-        cache = api.CostCache()
-        started = time.perf_counter()
-        try:
-            # The worker thread's dynamic extent reports into the
-            # server's registry: kernel compiles and a sweep's tally
-            # land in the same counters the exporter snapshots.
-            with use_metrics(self.metrics), \
-                    use_event_log(self._event_log), \
-                    use_tracer(tracer), api.use_cache(cache):
-                with tracer.span(f"execute.{job.fingerprint[:12]}"):
-                    result = api.execute_request(job.request)
-        except Exception as exc:
+        reply = api.ServiceReply(
+            op=job.op,
+            fingerprint=job.fingerprint,
+            wall_time_s=computed.wall_time_s,
+            counters=tuple(sorted(
+                counter_totals(list(computed.records)).items()
+            )),
+            trace_records=computed.records if wants_trace else None,
+        )
+        if computed.error is not None:
             self.metrics.inc("service.errors")
-            records = tracer.finish()
-            return api.ServiceReply(
-                op=job.op,
-                status="error",
-                error=f"{type(exc).__name__}: {exc}",
-                fingerprint=job.fingerprint,
-                wall_time_s=time.perf_counter() - started,
-                counters=tuple(sorted(counter_totals(records).items())),
-                trace_records=(
-                    tuple(records) if wants_trace else None
-                ),
+            return dataclasses.replace(
+                reply, status="error", error=computed.error
             )
-        finally:
-            # The job's own cost-cache movement (a sweep counts its own
-            # caches), published once whether or not it succeeded.
-            self.metrics.inc("runtime.cost_evaluations", cache.misses)
-            self.metrics.inc("runtime.cache_hits", cache.hits)
         self.metrics.inc("service.computed")
-        elapsed = time.perf_counter() - started
-        self.metrics.observe("service.latency_ms", elapsed * 1000.0)
+        self.metrics.observe(
+            "service.latency_ms", computed.wall_time_s * 1000.0
+        )
         if self._event_log is not None:
             self._event_log.observe_latency(
-                elapsed, op=job.op, fingerprint=job.fingerprint
+                computed.wall_time_s, op=job.op, fingerprint=job.fingerprint
             )
-        records = tracer.finish()
-        return api.ServiceReply(
-            op=job.op,
-            result=result,
-            fingerprint=job.fingerprint,
-            wall_time_s=elapsed,
-            counters=tuple(sorted(counter_totals(records).items())),
-            trace_records=tuple(records) if wants_trace else None,
-        )
+        return dataclasses.replace(reply, result=computed.result)
+
+    def _compute_job(self, work: _Work) -> _Computed:
+        """Run ``work`` on the pool, or on this thread when there is
+        none; every failure comes back as a :class:`_Computed` error."""
+        while True:
+            with self._pool_lock:
+                pool = self._pool
+            if pool is None:
+                api.pin_kernels(self._instance_cache_size)
+                return _compute(work, self._instances)
+            started = time.perf_counter()
+            try:
+                future = pool.submit(_compute, work)
+            except BrokenExecutor:
+                self._replace_pool(pool)
+                continue  # it never ran: submit it again
+            except RuntimeError as exc:  # the pool was shut down
+                return _Computed(error=f"{type(exc).__name__}: {exc}")
+            try:
+                return future.result()
+            except BrokenExecutor as exc:
+                self._replace_pool(pool)
+                return _Computed(
+                    error=f"{type(exc).__name__}: a worker process died "
+                    "while this job was in flight",
+                    wall_time_s=time.perf_counter() - started,
+                )
+            except Exception as exc:  # e.g. a result that cannot pickle
+                return _Computed(
+                    error=f"{type(exc).__name__}: {exc}",
+                    wall_time_s=time.perf_counter() - started,
+                )
+
+    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
+        """Respawn the pool a worker death broke, once per broken pool
+        however many threads saw it break."""
+        with self._pool_lock:
+            if self._pool is not broken:
+                return  # already replaced, or stopped by shutdown()
+            broken.shutdown(wait=False, cancel_futures=True)
+            self.metrics.inc("service.worker_recoveries")
+            self._pool = _start_pool(
+                self.config.workers, self._instance_cache_size
+            )
+
+    def _stop_pool(self, drained: bool) -> None:
+        with self._pool_lock:
+            pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if not drained:
+            # A job outlived the drain: end its worker (which ignores
+            # SIGTERM) instead of waiting for it.
+            for process in list(pool._processes.values()):
+                process.kill()
+        pool.shutdown(wait=True, cancel_futures=True)
 
     # -- replies ------------------------------------------------------
 

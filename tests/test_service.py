@@ -12,7 +12,13 @@ Covers, per ISSUE requirements:
 * the admission counters in the daemon's metrics registry, whose
   identity holds in the final ``repro.metrics/1`` snapshot (the
   retired ``stats`` op gets the unknown-op error reply);
-* graceful drain on shutdown;
+* graceful drain on shutdown, also when a signal reaches the whole
+  process group, and a drain timeout that ends a stuck worker;
+* the worker processes: per-worker instance reuse and kernel pins,
+  counters and events that cross the process boundary, a dead worker
+  and the respawned pool, the no-pool fallback, workers that exit with
+  a killed daemon;
+* the 16 MiB frame cap, enforced while a line is read;
 * a 64-client concurrent mixed optimize/sweep workload whose replies
   are bit-identical to direct ``repro.api`` calls with nonzero
   dedup/cache hits and zero drops — the acceptance smoke, in-process.
@@ -20,9 +26,18 @@ Covers, per ISSUE requirements:
 
 from __future__ import annotations
 
+import json
+import multiprocessing
+import os
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -30,15 +45,26 @@ from repro import api
 from repro.core.results import PlanResult
 from repro.hashjoin.instance import QOHInstance
 from repro.joinopt.instance import Graph
-from repro.observability import validate_metrics
+from repro.observability import (
+    Tracer,
+    counter_totals,
+    load_events,
+    use_tracer,
+    validate_metrics,
+    validate_trace,
+)
 from repro.runtime.runner import OPTIMIZERS
 from repro.service import (
     OptimizationServer,
     ServerConfig,
     ServiceClient,
+    ServiceError,
     ServiceUnavailable,
     protocol,
 )
+from repro.service import server as server_module
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 DRAIN_TIMEOUT = 30.0
 
@@ -77,12 +103,19 @@ def make_server():
 
 @pytest.fixture
 def slow_optimizer():
-    """A registered optimizer that blocks until the test releases it."""
-    release = threading.Event()
-    calls = []
+    """A registered optimizer that blocks until the test releases it.
+
+    It runs in the daemon's forked worker processes, so the release
+    event and the call counter are process-shared; register it before
+    the server starts, so the workers inherit it.
+    """
+    context = multiprocessing.get_context("fork")
+    release = context.Event()
+    calls = context.Value("i", 0)
 
     def slow(instance, tag=0):
-        calls.append(tag)
+        with calls.get_lock():
+            calls.value += 1
         release.wait(DRAIN_TIMEOUT)
         return PlanResult(
             cost=17, sequence=(0, 1), optimizer="slow",
@@ -110,6 +143,10 @@ def qoh_instance():
          (2, 3): Fraction(1, 4)},
         memory=64,
     )
+
+
+#: Four optimizers that each compile the QO_N kernel of their instance.
+KERNEL_ALGORITHMS = ("sampling", "greedy-cost", "iterative", "annealing")
 
 
 def wait_until(predicate, timeout=DRAIN_TIMEOUT):
@@ -210,7 +247,7 @@ class TestResultCache:
     def test_instance_objects_are_reused_across_requests(
         self, make_server, qon_instance
     ):
-        server, address = make_server()
+        server, address = make_server(workers=1)
         sampling = api.OptimizeRequest.build(
             qon_instance, "sampling", samples=10, rng=1,
         )
@@ -226,6 +263,40 @@ class TestResultCache:
         metrics = server.metrics
         assert metrics.counter_value("runtime.registry_misses") == 1
         assert metrics.counter_value("runtime.registry_hits") >= 1
+
+    def test_instance_objects_are_reused_within_each_worker(
+        self, make_server, qon_instance
+    ):
+        server, address = make_server(workers=2)
+        sampling = api.OptimizeRequest.build(
+            qon_instance, "sampling", samples=10, rng=1,
+        )
+        greedy = api.OptimizeRequest.build(qon_instance, "greedy-cost")
+        with ServiceClient(address) as client:
+            assert client.optimize(sampling).ok
+            assert client.optimize(greedy).ok
+        # Each worker process keeps its own LRU: the second request
+        # hits only if it lands on the worker that decoded the first.
+        hits = server.metrics.counter_value("runtime.registry_hits")
+        misses = server.metrics.counter_value("runtime.registry_misses")
+        assert misses <= 2
+        assert hits + misses == 2
+
+    def test_repeated_requests_compile_one_kernel(self, make_server):
+        server, address = make_server(workers=1)
+        instance = api.generate("chain", 9, seed=1)
+        with ServiceClient(address) as client:
+            for algorithm in KERNEL_ALGORITHMS:
+                reply = client.optimize(
+                    api.OptimizeRequest.build(instance, algorithm)
+                )
+                assert reply.ok and not reply.cached
+        # The worker keeps the live instance and pins its kernel, so
+        # only the first request compiles it.
+        metrics = server.metrics
+        assert metrics.counter_value("runtime.registry_misses") == 1
+        assert metrics.counter_value("runtime.registry_hits") == 3
+        assert metrics.counter_value("perf.kernel_compiles") == 1
 
 
 # ---------------------------------------------------------------------
@@ -259,7 +330,7 @@ class TestDedup:
         release.set()
         for thread in threads:
             thread.join(DRAIN_TIMEOUT)
-        assert len(calls) == 1  # exactly one computation ran
+        assert calls.value == 1  # exactly one computation ran
         assert len(replies) == 6
         assert all(reply.ok for reply in replies)
         assert sum(reply.coalesced for reply in replies) == 5
@@ -296,7 +367,7 @@ class TestBackpressure:
             # First occupies the worker, second fills the queue...
             busy = threading.Thread(target=submit, args=(requests[0],))
             busy.start()
-            wait_until(lambda: len(_calls) == 1)
+            wait_until(lambda: _calls.value == 1)
             queued = threading.Thread(target=submit, args=(requests[1],))
             queued.start()
             wait_until(lambda: len(server._pending) == 1)
@@ -372,6 +443,25 @@ class TestSweepService:
             assert_bit_identical(got.result, want.result)
             assert_bit_identical(got.result.cost, want.result.cost)
 
+    def test_served_sweep_timeout_holds_as_in_a_direct_sweep(
+        self, make_server
+    ):
+        # The worker process runs the job on its main thread, where the
+        # runner's alarm works; on a daemon thread it had none.
+        spec = api.SweepSpec.build(
+            ["exhaustive"], [("c9", api.generate("chain", 9, seed=1))],
+            workers=1, timeout=0.02,
+        )
+        (want,) = api.execute_request(spec)
+        _server, address = make_server()
+        with ServiceClient(address) as client:
+            reply = client.sweep(spec)
+        assert reply.ok
+        (got,) = reply.result
+        assert want.timed_out and want.failure == "timeout"
+        assert got.timed_out and got.failure == "timeout"
+        assert got.result == want.result
+
     def test_traced_sweep_returns_span_records(
         self, make_server, qon_instance
     ):
@@ -429,6 +519,40 @@ class TestShutdown:
         assert final["gauges"]["service.in_flight"] == 0
         early_client.close()
         late_client.close()
+
+    def test_drain_timeout_ends_a_stuck_worker(
+        self, make_server, monkeypatch, qon_instance
+    ):
+        # No multiprocessing.Event here: a waiter killed inside its
+        # condition would leave the event unable to ever set.
+        calls = multiprocessing.get_context("fork").Value("i", 0)
+
+        def stuck(instance):
+            with calls.get_lock():
+                calls.value += 1
+            time.sleep(DRAIN_TIMEOUT)
+
+        monkeypatch.setitem(OPTIMIZERS, "stuck", stuck)
+        server, address = make_server(workers=1)
+        workers = list(server._pool._processes)
+        request = api.OptimizeRequest.build(qon_instance, "stuck")
+
+        def submit():
+            with ServiceClient(address, handshake=False) as client:
+                try:
+                    client.optimize(request)
+                except ServiceError:
+                    pass  # the drain gave up on it and hung up
+
+        waiting = threading.Thread(target=submit)
+        waiting.start()
+        wait_until(lambda: calls.value == 1)
+        started = time.monotonic()
+        server.shutdown(drain_timeout=0.2)
+        # The job would hold its worker for DRAIN_TIMEOUT seconds.
+        assert time.monotonic() - started < DRAIN_TIMEOUT / 2
+        assert all(exited(pid) for pid in workers)
+        waiting.join(DRAIN_TIMEOUT)
 
     def test_shutdown_op_stops_the_server(self, make_server, qon_instance):
         server, address = make_server()
@@ -536,4 +660,307 @@ class TestConcurrentMixedWorkload:
         assert counters["cache_hits"] + counters["coalesced"] == 54
         assert counters["cache_hits"] > 0 or counters["coalesced"] > 0
         assert final["gauges"]["service.queue_depth"] == 0
+        assert final["gauges"]["service.in_flight"] == 0
+
+
+# ---------------------------------------------------------------------
+# Frame cap, enforced while reading
+# ---------------------------------------------------------------------
+
+
+class TestFrameCap:
+    def test_over_cap_line_closes_the_connection(
+        self, make_server, qon_instance
+    ):
+        _server, address = make_server()
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(b"x" * (protocol.MAX_FRAME_BYTES + 1))
+            try:
+                tail = sock.recv(1)
+            except ConnectionResetError:
+                tail = b""
+            assert tail == b""  # the daemon hung up without a newline
+        with ServiceClient(address) as client:
+            assert client.optimize(
+                api.OptimizeRequest.build(qon_instance, "dp")
+            ).ok
+
+    def test_client_refuses_an_over_cap_reply(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer_too_long():
+            conn, _peer = listener.accept()
+            with conn:
+                conn.settimeout(10.0)
+                conn.makefile("rb").readline()
+                conn.sendall(b"x" * (protocol.MAX_FRAME_BYTES + 1))
+                try:
+                    conn.recv(1)  # until the client hangs up
+                except OSError:
+                    pass
+
+        peer = threading.Thread(target=answer_too_long)
+        peer.start()
+        try:
+            client = ServiceClient(
+                listener.getsockname()[:2], handshake=False
+            )
+            with pytest.raises(ServiceError, match="frame cap"):
+                client.call("hello")
+        finally:
+            peer.join(DRAIN_TIMEOUT)
+            listener.close()
+
+
+# ---------------------------------------------------------------------
+# Worker processes: death, telemetry parity, the no-pool fallback
+# ---------------------------------------------------------------------
+
+_TEST_PID = os.getpid()
+
+
+def _die_in_worker(instance, **_kwargs):
+    """An optimizer whose worker process dies mid-job."""
+    if os.getpid() == _TEST_PID:
+        raise RuntimeError("computing in the test process, not a worker")
+    os._exit(3)
+
+
+class TestWorkerProcesses:
+    def test_dead_worker_gives_an_error_reply_and_a_fresh_pool(
+        self, make_server, monkeypatch, qon_instance
+    ):
+        monkeypatch.setitem(OPTIMIZERS, "die", _die_in_worker)
+        server, address = make_server(workers=1)
+        request = api.OptimizeRequest.build(qon_instance, "dp")
+        with ServiceClient(address) as client:
+            died = client.optimize(
+                api.OptimizeRequest.build(qon_instance, "die")
+            )
+            after = client.optimize(request)
+            counters = client.metrics()["counters"]
+        assert died.status == "error"
+        assert "BrokenProcessPool" in (died.error or "")
+        assert after.ok and not after.cached
+        assert_bit_identical(after.result, api.execute_request(request))
+        assert counters["service.errors"] == 1
+        assert counters["service.computed"] == 1
+        assert counters["service.worker_recoveries"] == 1
+        assert counters["service.received"] == answered(counters) == 2
+        assert server._pool is not None
+
+    def test_worker_counters_equal_in_process_counts(
+        self, make_server, monkeypatch
+    ):
+        instance = api.generate("chain", 9, seed=1)
+        requests = [
+            api.OptimizeRequest.build(instance, algorithm)
+            for algorithm in KERNEL_ALGORITHMS
+        ] + [
+            api.SweepSpec.build(
+                ["dp", "greedy-cost"], [("c9", instance)], workers=1,
+            )
+        ]
+        names = (
+            "perf.kernel_compiles",
+            "runtime.registry_hits",
+            "runtime.registry_misses",
+            "runtime.cost_evaluations",
+            "runtime.cache_hits",
+        )
+
+        def serve_all(server, address):
+            with ServiceClient(address) as client:
+                replies = [
+                    client.optimize(request)
+                    if isinstance(request, api.OptimizeRequest)
+                    else client.sweep(request)
+                    for request in requests
+                ]
+            assert all(reply.ok for reply in replies)
+            counts = {
+                name: server.metrics.counter_value(name) for name in names
+            }
+            return [reply.result for reply in replies], counts
+
+        pooled, pooled_counts = serve_all(*make_server(workers=1))
+        # No pool can be created: the worker thread computes in the
+        # daemon's own process, through the same job function.
+        monkeypatch.setattr(server_module, "_start_pool", lambda *_: None)
+        threaded_server, address = make_server(workers=1)
+        assert threaded_server._pool is None
+        threaded, threaded_counts = serve_all(threaded_server, address)
+
+        assert pooled_counts == threaded_counts
+        assert pooled_counts["perf.kernel_compiles"] == 1
+        direct_evaluations = 0
+        for request, got_pooled, got_threaded in zip(
+            requests, pooled, threaded
+        ):
+            cache = api.CostCache()
+            with api.use_cache(cache):
+                want = api.execute_request(request)
+            direct_evaluations += cache.misses
+            if isinstance(want, PlanResult):
+                assert_bit_identical(got_pooled, want)
+                assert_bit_identical(got_threaded, want)
+                continue
+            direct_evaluations += want.evaluations
+            for pooled_outcome, threaded_outcome, want_outcome in zip(
+                got_pooled, got_threaded, want
+            ):
+                assert_bit_identical(
+                    pooled_outcome.result, want_outcome.result
+                )
+                assert_bit_identical(
+                    threaded_outcome.result, want_outcome.result
+                )
+        assert pooled_counts["runtime.cost_evaluations"] == (
+            direct_evaluations
+        )
+
+    def test_served_sweep_events_reach_the_event_log(
+        self, make_server, tmp_path, qon_instance
+    ):
+        events_out = tmp_path / "events.jsonl"
+        server, address = make_server(events_out=str(events_out))
+        spec = api.SweepSpec.build(
+            ["dp", "greedy-cost"], [("q5", qon_instance)], workers=1,
+        )
+        with ServiceClient(address) as client:
+            assert client.sweep(spec).ok
+        server.request_stop()
+        server.shutdown(drain_timeout=DRAIN_TIMEOUT)
+        events = load_events(str(events_out))
+        kinds = [event["kind"] for event in events]
+        assert kinds.count("service.admit") == 1
+        assert kinds.count("task.start") == 2
+        assert kinds.count("task.finish") == 2
+        finished = {
+            (event["optimizer"], event["label"], event["ok"])
+            for event in events if event["kind"] == "task.finish"
+        }
+        assert finished == {("dp", "q5", True), ("greedy-cost", "q5", True)}
+
+    def test_traced_replies_stitch_across_the_process_boundary(
+        self, make_server, qon_instance
+    ):
+        _server, address = make_server()
+        tracer = Tracer("client")
+        with use_tracer(tracer), ServiceClient(address) as client:
+            reply = client.optimize(
+                api.OptimizeRequest.build(qon_instance, "dp")
+            )
+        assert reply.ok
+        records = tracer.finish()
+        validate_trace(records)
+        by_id = {record["id"]: record for record in records}
+        (grafted,) = [
+            record for record in records
+            if "origin" in record.get("attrs", {})
+        ]
+        # The root the worker process recorded hangs under the client's
+        # own span and names that span and the trace it belongs to.
+        client_span = by_id[grafted["parent"]]
+        assert client_span["name"] == grafted["name"] == "service.optimize"
+        attrs = grafted["attrs"]
+        assert attrs["parent_span"] == client_span["id"]
+        assert attrs["origin"] == "service-" + attrs["trace_id"][:8]
+        assert counter_totals(records) == dict(reply.counters)
+        assert dict(reply.counters)["cost_evaluations"] > 0
+
+
+# ---------------------------------------------------------------------
+# Ctrl-C: a signal to the whole process group still drains
+# ---------------------------------------------------------------------
+
+
+def start_daemon(tmp_path, *flags):
+    """``python -m repro serve`` in a session of its own, and its
+    address."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--socket", "127.0.0.1:0", *flags],
+        stdout=subprocess.PIPE, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+        start_new_session=True,
+    )
+    match = re.search(
+        r"listening on (\S+):(\d+) ", process.stdout.readline()
+    )
+    if match is None:
+        kill_daemon(process)
+        raise AssertionError("the daemon did not start")
+    return process, (match.group(1), int(match.group(2)))
+
+
+def kill_daemon(process):
+    """SIGKILL the daemon; its stdout is not read to EOF, since worker
+    processes share the pipe."""
+    process.kill()
+    process.wait()
+    process.stdout.close()
+
+
+def exited(pid):
+    """Whether process ``pid`` is gone or a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestSignals:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task"),
+        reason="reads child pids from /proc",
+    )
+    def test_workers_exit_when_the_daemon_is_killed(self, tmp_path):
+        process, _address = start_daemon(tmp_path, "--workers", "2")
+        try:
+            with open(
+                f"/proc/{process.pid}/task/{process.pid}/children"
+            ) as children:
+                workers = [int(pid) for pid in children.read().split()]
+        finally:
+            kill_daemon(process)
+        assert len(workers) == 2
+        # They ignore SIGTERM, and nobody is left to shut the pool.
+        wait_until(lambda: all(exited(pid) for pid in workers), 10.0)
+
+    def test_sigint_to_the_process_group_drains(self, tmp_path):
+        request = api.OptimizeRequest.build(
+            api.generate("random", 13, seed=3), "dp"
+        )
+        process, address = start_daemon(tmp_path, "--workers", "2")
+        replies = []
+        try:
+
+            def submit():
+                with ServiceClient(address) as client:
+                    replies.append(client.optimize(request))
+
+            submitter = threading.Thread(target=submit)
+            submitter.start()
+            with ServiceClient(address) as monitor:
+                wait_until(
+                    lambda: monitor.metrics()["gauges"]["service.in_flight"]
+                    == 1
+                )
+            os.killpg(os.getpgid(process.pid), signal.SIGINT)
+            submitter.join(DRAIN_TIMEOUT)
+            # EOF on stdout also means no worker still holds the pipe.
+            out, _ = process.communicate(timeout=DRAIN_TIMEOUT)
+        finally:
+            if process.poll() is None:
+                kill_daemon(process)
+        assert process.returncode == 0
+        assert len(replies) == 1 and replies[0].ok
+        assert_bit_identical(replies[0].result, api.execute_request(request))
+        final = json.loads(out.strip().splitlines()[-1])
+        assert validate_metrics(final) == []
+        counters = final["counters"]
+        assert counters["service.received"] == answered(counters) == 1
+        assert counters["service.computed"] == 1
         assert final["gauges"]["service.in_flight"] == 0
