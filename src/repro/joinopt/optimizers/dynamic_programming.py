@@ -12,27 +12,42 @@ Selinger-style exact optimizer for the paper's cost model; it agrees
 with :func:`~repro.joinopt.optimizers.exhaustive.exhaustive_optimal`
 on every instance (a property test in the suite enforces it).
 
-The loop reads the instance only through its compiled kernel
-(:func:`~repro.perf.kernels.compile_qon`).  Each mask carries one probe
-row, ``probe(X)[j] = min_{k in X} w[k][j]``, combined in O(n) from the
-row of its lowest member and the row of the rest of the mask, so each
+The loop reads the instance only through its compiled kernel's DP view
+(:meth:`~repro.perf.kernels.CompiledQON.dp_view`), at a few entry
+points: the singleton sizes, the probe rows, the size extension and
+two exits.  Each mask carries one probe row,
+``probe(X)[j] = min_{k in X} w[k][j]``, combined in O(n) from the row of
+its lowest member and the row of the rest of the mask, so each
 transition costs O(1) table reads instead of O(|X|) accessor calls.
 
-Prefix sizes (and so the transition costs built on them) are carried as
-plain ``int`` while they are integral (:func:`~repro.perf.kernels.mul`),
-which on the paper's gap instances is always.  Types are restored by
-the kernel's one rule (:meth:`~repro.perf.kernels.CompiledQON.retype`)
-where a value leaves: each ``qon-size`` cache entry by its own mask, the
-final cost by the parent mask of the full set.
+The kernel's statistics pick the view; no setting does:
+
+* :class:`~repro.perf.kernels.IntegerView` when they are plain
+  ``int``/``Fraction`` and some size or access cost is a ``Fraction``,
+  as in every generated query family.  Sizes, probes and costs are
+  scaled to ``int``s by one common denominator, so every transition
+  and comparison is an ``int`` operation.
+* :class:`~repro.perf.kernels.DemotedView` otherwise (the paper's gap
+  instances, ``LogNumber`` values, counting proxies).  Prefix sizes,
+  and so the transition costs built on them, are plain ``int`` while
+  they are integral (:func:`~repro.perf.kernels.mul`), which on the
+  gap instances is always.
+
+Both keep the relaxation order, so winners, tie-breaks and ``explored``
+do not depend on the view.  A value leaves with its reference type:
+each ``qon-size`` cache entry by its own mask
+(:meth:`~repro.perf.kernels.CompiledQON.retype`), the final cost by the
+parent mask of the full set and, on the integer view, by the probes of
+the returned sequence.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
-from repro.perf.kernels import compile_qon, demote, iter_bits, mul
+from repro.perf.kernels import compile_qon
 from repro.runtime.costcache import active_cache
 from repro.utils.validation import require
 from repro.observability.tracer import traced
@@ -65,19 +80,25 @@ def dp_optimal(
         )
 
     kernel = compile_qon(instance)
-    sel, access, adj = kernel.sel, kernel.access, kernel.adj
-    sizes = [demote(size) for size in kernel.sizes]
-    retype = kernel.retype
+    view = kernel.dp_view()
+    sizes, probes, extend = view.sizes, view.probes, view.extend
     full = kernel.full_mask
     cache = active_cache()
 
-    def cached_size(key: int, compute: Callable[[], object]) -> object:
+    def cached_size(key: int, base: object, mask: int, j: int) -> object:
         # Entries hold the reference type, exactly what bnb and
-        # exhaustive store; hits are demoted as they are read.
+        # exhaustive store; a hit is brought into the view as it is
+        # read, a miss keeps the value the view computed.
         assert cache is not None
-        return demote(cache.get_or_compute(
-            instance, "qon-size", key, lambda: retype(compute(), key)
-        ))
+        computed: List[object] = []
+
+        def compute() -> object:
+            size = extend(base, mask, j)
+            computed.append(size)
+            return view.size_exit(size, key)
+
+        entry = cache.get_or_compute(instance, "qon-size", key, compute)
+        return computed[0] if computed else view.size_entry(entry)
 
     # Connectivity includes unit-selectivity edges, which the kernel's
     # ``adj`` leaves out, so it gets bitmasks of its own.
@@ -107,7 +128,7 @@ def dp_optimal(
 
     explored = n
     # Probe rows of the previous popcount layer, by mask.  The row of a
-    # singleton {k} is ``access[k]`` itself; its diagonal placeholder,
+    # singleton {k} is ``probes[k]`` itself; its diagonal placeholder,
     # like every entry at a member of the mask, is never read.
     previous_rows: Dict[int, Sequence[object]] = {}
     # Iterate source masks one popcount layer at a time; Gosper's hack
@@ -122,7 +143,7 @@ def dp_optimal(
         mask = (1 << layer) - 1
         while mask <= full:
             low = mask & -mask
-            probe: Sequence[object] = access[low.bit_length() - 1]
+            probe: Sequence[object] = probes[low.bit_length() - 1]
             if layer > 1:
                 # ``min`` over ascending members keeps the lowest-index
                 # minimum, so the lowest member wins ties: equal values
@@ -151,23 +172,14 @@ def dp_optimal(
                     best_cost[new_mask] = new_cost
                     parent[new_mask] = (mask, j)
                     if prefix_size[new_mask] is None:
-                        def extend_size(
-                            base: object = base_size,
-                            j: int = j,
-                            mask: int = mask,
-                        ) -> object:
-                            size = mul(base, sizes[j])
-                            row = sel[j]
-                            for k in iter_bits(adj[j] & mask):
-                                size = mul(size, row[k])
-                            return size
-
                         if cache is not None:
                             prefix_size[new_mask] = cached_size(
-                                new_mask, extend_size
+                                new_mask, base_size, mask, j
                             )
                         else:
-                            prefix_size[new_mask] = extend_size()
+                            prefix_size[new_mask] = extend(
+                                base_size, mask, j
+                            )
             mask = _next_same_popcount(mask)
         previous_rows = rows
 
@@ -190,7 +202,7 @@ def dp_optimal(
     sequence.reverse()
 
     return PlanResult(
-        cost=retype(best_cost[full], parent[full][0]),
+        cost=view.cost_exit(best_cost[full], sequence),
         sequence=tuple(sequence),
         optimizer="dp",
         explored=explored,

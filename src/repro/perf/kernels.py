@@ -41,6 +41,13 @@ selectivity between two members, is a ``Fraction``), recorded in the
 so a ``Fraction`` probe types its own term by plain arithmetic.
 ``LogNumber`` values and counting proxies are neither ``int`` nor
 ``Fraction``: every helper passes them through plain ``*``.
+
+The subset DP's views.  The DP reads a kernel through one of two views
+with the same entry points (:meth:`CompiledQON.dp_view`):
+:class:`DemotedView` carries the values above, and :class:`IntegerView`
+scales every value to an ``int`` by one common denominator, for
+kernels whose sizes or access costs are non-integral.  Either way a
+value leaves the DP with its reference type.
 """
 
 from __future__ import annotations
@@ -115,7 +122,41 @@ def mul(size: object, factor: object) -> object:
     return product
 
 
-class CompiledQON:
+class _TypeRule:
+    """The type rule of the module docs, over ``frac_sizes`` (the bits
+    of the relations whose size is a ``Fraction``) and ``frac_sel``
+    (per relation, the bits of the neighbors in ``adj`` with a
+    ``Fraction`` selectivity)."""
+
+    __slots__ = ("frac_sizes", "frac_sel")
+
+    frac_sizes: int
+    frac_sel: Tuple[int, ...]
+
+    def fraction_typed(self, mask: int) -> bool:
+        """True when the reference ``N(X)`` of relation set ``mask`` is a
+        ``Fraction``: a member's size or a non-unit selectivity between
+        two members is one."""
+        if mask & self.frac_sizes:
+            return True
+        frac_sel = self.frac_sel
+        rest = mask
+        while rest:
+            low = rest & -rest
+            if frac_sel[low.bit_length() - 1] & mask:
+                return True
+            rest ^= low
+        return False
+
+    def retype(self, value: object, mask: int) -> object:
+        """A demoted ``value`` with its reference type, for a quantity
+        whose largest prefix set is ``mask`` (see module docs)."""
+        if type(value) is int and self.fraction_typed(mask):
+            return Fraction(value)
+        return value
+
+
+class CompiledQON(_TypeRule):
     """Dense read-only view of a :class:`QONInstance` (see module docs).
 
     Besides the tables: ``frac_sizes`` has the bit of every relation
@@ -130,7 +171,7 @@ class CompiledQON:
 
     __slots__ = (
         "instance", "n", "full_mask", "sizes", "sel", "access", "adj",
-        "exact", "frac_sizes", "frac_sel", "mixed_ties", "__weakref__",
+        "exact", "mixed_ties", "_dp_view", "__weakref__",
     )
 
     def __init__(self, instance: QONInstance) -> None:
@@ -178,30 +219,23 @@ class CompiledQON:
             for v, size in enumerate(self.sizes)
             if isinstance(size, Fraction)
         )
-        self.frac_sel: Tuple[int, ...] = tuple(frac_sel)
+        self.frac_sel = tuple(frac_sel)
         self.mixed_ties = exact and _has_mixed_ties(self.access)
+        self._dp_view: "Union[DemotedView, IntegerView, None]" = None
 
-    def fraction_typed(self, mask: int) -> bool:
-        """True when the reference ``N(X)`` of relation set ``mask`` is a
-        ``Fraction``: a member's size or a non-unit selectivity between
-        two members is one."""
-        if mask & self.frac_sizes:
-            return True
-        frac_sel = self.frac_sel
-        rest = mask
-        while rest:
-            low = rest & -rest
-            if frac_sel[low.bit_length() - 1] & mask:
-                return True
-            rest ^= low
-        return False
-
-    def retype(self, value: object, mask: int) -> object:
-        """A demoted ``value`` with its reference type, for a quantity
-        whose largest prefix set is ``mask`` (see module docs)."""
-        if type(value) is int and self.fraction_typed(mask):
-            return Fraction(value)
-        return value
+    def dp_view(self) -> "Union[DemotedView, IntegerView]":
+        """The subset DP's view of this kernel, built on the first call:
+        the :class:`IntegerView` when every statistic is a plain
+        ``int``/``Fraction`` and some size or access cost is a
+        ``Fraction``, the :class:`DemotedView` otherwise."""
+        view = self._dp_view
+        if view is None:
+            view = (
+                IntegerView(self) if _takes_integer_view(self)
+                else DemotedView(self)
+            )
+            self._dp_view = view
+        return view
 
     def check_permutation(self, sequence: Sequence[int]) -> None:
         """The ``check_sequence`` contract in O(n) via the bitmask."""
@@ -232,6 +266,202 @@ def _has_mixed_ties(access: Tuple[Tuple, ...]) -> bool:
             if seen.setdefault(value, type(value)) is not type(value):
                 return True
     return False
+
+
+class DemotedView(_TypeRule):
+    """The subset DP's view on the kernel's own values: sizes demoted,
+    probe rows as compiled, a size extended by :func:`mul` over its
+    non-unit selectivities in ascending order.  It serves any kernel,
+    and is the only view for ``LogNumber`` values and counting proxies,
+    whose operation sequence it keeps.
+
+    The entry points, shared with :class:`IntegerView`: ``sizes`` (the
+    singleton sizes), ``probes`` (``probes[k][j]`` is the cost of
+    probing ``R_j`` from ``R_k``; each mask's row is the element-wise
+    minimum over its members), :meth:`extend`, and the two exits
+    :meth:`size_exit` (with its inverse :meth:`size_entry`) and
+    :meth:`cost_exit`.  Views hold the kernel's tables, never the
+    kernel, so the kernel can memoize its view without a cycle.
+    """
+
+    __slots__ = ("sizes", "probes", "sel", "adj", "full_mask")
+
+    def __init__(self, kernel: CompiledQON) -> None:
+        self.frac_sizes = kernel.frac_sizes
+        self.frac_sel = kernel.frac_sel
+        self.full_mask = kernel.full_mask
+        self.sizes: Tuple = tuple(demote(size) for size in kernel.sizes)
+        self.probes: Tuple[Tuple, ...] = kernel.access
+        self.sel = kernel.sel
+        self.adj = kernel.adj
+
+    def extend(self, size: object, mask: int, vertex: int) -> object:
+        """``N(X + vertex)`` from ``N(X)`` (``mask`` = bits of ``X``)."""
+        size = mul(size, self.sizes[vertex])
+        row = self.sel[vertex]
+        for k in iter_bits(self.adj[vertex] & mask):
+            size = mul(size, row[k])
+        return size
+
+    def size_exit(self, size: object, mask: int) -> object:
+        """The ``qon-size`` cache entry of relation set ``mask``."""
+        return self.retype(size, mask)
+
+    def size_entry(self, value: object) -> object:
+        """A ``qon-size`` cache entry as the view carries it."""
+        return demote(value)
+
+    def cost_exit(self, cost: object, sequence: Sequence[int]) -> object:
+        """The DP's cost of ``sequence``, with its reference type."""
+        return self.retype(cost, self.full_mask ^ (1 << sequence[-1]))
+
+
+class IntegerView(_TypeRule):
+    """The subset DP's view with every value an ``int``: the kernel's
+    values scaled by one common denominator (docs/performance.md).
+
+    ``size_scale`` ``D_N`` is the product of the size denominators and
+    of each non-unit selectivity's denominator, one per edge: a
+    multiple of every ``N(X)``'s denominator, so ``sizes`` and every
+    extended size ``N(X) * D_N`` are ``int``s.  ``probes[k][j]`` is
+    ``w_kj * W``, with ``W`` the lcm of the access-cost denominators.
+    Costs then carry ``cost_scale = D_N * W``, so sums and comparisons
+    are ``int`` operations in the reference order, with the same
+    winners and ties.  A value leaves as one rational: a size as
+    ``N' / D_N``, retyped by its mask; the cost as ``C' / D``, typed by
+    the parent mask and by the probes of the winning sequence.
+    """
+
+    __slots__ = (
+        "sizes", "probes", "access", "adj", "full_mask", "size_num",
+        "size_den", "sel_num", "sel_den", "size_scale", "cost_scale",
+    )
+
+    def __init__(self, kernel: CompiledQON) -> None:
+        n = kernel.n
+        self.frac_sizes = kernel.frac_sizes
+        self.frac_sel = kernel.frac_sel
+        self.full_mask = kernel.full_mask
+        self.adj = kernel.adj
+        self.access = kernel.access
+        size_scale = 1
+        for size in kernel.sizes:
+            size_scale *= size.denominator
+        sel_num: List[Tuple[int, ...]] = []
+        sel_den: List[Tuple[int, ...]] = []
+        for u in range(n):
+            nums = [1] * n
+            dens = [1] * n
+            for v in iter_bits(kernel.adj[u]):
+                selectivity = kernel.sel[u][v]
+                nums[v] = selectivity.numerator
+                dens[v] = selectivity.denominator
+                if v > u:
+                    size_scale *= dens[v]
+            sel_num.append(tuple(nums))
+            sel_den.append(tuple(dens))
+        probe_scale = 1
+        for u, row in enumerate(kernel.access):
+            for v, access in enumerate(row):
+                if v != u:
+                    probe_scale = _lcm(probe_scale, access.denominator)
+        self.size_scale = size_scale
+        self.cost_scale = size_scale * probe_scale
+        self.sizes: Tuple[int, ...] = tuple(
+            _scaled(size, size_scale) for size in kernel.sizes
+        )
+        # The diagonal placeholder is never read; 0 keeps the row int.
+        self.probes: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(
+                0 if v == u else _scaled(access, probe_scale)
+                for v, access in enumerate(row)
+            )
+            for u, row in enumerate(kernel.access)
+        )
+        self.size_num = tuple(size.numerator for size in kernel.sizes)
+        self.size_den = tuple(size.denominator for size in kernel.sizes)
+        self.sel_num = tuple(sel_num)
+        self.sel_den = tuple(sel_den)
+
+    def extend(self, size: int, mask: int, vertex: int) -> int:
+        """``N'(X + vertex)`` from ``N'(X)`` (``mask`` = bits of ``X``):
+        one product of the new factors' numerators and one exact
+        division by their denominators (``N'(X + vertex)`` is an
+        ``int``)."""
+        num = self.size_num[vertex]
+        den = self.size_den[vertex]
+        nums = self.sel_num[vertex]
+        dens = self.sel_den[vertex]
+        for k in iter_bits(self.adj[vertex] & mask):
+            num *= nums[k]
+            den *= dens[k]
+        return size * num // den
+
+    def size_exit(self, size: int, mask: int) -> object:
+        """The ``qon-size`` cache entry of relation set ``mask``."""
+        return self.retype(demote(Fraction(size, self.size_scale)), mask)
+
+    def size_entry(self, value: object) -> int:
+        """A ``qon-size`` cache entry scaled back by ``D_N``."""
+        return _scaled(value, self.size_scale)
+
+    def cost_exit(self, cost: int, sequence: Sequence[int]) -> object:
+        """The DP's cost of ``sequence``, with its reference type: a
+        ``Fraction`` when the largest prefix size is ``Fraction``-typed
+        or some step probes a ``Fraction``-typed access cost, else an
+        ``int`` (a non-integral cost implies one of the two)."""
+        value = Fraction(cost, self.cost_scale)
+        if self.fraction_typed(
+            self.full_mask ^ (1 << sequence[-1])
+        ) or self._probes_fraction(sequence):
+            return value
+        return value.numerator
+
+    def _probes_fraction(self, sequence: Sequence[int]) -> bool:
+        """True when a step of ``sequence`` probes a ``Fraction``-typed
+        access cost.  A step's probe is the lowest-index minimum over
+        its prefix, as the probe rows and the reference ``min`` keep
+        it."""
+        probes = self.probes
+        prefix = 0
+        for vertex in sequence:
+            if prefix:
+                probe = min(
+                    iter_bits(prefix), key=lambda k: probes[k][vertex]
+                )
+                if type(self.access[probe][vertex]) is Fraction:
+                    return True
+            prefix |= 1 << vertex
+        return False
+
+
+def _takes_integer_view(kernel: CompiledQON) -> bool:
+    """The gate of :meth:`CompiledQON.dp_view`: every statistic the DP
+    reads is a plain ``int`` or ``Fraction`` (no ``LogNumber``, no
+    counting proxy), and some size or access cost is a ``Fraction``.
+    The access rows' diagonal placeholders are sizes."""
+    values: List[object] = list(kernel.sizes)
+    for row in kernel.access:
+        values.extend(row)
+    if not any(type(value) is Fraction for value in values):
+        return False
+    for u, neighbors in enumerate(kernel.adj):
+        values.extend(kernel.sel[u][v] for v in iter_bits(neighbors))
+    return all(type(value) in (int, Fraction) for value in values)
+
+
+def _scaled(value: "Union[int, Fraction]", scale: int) -> int:
+    """``value * scale`` for an ``int``/``Fraction`` ``value`` whose
+    denominator divides ``scale``."""
+    return value.numerator * (scale // value.denominator)
+
+
+def _lcm(a: int, b: int) -> int:
+    """The least common multiple of two positive ``int``s."""
+    x, y = a, b
+    while y:
+        x, y = y, x % y
+    return a // x * b
 
 
 class CompiledQOH:

@@ -119,6 +119,7 @@ from repro.runtime.costcache import CacheStats, CostCache, use_cache
 from repro.runtime.registry import InstanceRef, InstanceRegistry
 from repro.starqo.dp import sqocp_dp
 from repro.starqo.optimizer import sqocp_optimal
+from repro.utils.process import exit_with_parent
 from repro.utils.validation import FieldType, require, require_fields
 
 if TYPE_CHECKING:  # runtime imports would be circular: both import this
@@ -723,6 +724,8 @@ def _worker_init(
 
     global _IN_POOL_WORKER, _WORKER_CACHE, _WORKER_REGISTRY
     _IN_POOL_WORKER = True
+    # A sweep killed outright never shuts its pool down.
+    exit_with_parent()
     _WORKER_CACHE = _CacheScope(cache, cache_maxsize, per_attempt)
     _WORKER_REGISTRY = InstanceRegistry.from_payloads(
         payloads, max_live=registry_max_live

@@ -82,14 +82,12 @@ from repro.observability.export import TelemetryExporter
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracer import Tracer, counter_totals, use_tracer
 from repro.service import protocol
+from repro.utils.process import exit_with_parent
 from repro.utils.validation import ValidationError, require
 
 Address = Union[str, Tuple[str, int]]
 
 RequestLike = Union[api.OptimizeRequest, api.SweepSpec]
-
-#: How often a worker process checks that the daemon is still alive.
-_PARENT_POLL_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -205,24 +203,11 @@ def _init_worker(instance_cache_size: int) -> None:
     global _INSTANCES
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    threading.Thread(
-        target=_exit_with_parent, args=(os.getppid(),),
-        name="repro-parent-watch", daemon=True,
-    ).start()
+    # A daemon killed outright never shuts its pool down, and these
+    # workers ignore SIGTERM.
+    exit_with_parent()
     _INSTANCES = api.InstanceRegistry(max_live=instance_cache_size)
     api.pin_kernels(instance_cache_size)
-
-
-def _exit_with_parent(parent: int) -> None:
-    """End a worker process once the daemon is gone.
-
-    A daemon killed outright never shuts its pool down, and its
-    workers ignore SIGTERM, so without this they would wait on the
-    job queue for ever.
-    """
-    while os.getppid() == parent:
-        time.sleep(_PARENT_POLL_S)
-    os._exit(1)
 
 
 def _canonical(

@@ -10,7 +10,10 @@ agree with it in everything observable — the cost's value, type and
 sequence, ``explored`` and the cost-cache counters, in every cache mode.
 The DP carries integral prefix sizes as plain ``int``s, so the cached
 ``qon-size`` entries are compared too: same keys in the same order,
-with the value's type and ``repr``.
+with the value's type and ``repr``.  Kernels with ``Fraction`` sizes or
+access costs run on the integer view (every value scaled by one common
+denominator); ``non_integral_instances`` and the probe-typed examples
+cover it.
 """
 
 from fractions import Fraction
@@ -29,6 +32,7 @@ from repro.joinopt.optimizers import (
 )
 from repro.joinopt.optimizers.dynamic_programming import _next_same_popcount
 from repro.perf.instrument import OpCounter, counting_qon_instance
+from repro.perf.kernels import DemotedView, IntegerView, compile_qon
 from repro.runtime.costcache import CostCache, active_cache, use_cache
 from repro.workloads import qon_gap_pair
 from repro.workloads.queries import (
@@ -263,6 +267,52 @@ def fraction_typed_instances(draw):
     return QONInstance(Graph(n, edges), sizes, selectivities)
 
 
+@st.composite
+def non_integral_instances(draw):
+    """Non-integral ``Fraction`` sizes, selectivities ``a/b`` with
+    ``2 <= a < b``, and access costs strictly inside ``[t_j s_ij, t_j]``
+    with denominators of their own, so the integer view's two scales
+    differ and few of the values it carries are integral."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    sizes = []
+    for _ in range(n):
+        denominator = draw(st.integers(min_value=2, max_value=9))
+        whole = draw(st.integers(min_value=0, max_value=500))
+        rest = draw(st.integers(min_value=1, max_value=denominator - 1))
+        sizes.append(Fraction(whole * denominator + rest, denominator))
+    selectivities = {}
+    for edge in edges:
+        b = draw(st.integers(min_value=3, max_value=30))
+        selectivities[edge] = Fraction(
+            draw(st.integers(min_value=2, max_value=b - 1)), b
+        )
+    access = {}
+    for u, v in edges:
+        for i, j in ((u, v), (v, u)):
+            low = sizes[j] * selectivities[(u, v)]
+            parts = draw(st.integers(min_value=2, max_value=7))
+            share = Fraction(
+                draw(st.integers(min_value=1, max_value=parts - 1)), parts
+            )
+            access[(i, j)] = low + (sizes[j] - low) * share
+    return QONInstance(Graph(n, edges), sizes, selectivities, access)
+
+
+def _probe_typed_instance(w_12):
+    """Sizes ``[1, 2, 1000]`` and one edge ``(1, 2)`` with ``s_12 = 1/2``
+    and ``w_21 = 3/2``.  Both optimal sequences, ``(0, 1, 2)`` and
+    ``(1, 0, 2)``, have the parent mask ``{0, 1}``, which is not
+    ``Fraction``-typed, so their last probe decides the cost's type."""
+    return QONInstance(
+        Graph(3, [(1, 2)]),
+        [1, 2, 1000],
+        {(1, 2): Fraction(1, 2)},
+        {(1, 2): w_12, (2, 1): Fraction(3, 2)},
+    )
+
+
 class TestDPMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(family_instances(), st.booleans())
@@ -290,6 +340,27 @@ class TestDPMatchesReference:
     def test_fraction_typed_integral_values(self, instance, allow_cartesian):
         _assert_identical_runs(instance, allow_cartesian=allow_cartesian)
 
+    @settings(max_examples=100, deadline=None)
+    @given(non_integral_instances(), st.booleans())
+    def test_non_integral_statistics(self, instance, allow_cartesian):
+        assert isinstance(compile_qon(instance).dp_view(), IntegerView)
+        _assert_identical_runs(instance, allow_cartesian=allow_cartesian)
+
+    @pytest.mark.parametrize("allow_cartesian", [True, False])
+    @pytest.mark.parametrize("w_12, cost", [
+        # No Fraction-typed access cost is probed on the winning
+        # sequence: the cost is an int.
+        (1000, 2002),
+        # The last step probes w_12, a Fraction-typed 999.
+        (Fraction(999), Fraction(2000, 1)),
+    ])
+    def test_a_probe_types_the_cost(self, w_12, cost, allow_cartesian):
+        instance = _probe_typed_instance(w_12)
+        assert isinstance(compile_qon(instance).dp_view(), IntegerView)
+        _assert_identical_runs(instance, allow_cartesian=allow_cartesian)
+        got = dp_optimal(instance, allow_cartesian=allow_cartesian).cost
+        assert type(got) is type(cost) and repr(got) == repr(cost)
+
     @pytest.mark.parametrize("side", ["yes", "no"])
     @pytest.mark.parametrize("allow_cartesian", [True, False])
     def test_theorem9_pair(self, side, allow_cartesian):
@@ -302,9 +373,11 @@ class TestDPMatchesReference:
 
 @st.composite
 def shared_cache_instances(draw):
-    if draw(st.booleans()):
-        return draw(family_instances(max_n=7))
-    return draw(fraction_typed_instances())
+    return draw(st.one_of(
+        family_instances(max_n=7),
+        fraction_typed_instances(),
+        non_integral_instances(),
+    ))
 
 
 @settings(max_examples=30, deadline=None)
@@ -332,6 +405,28 @@ def test_shared_cache_counters_match(instance):
                     )
             trails.append(trail)
         assert trails[0] == trails[1], order
+
+
+def test_view_gate():
+    """The integer view takes plain ``int``/``Fraction`` statistics with
+    a ``Fraction`` size or access cost, as every generated query has.
+    Theorem 9 kernels (every size and access cost an ``int``, at the
+    parameters the benchmark uses), ``LogNumber`` values and counting
+    proxies keep the demoted tables."""
+    for family in FAMILIES.values():
+        query = family(6, rng=3)
+        assert isinstance(compile_qon(query).dp_view(), IntegerView)
+        assert isinstance(
+            compile_qon(query.to_log_domain()).dp_view(), DemotedView
+        )
+        proxied = counting_qon_instance(query, OpCounter())
+        assert isinstance(compile_qon(proxied).dp_view(), DemotedView)
+    for n in range(8, 15):
+        k_no = n // 3 + (n - 2 - n // 3) % 2
+        pair = qon_gap_pair(n, n - 2, k_no, alpha=4)
+        for reduction in (pair.yes_reduction, pair.no_reduction):
+            kernel = compile_qon(reduction.instance)
+            assert isinstance(kernel.dp_view(), DemotedView)
 
 
 def test_counting_proxy_op_counts_pinned():

@@ -19,6 +19,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,7 @@ from repro.starqo.instance import SQOCPInstance, StarPlan
 from repro.utils.lognum import LogNumber
 from repro.utils.validation import ValidationError
 from repro.workloads.queries import random_query
+from tests.test_service import exited
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -588,6 +590,56 @@ class TestRealSigkill:
         resumed = run_sweep(tasks, workers=1, journal=journal, resume=True)
         assert resumed.resumed == 2
         assert_equivalent(resumed, _uninterrupted(tasks, tmp_path))
+
+
+def _children(pid):
+    """The pids of the child processes of ``pid``."""
+    with open(f"/proc/{pid}/task/{pid}/children") as children:
+        return [int(child) for child in children.read().split()]
+
+
+class TestKilledSweepPool:
+    @pytest.mark.skipif(
+        not os.path.exists(f"/proc/{os.getpid()}/task"),
+        reason="reads child pids from /proc",
+    )
+    def test_pool_workers_exit_when_the_sweep_is_killed(self, tmp_path):
+        """A SIGKILLed sweep never shuts its pool down: its workers
+        must notice on their own (they poll every 0.5 s)."""
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "sweep", "--family", "gap",
+                "--n", "12,13,14", "--algorithms", "dp,exhaustive",
+                "--workers", "2",
+            ],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60.0
+            while len(workers) < 2:
+                assert process.poll() is None, "the sweep ended early"
+                assert time.monotonic() < deadline, "no pool workers"
+                time.sleep(0.05)
+                workers = _children(process.pid)
+            process.kill()
+            process.wait()
+            deadline = time.monotonic() + 3.0
+            while time.monotonic() < deadline:
+                if all(exited(pid) for pid in workers):
+                    break
+                time.sleep(0.05)
+            assert [pid for pid in workers if not exited(pid)] == []
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            for pid in workers:
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestTraceIntegration:
