@@ -386,10 +386,12 @@ class ProjectModel:
                         return CallTarget(kind="function", function=method)
                 return _UNKNOWN
             head = chain[0]
-            if head in module.imports:
-                base = module.imports[head]
-                tail = chain[1:]
-                dotted = ".".join([base] + tail) if base else ".".join(tail)
-                return self.resolve_dotted(dotted)
-            return CallTarget(kind="external", dotted=".".join(chain))
+            if head not in module.imports:
+                # A local, parameter or builtin: a method on a value,
+                # never a module function, whatever the value's name.
+                return _UNKNOWN
+            base = module.imports[head]
+            tail = chain[1:]
+            dotted = ".".join([base] + tail) if base else ".".join(tail)
+            return self.resolve_dotted(dotted)
         return _UNKNOWN

@@ -47,7 +47,9 @@ with the same entry points (:meth:`CompiledQON.dp_view`):
 :class:`DemotedView` carries the values above, and :class:`IntegerView`
 scales every value to an ``int`` by one common denominator, for
 kernels whose sizes or access costs are non-integral.  Either way a
-value leaves the DP with its reference type.
+value leaves the DP with its reference type.  The greedy optimizers
+read the same view when a kernel's statistics let them rank
+candidates by its numbers (``repro.joinopt.optimizers.greedy``).
 """
 
 from __future__ import annotations
@@ -224,7 +226,8 @@ class CompiledQON(_TypeRule):
         self._dp_view: "Union[DemotedView, IntegerView, None]" = None
 
     def dp_view(self) -> "Union[DemotedView, IntegerView]":
-        """The subset DP's view of this kernel, built on the first call:
+        """The view of this kernel the subset DP and the greedy
+        optimizers read, built on the first call:
         the :class:`IntegerView` when every statistic is a plain
         ``int``/``Fraction`` and some size or access cost is a
         ``Fraction``, the :class:`DemotedView` otherwise."""
@@ -236,6 +239,21 @@ class CompiledQON(_TypeRule):
             )
             self._dp_view = view
         return view
+
+    def plain(self) -> bool:
+        """True when every statistic the views read is a plain ``int``
+        or ``Fraction`` (no ``LogNumber``, no counting proxy): the
+        access rows, whose diagonal placeholders are the sizes, and the
+        non-unit selectivities."""
+        types = (int, Fraction)
+        sel = self.sel
+        return all(
+            type(value) in types for row in self.access for value in row
+        ) and all(
+            type(sel[u][v]) in types
+            for u, neighbors in enumerate(self.adj)
+            for v in iter_bits(neighbors)
+        )
 
     def check_permutation(self, sequence: Sequence[int]) -> None:
         """The ``check_sequence`` contract in O(n) via the bitmask."""
@@ -278,8 +296,9 @@ class DemotedView(_TypeRule):
     The entry points, shared with :class:`IntegerView`: ``sizes`` (the
     singleton sizes), ``probes`` (``probes[k][j]`` is the cost of
     probing ``R_j`` from ``R_k``; each mask's row is the element-wise
-    minimum over its members), :meth:`extend`, and the two exits
-    :meth:`size_exit` (with its inverse :meth:`size_entry`) and
+    minimum over its members), ``adj``, :meth:`extend`, :meth:`select`
+    (one selectivity factor, for the greedy size keys), and the two
+    exits :meth:`size_exit` (with its inverse :meth:`size_entry`) and
     :meth:`cost_exit`.  Views hold the kernel's tables, never the
     kernel, so the kernel can memoize its view without a cycle.
     """
@@ -302,6 +321,11 @@ class DemotedView(_TypeRule):
         for k in iter_bits(self.adj[vertex] & mask):
             size = mul(size, row[k])
         return size
+
+    def select(self, value: object, u: int, v: int) -> object:
+        """``value`` times the selectivity ``s_uv``, for ``u`` in
+        ``adj[v]``."""
+        return mul(value, self.sel[v][u])
 
     def size_exit(self, size: object, mask: int) -> object:
         """The ``qon-size`` cache entry of relation set ``mask``."""
@@ -397,6 +421,13 @@ class IntegerView(_TypeRule):
             den *= dens[k]
         return size * num // den
 
+    def select(self, value: int, u: int, v: int) -> int:
+        """``value`` times the selectivity ``s_uv``, for ``u`` in
+        ``adj[v]``: exact on ``sizes[v]`` times selectivities of other
+        edges into ``v`` (a greedy size key), since ``D_N`` holds each
+        edge's denominator once."""
+        return value * self.sel_num[v][u] // self.sel_den[v][u]
+
     def size_exit(self, size: int, mask: int) -> object:
         """The ``qon-size`` cache entry of relation set ``mask``."""
         return self.retype(demote(Fraction(size, self.size_scale)), mask)
@@ -436,18 +467,12 @@ class IntegerView(_TypeRule):
 
 
 def _takes_integer_view(kernel: CompiledQON) -> bool:
-    """The gate of :meth:`CompiledQON.dp_view`: every statistic the DP
-    reads is a plain ``int`` or ``Fraction`` (no ``LogNumber``, no
-    counting proxy), and some size or access cost is a ``Fraction``.
-    The access rows' diagonal placeholders are sizes."""
-    values: List[object] = list(kernel.sizes)
-    for row in kernel.access:
-        values.extend(row)
-    if not any(type(value) is Fraction for value in values):
-        return False
-    for u, neighbors in enumerate(kernel.adj):
-        values.extend(kernel.sel[u][v] for v in iter_bits(neighbors))
-    return all(type(value) in (int, Fraction) for value in values)
+    """The gate of :meth:`CompiledQON.dp_view`: a plain kernel
+    (:meth:`CompiledQON.plain`) with a ``Fraction`` size or access
+    cost.  The access rows' diagonal placeholders are sizes."""
+    return any(
+        type(value) is Fraction for row in kernel.access for value in row
+    ) and kernel.plain()
 
 
 def _scaled(value: "Union[int, Fraction]", scale: int) -> int:

@@ -243,6 +243,58 @@ class TestTaintPass:
         assert (finding.line, finding.col) == (2, 15)
         assert "exact sink 'perf.kernels.evaluate'" in finding.message
 
+    @pytest.mark.parametrize("name", ["statistics", "math"])
+    def test_local_named_like_a_float_module_is_clean(self, tmp_path, name):
+        """A method call on a local whose name is a float module's is
+        not a call into that module."""
+        tree = make_tree(tmp_path, {
+            "src/repro/perf/kernels.py": f"""\
+                def gather(rows):
+                    {name} = []
+                    for row in rows:
+                        {name}.extend(row)
+                    return {name}.count(0)
+            """,
+        })
+        assert lint_paths([tree]).ok
+
+    def test_module_level_float_module_import_is_flagged(self, tmp_path):
+        tree = make_tree(tmp_path, {
+            "src/repro/perf/kernels.py": """\
+                import statistics
+
+                def middle(values):
+                    return statistics.median(values)
+            """,
+        })
+        report = lint_paths([tree])
+        assert codes_of(report) == ["ANA101"]
+        finding = report.diagnostics[0]
+        assert finding.line == 4
+        assert "float-tainted" in finding.message
+
+    def test_function_level_math_import_is_flagged(self, tmp_path):
+        """The import binds the name inside the helper; the float it
+        returns reaches the sink one call away."""
+        tree = make_tree(tmp_path, {
+            "src/repro/helpers.py": """\
+                def root(x):
+                    import math
+                    return math.sqrt(x)
+            """,
+            "src/repro/joinopt/cost.py": """\
+                from repro.helpers import root
+
+                def total_cost(x):
+                    return root(x)
+            """,
+        })
+        report = lint_paths([tree])
+        assert codes_of(report) == ["ANA101"]
+        finding = report.diagnostics[0]
+        assert finding.path.endswith("cost.py")
+        assert finding.line == 4
+
     def test_noqa_suppresses_taint_finding(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/joinopt/cost.py": """\
