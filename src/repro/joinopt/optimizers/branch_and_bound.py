@@ -10,6 +10,10 @@ probe.  The bound never overestimates, so optimality is preserved;
 children are explored cheapest-first and the incumbent is seeded with
 the greedy heuristic.  The scaling benchmark ablates the effect
 against the plain search and the subset DP.
+
+Sibling subtrees reach the same relation sets in other orders, so a
+call with no active cost cache memoizes its own prefix sizes
+(:func:`~repro.runtime.costcache.memoize_call`).
 """
 
 from __future__ import annotations
@@ -20,12 +24,13 @@ from typing import List, Tuple
 from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
 from repro.joinopt.optimizers.greedy import greedy_min_cost
-from repro.runtime.costcache import active_cache
+from repro.runtime.costcache import active_cache, memoize_call
 from repro.utils.validation import require
 from repro.observability.tracer import traced
 
 
 @traced("optimize.bnb")
+@memoize_call
 def branch_and_bound(
     instance: QONInstance,
     max_relations: int = 13,

@@ -4,6 +4,10 @@ Enumerates permutations depth-first, carrying the running prefix size
 ``N(X)`` and partial cost; because every ``H_i`` is positive, a partial
 cost at or above the incumbent prunes the whole subtree.  Exact, and
 practical to n ~ 10-11.
+
+Every permutation of a prefix reaches the same relation set, so a call
+with no active cost cache memoizes its own prefix sizes
+(:func:`~repro.runtime.costcache.memoize_call`).
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ from typing import List, Optional, Tuple
 
 from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
-from repro.runtime.costcache import active_cache
+from repro.runtime.costcache import active_cache, memoize_call
 from repro.utils.validation import require
 from repro.observability.tracer import traced
 
 
 @traced("optimize.exhaustive")
+@memoize_call
 def exhaustive_optimal(
     instance: QONInstance,
     allow_cartesian: bool = True,

@@ -7,6 +7,10 @@ whose limits Theorem 9 establishes.
 
 Fitness comparisons happen on log2 of the cost, so the algorithm is
 stable on the hardness instances' astronomically scaled costs.
+
+Elitism and crossover bring the same sequences back generation after
+generation, so a call with no active cost cache memoizes its own
+sequence costs (:func:`~repro.runtime.costcache.memoize_call`).
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from repro.joinopt.instance import QONInstance
 from repro.core.results import PlanResult
 from repro.joinopt.optimizers.local_search import _random_connected_sequence
 from repro.perf.incremental import PrefixEvaluator
+from repro.runtime.costcache import memoize_call
 from repro.utils.lognum import log2_of
 from repro.utils.rng import Random, RngLike, make_rng
 from repro.utils.validation import require
@@ -53,6 +58,7 @@ def _swap_mutation(
 
 
 @traced("optimize.genetic")
+@memoize_call
 def genetic_algorithm(
     instance: QONInstance,
     population_size: int = 32,

@@ -189,21 +189,20 @@ class CompiledQON(_TypeRule):
         frac_sel: List[int] = []
         exact = all(is_exact_value(t) for t in self.sizes)
         for u in range(n):
-            srow: List = []
-            arow: List = []
+            # Off the edges of ``u`` the accessors return ``1`` and
+            # ``t_v``; the diagonal holds the same placeholders, which
+            # are never read.  Only neighbors need the accessors.
+            srow: List = [1] * n
+            arow: List = list(self.sizes)
             mask = 0
             frac_mask = 0
-            for v in range(n):
-                if v == u:
-                    srow.append(1)
-                    arow.append(self.sizes[u])  # placeholder, never read
-                    continue
+            for v in graph.neighbors(u):
                 selectivity = instance.selectivity(u, v)
                 access = instance.access_cost(u, v)
-                srow.append(selectivity)
-                arow.append(access)
+                srow[v] = selectivity
+                arow[v] = access
                 exact = exact and is_exact_value(access)
-                if graph.has_edge(u, v) and selectivity != 1:
+                if selectivity != 1:
                     mask |= 1 << v
                     exact = exact and is_exact_value(selectivity)
                     if isinstance(selectivity, Fraction):

@@ -21,7 +21,9 @@ A cache is installed for a dynamic extent with :func:`use_cache` (or
 process-wide with :func:`install_cache`, which the parallel sweep
 runner uses in its worker initializer).  When no cache is active the
 optimizers run exactly as before — the only overhead is one global
-read per optimizer call.
+read per optimizer call — except the few whose own lookups repeat
+within one call often enough to pay for a memo: :func:`memoize_call`
+gives each call of those a fresh cache of its own.
 
 Three capacity modes:
 
@@ -40,6 +42,7 @@ and uncached runs are bit-identical — a property test enforces this.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 import weakref
@@ -48,6 +51,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from repro.observability.metrics import inc as _metric_inc
 from repro.observability.tracer import count as _trace_count
 
 #: The process-wide cache default (:func:`install_cache`); None means
@@ -224,8 +228,8 @@ class CostCache:
         # metrics totals, whose ``cost_evaluations`` is the miss count.
         # The ``runtime.cost_evaluations`` metric is published from
         # ``misses`` by the cache's owner when its unit of work ends
-        # (a sweep, a daemon job), which keeps the registry's lock and
-        # name check off this hot path.
+        # (a sweep, a :func:`memoize_call` call), which keeps the
+        # registry's lock and name check off this hot path.
         _trace_count("cost_evaluations")
         value = compute()
         if self._maxsize == 0:
@@ -289,3 +293,32 @@ def use_cache(cache: Optional[CostCache]) -> Iterator[Optional[CostCache]]:
             del _TLS.cache
         else:
             _TLS.cache = previous
+
+
+def memoize_call(fn: Callable) -> Callable:
+    """Decorator: run each call of ``fn`` under a fresh cache of its
+    own when no cache is active.
+
+    For optimizers whose own lookups repeat within one call often
+    enough to pay for the memo.  Under an active cache (a sweep's, or a
+    caller's :func:`use_cache`) the call runs unchanged against it and
+    publishes nothing; a sweep publishes its own caches' counts.
+    Otherwise the call owns its memo: when the call ends, whether or
+    not it succeeded, it adds the memo's misses and hits to the active
+    metrics registry as ``runtime.cost_evaluations`` /
+    ``runtime.cache_hits``.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args: object, **kwargs: object) -> object:
+        if active_cache() is not None:
+            return fn(*args, **kwargs)
+        cache = CostCache()
+        try:
+            with use_cache(cache):
+                return fn(*args, **kwargs)
+        finally:
+            _metric_inc("runtime.cost_evaluations", cache.misses)
+            _metric_inc("runtime.cache_hits", cache.hits)
+
+    return wrapper

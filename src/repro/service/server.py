@@ -32,8 +32,8 @@ lock held by another thread.  Each of ``config.workers`` worker threads
 takes an admitted job off the queue and hands it to the pool; in the
 worker process :func:`_compute` runs it through
 :func:`repro.api.execute_request` — the only optimization entry point
-this package may touch (lint rule RPR011) — under a fresh
-:class:`~repro.runtime.costcache.CostCache`,
+this package may touch (lint rule RPR011) — with no cost cache active,
+exactly as a direct call, under a fresh
 :class:`~repro.observability.tracer.Tracer`, metrics registry and (when
 the daemon logs events) in-memory event log, and returns the result or
 error with everything those recorded.  The thread publishes the
@@ -241,9 +241,13 @@ def _compute(
 
     Everything the job counts, traces and emits goes to stores made
     for this job alone and travels back in the :class:`_Computed`, the
-    pattern of the sweep runner's pool chunks.  A fresh cost cache per
-    job means a worker retains nothing between requests (the result
-    cache answers repeats).
+    pattern of the sweep runner's pool chunks.  The job runs with no
+    cost cache active, as a direct call in a fresh process does, so it
+    does the same work and records the same span counters: a sweep
+    brings its own caches, and the optimizers that memoize their own
+    call publish their memo's counts themselves.  Nothing is retained
+    between requests but decoded instances and their kernels (the
+    result cache answers repeats).
     """
     request = work.request
     trace_id = getattr(request, "trace_id", None)
@@ -256,11 +260,10 @@ def _compute(
     counters = MetricsRegistry()
     sink = io.StringIO() if work.events else None
     log = EventLog(sink) if sink is not None else None
-    cache = api.CostCache()
     result: Any = None
     error: Optional[str] = None
     with use_metrics(counters), use_event_log(log), \
-            use_tracer(tracer), api.use_cache(cache):
+            use_tracer(tracer), api.use_cache(None):
         request = _canonical(
             request, work.instance_keys,
             _INSTANCES if instances is None else instances,
@@ -272,10 +275,6 @@ def _compute(
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
         wall = time.perf_counter() - started
-    # The job's own cost-cache movement (a sweep counts its own
-    # caches), published once whether or not it succeeded.
-    counters.inc("runtime.cost_evaluations", cache.misses)
-    counters.inc("runtime.cache_hits", cache.hits)
     return _Computed(
         result=result,
         error=error,

@@ -41,6 +41,7 @@ from repro.perf.incremental import (
     sample_moves,
 )
 from repro.perf.instrument import OpCounter, counting_qon_instance
+from repro.perf.kernels import CompiledQON, _has_mixed_ties, is_exact_value
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import CostCache, use_cache
 from repro.utils.rng import make_rng
@@ -407,6 +408,115 @@ def test_counting_proxy_op_counts_pinned(n, move_count):
     assert (rebase_counts, counter.snapshot()) == BENCH_GRID_COUNTS[
         (n, move_count)
     ]
+
+
+def _per_pair_tables(instance):
+    """The kernel's tables built from the accessors of every ordered
+    pair: the oracle of :class:`CompiledQON`'s neighbor build."""
+    n = instance.num_relations
+    graph = instance.graph
+    sizes = tuple(instance.size(r) for r in range(n))
+    sel, access, adj, frac_sel = [], [], [], []
+    exact = all(is_exact_value(t) for t in sizes)
+    for u in range(n):
+        srow, arow, mask, frac_mask = [], [], 0, 0
+        for v in range(n):
+            if v == u:
+                srow.append(1)
+                arow.append(sizes[u])
+                continue
+            selectivity = instance.selectivity(u, v)
+            cost = instance.access_cost(u, v)
+            srow.append(selectivity)
+            arow.append(cost)
+            exact = exact and is_exact_value(cost)
+            if graph.has_edge(u, v) and selectivity != 1:
+                mask |= 1 << v
+                exact = exact and is_exact_value(selectivity)
+                if isinstance(selectivity, Fraction):
+                    frac_mask |= 1 << v
+        sel.append(tuple(srow))
+        access.append(tuple(arow))
+        adj.append(mask)
+        frac_sel.append(frac_mask)
+    access = tuple(access)
+    return {
+        "sel": tuple(sel),
+        "access": access,
+        "adj": tuple(adj),
+        "frac_sel": tuple(frac_sel),
+        "exact": exact,
+        "mixed_ties": exact and _has_mixed_ties(access),
+    }
+
+
+def _assert_same_tables(instance):
+    kernel = CompiledQON(instance)
+    want = _per_pair_tables(instance)
+    for name in ("sel", "access"):
+        rows = getattr(kernel, name)
+        assert type(rows) is tuple and len(rows) == len(want[name])
+        for row, want_row in zip(rows, want[name]):
+            assert type(row) is tuple and len(row) == len(want_row)
+            for value, expected in zip(row, want_row):
+                assert type(value) is type(expected)
+                assert repr(value) == repr(expected)
+    for name in ("adj", "frac_sel", "exact", "mixed_ties"):
+        assert getattr(kernel, name) == want[name], name
+        assert type(getattr(kernel, name)) is type(want[name]), name
+
+
+@st.composite
+def unvalidated_instances(draw):
+    """``validate=False`` instances: any size, selectivity or access
+    cost may be zero, negative or out of its bounds."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    edges = _edges(draw, n)
+    values = st.sampled_from([0, -3, 1, 2, 7, Fraction(1, 2), Fraction(-1, 3)])
+    sizes = [draw(values) for _ in range(n)]
+    selectivities = {edge: draw(values) for edge in edges}
+    access = {}
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            if draw(st.booleans()):
+                access[(a, b)] = draw(values)
+    return QONInstance(
+        Graph(n, edges), sizes, selectivities, access, validate=False
+    )
+
+
+class TestKernelCompile:
+    """The kernel reads the accessors of each relation's neighbors
+    only; its tables equal the per-pair build in value and type."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            qon_cases(), tie_typed_cases(), fraction_typed_cases(),
+            t9_style_cases(),
+        ),
+        st.sampled_from(["plain", "log-domain", "counting"]),
+    )
+    def test_neighbor_build_matches_the_per_pair_build(self, case, form):
+        instance = case[0]
+        if form == "log-domain":
+            instance = instance.to_log_domain()
+        elif form == "counting":
+            instance = counting_qon_instance(instance, OpCounter())
+        _assert_same_tables(instance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(unvalidated_instances())
+    def test_unvalidated_statistics(self, instance):
+        _assert_same_tables(instance)
+
+    def test_mixed_ties_and_access_costs_off_the_edges(self):
+        """``TIE_EXAMPLE`` gives access costs for non-edges, which the
+        accessors ignore (they return ``t_v``), and its column 1 mixes
+        ``Fraction(4)`` with ``4``."""
+        instance = TIE_EXAMPLE[0]
+        assert CompiledQON(instance).mixed_ties
+        _assert_same_tables(instance)
 
 
 class TestPartialCosts:

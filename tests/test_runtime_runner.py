@@ -13,6 +13,9 @@ import pytest
 
 from repro.graphs.graph import Graph
 from repro.hashjoin.instance import QOHInstance
+from repro.joinopt.instance import QONInstance
+from repro.observability.metrics import MetricsRegistry, use_metrics
+from repro.observability.tracer import Tracer, counter_totals, use_tracer
 from repro.runtime import metrics as metrics_mod
 from repro.runtime.costcache import CostCache, fingerprint, use_cache
 from repro.runtime.metrics import (
@@ -37,7 +40,7 @@ from repro.runtime.runner import (
 from repro.starqo.instance import SQOCPInstance
 from repro.workloads.queries import chain_query, random_query
 
-_RANDOMIZED = {"iterative", "annealing", "sampling", "genetic"}
+RANDOMIZED = {"iterative", "annealing", "sampling", "genetic"}
 
 
 def _qoh_instance():
@@ -66,7 +69,8 @@ def _sqocp_instance():
     )
 
 
-def _instance_for(name):
+def instance_for(name):
+    """A small instance of the kind optimizer ``name`` takes."""
     if name.startswith("qoh-"):
         return _qoh_instance()
     if name.startswith("sqocp-"):
@@ -103,8 +107,8 @@ class TestEveryOptimizerReportsWork:
 
     @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
     def test_explored_positive(self, name):
-        kwargs = {"rng": 0} if name in _RANDOMIZED else {}
-        result = OPTIMIZERS[name](_instance_for(name), **kwargs)
+        kwargs = {"rng": 0} if name in RANDOMIZED else {}
+        result = OPTIMIZERS[name](instance_for(name), **kwargs)
         assert result is not None
         assert result.explored > 0, (
             f"{name} returned explored={result.explored}; every "
@@ -330,6 +334,145 @@ class TestCostCacheUnit:
         assert stats.hits == 0
         assert stats.misses == 3
         assert stats.size == 0
+
+
+#: The optimizers that memoize their own call (``memoize_call``).
+MEMOIZING = ("bnb", "exhaustive", "genetic")
+
+#: The counters a cost cache's owner publishes.
+CACHE_COUNTERS = ("runtime.cost_evaluations", "runtime.cache_hits")
+
+
+class _Recorder(MetricsRegistry):
+    """A registry that also lists each increment of the cache counters."""
+
+    def __init__(self):
+        super().__init__()
+        self.published = []
+
+    def inc(self, name, amount=1):
+        if name in CACHE_COUNTERS:
+            self.published.append((name, amount))
+        super().inc(name, amount)
+
+
+class _FailingTracer(Tracer):
+    """A tracer that fails the traced call at its ``limit``-th cost
+    lookup, after the cache has counted it."""
+
+    def __init__(self, limit):
+        super().__init__("failing")
+        self.limit = limit
+        self.lookups = 0
+
+    def count(self, key, amount=1):
+        super().count(key, amount)
+        if key in ("cost_evaluations", "cache_hits"):
+            self.lookups += 1
+            if self.lookups == self.limit:
+                raise RuntimeError("failed mid-call")
+
+
+def _memoizing_call(name):
+    """``(run, instance, kwargs)``: a call of optimizer ``name`` on a
+    small instance."""
+    instance = random_query(6, rng=3)
+    kwargs = {"rng": 0} if name in RANDOMIZED else {}
+
+    def run():
+        return OPTIMIZERS[name](instance, **kwargs)
+
+    return run, instance, kwargs
+
+
+class TestMemoizeCall:
+    @pytest.mark.parametrize("scope", ["use_cache", "sweep", "passthrough"])
+    @pytest.mark.parametrize("name", MEMOIZING)
+    def test_an_active_cache_takes_every_lookup(self, name, scope):
+        """Under a user's cache, a serial sweep's or a pass-through
+        one, the call looks up in that cache, publishes nothing itself,
+        and returns the pass-through run's result."""
+        run, instance, kwargs = _memoizing_call(name)
+        passthrough = CostCache(maxsize=0)
+        with use_cache(passthrough):
+            want = run()
+        assert passthrough.misses > 0  # every lookup misses
+        registry = _Recorder()
+        with use_metrics(registry):
+            if scope == "sweep":
+                task = SweepTask(name, instance, "q").with_kwargs(**kwargs)
+                (outcome,) = run_sweep([task], workers=1).outcomes
+                got, stats = outcome.result, outcome.cache
+            else:
+                cache = CostCache(None if scope == "use_cache" else 0)
+                with use_cache(cache):
+                    got = run()
+                stats = cache.stats()
+        assert stats.hits + stats.misses == passthrough.misses
+        # Only a sweep publishes here: it owns its cache.
+        owned = [
+            ("runtime.cache_hits", stats.hits),
+            ("runtime.cost_evaluations", stats.misses),
+        ] if scope == "sweep" else []
+        assert sorted(registry.published) == owned
+        assert got == want
+        assert type(got.cost) is type(want.cost)
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("name", MEMOIZING)
+    def test_no_active_cache_publishes_the_memo_once(self, name):
+        run, _instance, _kwargs = _memoizing_call(name)
+        registry = _Recorder()
+        tracer = Tracer("direct")
+        with use_metrics(registry), use_tracer(tracer), use_cache(None):
+            want = run()
+        counted = counter_totals(tracer.finish())
+        assert counted["cost_evaluations"] > 0
+        assert sorted(registry.published) == [
+            ("runtime.cache_hits", counted.get("cache_hits", 0)),
+            ("runtime.cost_evaluations", counted["cost_evaluations"]),
+        ]
+        passthrough = CostCache(maxsize=0)
+        with use_cache(passthrough):
+            assert repr(run()) == repr(want)
+
+    @pytest.mark.parametrize("name", MEMOIZING)
+    def test_a_failed_call_publishes_the_memo_once(self, name):
+        run, _instance, _kwargs = _memoizing_call(name)
+        registry = _Recorder()
+        tracer = _FailingTracer(limit=5)
+        with use_metrics(registry), use_tracer(tracer), use_cache(None):
+            with pytest.raises(RuntimeError, match="failed mid-call"):
+                run()
+        counted = counter_totals(tracer.finish())
+        assert sorted(registry.published) == [
+            ("runtime.cache_hits", counted.get("cache_hits", 0)),
+            ("runtime.cost_evaluations", counted["cost_evaluations"]),
+        ]
+        assert sum(amount for _name, amount in registry.published) == 5
+
+    def test_a_nested_call_uses_the_outer_memo(self):
+        """The pruned exhaustive search on a disconnected graph with
+        ``allow_cartesian=False`` finds no sequence and calls itself
+        again: the inner call looks up in the outer call's memo, and
+        the memo is published once."""
+        instance = QONInstance(
+            Graph(4, [(0, 1), (2, 3)]), [10, 20, 30, 40],
+            {(0, 1): Fraction(1, 10), (2, 3): Fraction(1, 5)},
+        )
+        registry = _Recorder()
+        tracer = Tracer("direct")
+        with use_metrics(registry), use_tracer(tracer), use_cache(None):
+            OPTIMIZERS["exhaustive"](instance, allow_cartesian=False)
+        records = tracer.finish()
+        names = [record["name"] for record in records]
+        assert names.count("optimize.exhaustive") == 2
+        counted = counter_totals(records)
+        assert counted["cache_hits"] > 0
+        assert sorted(registry.published) == [
+            ("runtime.cache_hits", counted["cache_hits"]),
+            ("runtime.cost_evaluations", counted["cost_evaluations"]),
+        ]
 
 
 class TestMetrics:

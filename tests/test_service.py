@@ -4,6 +4,9 @@ Covers, per ISSUE requirements:
 
 * cache bit-identity — a cached reply equals a freshly computed one
   (and a direct ``repro.api`` call) in value, type and repr;
+* a served optimize request does a direct call's work: for every
+  registered optimizer, the same result, span counters and published
+  cost counts as the call run with no cost cache;
 * request dedup — N identical concurrent requests coalesce into one
   computation, every requester gets the shared reply;
 * the ``no_cache`` bypass flag recomputes but still refreshes;
@@ -63,6 +66,7 @@ from repro.service import (
     protocol,
 )
 from repro.service import server as server_module
+from tests.test_runtime_runner import RANDOMIZED, instance_for
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -228,20 +232,21 @@ class TestResultCache:
     def test_each_request_gets_a_fresh_cost_cache(self, make_server):
         _server, address = make_server(workers=1)
         instance = api.generate("chain", 8, seed=2)
-        request = api.OptimizeRequest.build(instance, "dp", no_cache=True)
-        local_cache = api.CostCache()
-        with api.use_cache(local_cache):
+        request = api.OptimizeRequest.build(instance, "bnb", no_cache=True)
+        tracer = Tracer("direct")
+        with use_tracer(tracer), api.use_cache(None):
             direct = api.execute_request(request)
+        want = counter_totals(tracer.finish())
         with ServiceClient(address) as client:
             first = client.optimize(request)
             second = client.optimize(request)
         assert first.ok and second.ok and not second.cached
         # The one worker served both: a cache kept across requests
-        # would answer the second from the first's entries.
-        evaluations = local_cache.stats().misses
-        assert evaluations > 0
-        counters = dict(second.counters)
-        assert counters.get("cost_evaluations", 0) == evaluations
+        # would answer the second from the first's entries.  ``bnb``
+        # memoizes its own call, so the direct call counts misses.
+        assert want["cost_evaluations"] > 0
+        assert dict(first.counters) == want
+        assert dict(second.counters) == want
         assert_bit_identical(second.result, direct)
 
     def test_instance_objects_are_reused_across_requests(
@@ -297,6 +302,42 @@ class TestResultCache:
         assert metrics.counter_value("runtime.registry_misses") == 1
         assert metrics.counter_value("runtime.registry_hits") == 3
         assert metrics.counter_value("perf.kernel_compiles") == 1
+
+
+# ---------------------------------------------------------------------
+# A served request does the work of a direct call
+# ---------------------------------------------------------------------
+
+
+class TestServedEqualsDirect:
+    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
+    def test_served_reply_equals_the_direct_call(self, make_server, name):
+        """The daemon computes a job with no cost cache, as a direct
+        call in a fresh process: the same result, the same span
+        counters, and the cost counts the call published itself."""
+        kwargs = {"rng": 0} if name in RANDOMIZED else {}
+        request = api.OptimizeRequest.build(
+            instance_for(name), name, **kwargs
+        )
+        tracer = Tracer("direct")
+        with use_tracer(tracer), api.use_cache(None):
+            direct = api.execute_request(request)
+        want = counter_totals(tracer.finish())
+        _server, address = make_server(workers=1)
+        with ServiceClient(address) as client:
+            before = client.metrics()["counters"]
+            reply = client.optimize(request)
+            after = client.metrics()["counters"]
+        assert reply.ok and not reply.cached
+        assert dict(reply.counters) == want
+        assert_bit_identical(reply.result, direct)
+        assert_bit_identical(reply.result.cost, direct.cost)
+        for metric, counter in (
+            ("runtime.cost_evaluations", "cost_evaluations"),
+            ("runtime.cache_hits", "cache_hits"),
+        ):
+            moved = after.get(metric, 0) - before.get(metric, 0)
+            assert moved == dict(reply.counters).get(counter, 0)
 
 
 # ---------------------------------------------------------------------
@@ -797,10 +838,9 @@ class TestWorkerProcesses:
         for request, got_pooled, got_threaded in zip(
             requests, pooled, threaded
         ):
-            cache = api.CostCache()
-            with api.use_cache(cache):
+            # As the daemon computes a job: with no cost cache.
+            with api.use_cache(None):
                 want = api.execute_request(request)
-            direct_evaluations += cache.misses
             if isinstance(want, PlanResult):
                 assert_bit_identical(got_pooled, want)
                 assert_bit_identical(got_threaded, want)
@@ -849,7 +889,7 @@ class TestWorkerProcesses:
         tracer = Tracer("client")
         with use_tracer(tracer), ServiceClient(address) as client:
             reply = client.optimize(
-                api.OptimizeRequest.build(qon_instance, "dp")
+                api.OptimizeRequest.build(qon_instance, "bnb")
             )
         assert reply.ok
         records = tracer.finish()

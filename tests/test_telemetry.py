@@ -336,11 +336,12 @@ class TestServiceTelemetry:
     def test_stitched_trace_matches_local_run(self, make_server):
         _server, address = make_server(workers=1)
         instance = chain_query(6, rng=7)
-        request = api.OptimizeRequest.build(instance, "dp")
+        request = api.OptimizeRequest.build(instance, "bnb")
 
-        # Local reference run: fresh cache, own tracer.
+        # Local reference run: no cache (bnb memoizes its own call, as
+        # it does in the daemon), own tracer.
         local_tracer = Tracer("local")
-        with use_tracer(local_tracer), api.use_cache(api.CostCache()):
+        with use_tracer(local_tracer), api.use_cache(None):
             local_result = api.execute_request(request)
         local = counter_totals(local_tracer.finish())
 
