@@ -82,7 +82,7 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.4"
+API_VERSION = "1.5"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
@@ -506,49 +506,6 @@ def execute_plan(
     )
 
 
-def run_bench(
-    smoke: bool = False, seed: int = 0, out: Optional[Any] = None,
-) -> Dict[str, Any]:
-    """Run the pinned perf benchmark (``repro.bench/1``).
-
-    Measures the compiled / incremental evaluation layer against the
-    reference cost path on the Theorem-9/15 gap families; see
-    :mod:`repro.perf.bench`.  With ``out`` the validated payload is
-    also written as JSON.
-    """
-    from repro.perf.bench import run_bench as _run_bench
-
-    return _run_bench(smoke=smoke, seed=seed, out=out)
-
-
-def bench_summary_lines(payload: Dict[str, Any]) -> List[str]:
-    """Per-case summary lines for a ``repro.bench/1`` payload."""
-    from repro.perf.bench import bench_summary_lines as _summary
-
-    return _summary(payload)
-
-
-def validate_bench(payload: Dict[str, Any]) -> None:
-    """Schema-check a ``repro.bench/1`` payload (raises on mismatch)."""
-    from repro.perf.bench import validate_bench as _validate
-
-    _validate(payload)
-
-
-def write_bench(payload: Dict[str, Any], path: Any) -> Any:
-    """Validate and write a bench payload as JSON; returns the path."""
-    from repro.perf.bench import write_bench as _write
-
-    return _write(payload, path)
-
-
-def load_bench(path: Any) -> Dict[str, Any]:
-    """Read and validate a previously written bench payload."""
-    from repro.perf.bench import load_bench as _load
-
-    return _load(path)
-
-
 def scorecard() -> Any:
     """Run every theorem's fast verification checks.
 
@@ -575,7 +532,6 @@ __all__ = [
     "ServiceReply",
     "SweepResult",
     "SweepSpec",
-    "bench_summary_lines",
     "capabilities",
     "default_workers",
     "execute_plan",
@@ -586,7 +542,6 @@ __all__ = [
     "gap_report_numbers",
     "generate",
     "instance_key",
-    "load_bench",
     "load_metrics",
     "optimize",
     "optimizer_names",
@@ -595,14 +550,11 @@ __all__ = [
     "reduce",
     "reduction_names",
     "request_fingerprint",
-    "run_bench",
     "scorecard",
     "substrate_of",
     "sweep",
     "sweep_metrics",
     "use_cache",
-    "validate_bench",
     "validate_metrics",
-    "write_bench",
     "write_metrics",
 ]

@@ -347,25 +347,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    out = args.out
-    if out is None:
-        from pathlib import Path
-
-        results_dir = Path("benchmarks") / "results"
-        target = results_dir if results_dir.is_dir() else Path(".")
-        name = "BENCH_smoke.json" if args.smoke else "BENCH_perf.json"
-        out = target / name
-    payload = api.run_bench(smoke=args.smoke, seed=args.seed, out=out)
-    kind = "smoke" if args.smoke else "full"
-    print(f"repro bench ({kind}, seed {args.seed})")
-    for line in api.bench_summary_lines(payload):
-        print(f"  {line}")
-    print(f"bench results written to {out}")
-    totals = payload["totals"]
-    return 0 if totals["identical"] and totals["meets_mult_target"] else 1
-
-
 def _cmd_scorecard(args: argparse.Namespace) -> int:
     scorecard = api.scorecard()
     print(scorecard.render())
@@ -732,23 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
         "scorecard", help="verify every theorem's fast checks"
     )
     scorecard.set_defaults(func=_cmd_scorecard)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the pinned perf microbenchmarks (kernel vs reference "
-        "cost path) and emit repro.bench/1 JSON",
-    )
-    bench.add_argument(
-        "--smoke", action="store_true",
-        help="small fast grid for CI smoke runs",
-    )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--out", default=None,
-        help="bench JSON path (default: benchmarks/results/BENCH_perf.json"
-        " — BENCH_smoke.json with --smoke — when that directory exists)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     sweep = subparsers.add_parser(
         "sweep",

@@ -533,10 +533,11 @@ class SweepSpec:
         """Stable content hash over every cell plus the runner
         settings that shape the reply (counters depend on workers and
         cache configuration, so those are part of the identity)."""
-        from repro.runtime.journal import instance_token, request_fingerprint
+        from repro.runtime.journal import request_fingerprint
+        from repro.runtime.registry import instance_key
 
         tokens = "+".join(
-            f"{label}:{instance_token(instance)}"
+            f"{label}:{instance_key(instance)}"
             for label, instance in self.instances
         )
         extra = (

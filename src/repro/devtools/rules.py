@@ -378,23 +378,11 @@ def _check_cli_routing(
 # RPR008 — benchmarks leave global state alone
 # ---------------------------------------------------------------------
 
-#: Process-wide installers; benchmarks must use the scoped ``use_*``
-#: context managers instead so EXP tables cannot leak state into each
-#: other within one pytest process.
-_GLOBAL_INSTALLERS = (
-    "install_cache",
-    "install_tracer",
-    "install_metrics",
-    "install_event_log",
-)
-
-
 @register(
     "RPR008",
     "benchmark-global-mutation",
     "benchmarks must not mutate global state (module attributes, "
-    "os.environ, process-wide installers); EXP tables must be "
-    "order-independent",
+    "os.environ); EXP tables must be order-independent",
 )
 def _check_benchmark_globals(
     file: SourceFile, project: Project
@@ -444,20 +432,6 @@ def _check_benchmark_globals(
                         "benchmark writes os.environ; environment "
                         "mutation leaks across EXP tables"
                     )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = (
-                func.id
-                if isinstance(func, ast.Name)
-                else func.attr if isinstance(func, ast.Attribute) else None
-            )
-            if name in _GLOBAL_INSTALLERS:
-                line, col = _loc(node)
-                yield line, col, (
-                    f"benchmark calls process-wide {name}(); use the "
-                    "scoped use_cache/use_tracer/use_metrics/"
-                    "use_event_log context managers"
-                )
 
 
 # ---------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`Tracer`, :func:`use_tracer` / :func:`install_tracer` /
-  :func:`active_tracer` — collect a span tree for a dynamic extent;
+* :class:`Tracer`, :func:`use_tracer` / :func:`active_tracer` —
+  collect a span tree for a dynamic extent;
 * :func:`span` / :func:`count` / :func:`traced` — instrumentation
   points (no-ops when no tracer is installed);
 * :data:`SCHEMA`, :func:`write_trace` / :func:`load_trace` /
@@ -11,12 +11,11 @@ Public surface:
 * :func:`summary_table` / :func:`flame_report` / :func:`aggregate` /
   :func:`hot_span` / :func:`counter_totals` — reporting;
 * :class:`MetricsRegistry`, :func:`use_metrics` /
-  :func:`install_metrics` / :func:`active_metrics`, the
-  :func:`metric_inc` / :func:`metric_gauge` / :func:`metric_observe`
-  emission points, :data:`METRICS_SCHEMA`, :func:`validate_metrics` —
-  live counters/gauges/histograms (``repro.metrics/1``);
-* :class:`EventLog`, :func:`use_event_log` /
-  :func:`install_event_log` / :func:`active_event_log` /
+  :func:`active_metrics`, the :func:`metric_inc` /
+  :func:`metric_gauge` / :func:`metric_observe` emission points,
+  :data:`METRICS_SCHEMA`, :func:`validate_metrics` — live
+  counters/gauges/histograms (``repro.metrics/1``);
+* :class:`EventLog`, :func:`use_event_log` / :func:`active_event_log` /
   :func:`emit_event`, :data:`EVENTS_SCHEMA`, :data:`EVENT_KINDS`,
   :func:`validate_event` / :func:`load_events` — the structured
   operational event stream (``repro.events/1``);
@@ -30,7 +29,6 @@ from repro.observability.events import (
     EVENTS_SCHEMA,
     EventLog,
     active_event_log,
-    install_event_log,
     load_events,
     use_event_log,
     validate_event,
@@ -48,7 +46,6 @@ from repro.observability.metrics import (
     METRICS_SCHEMA,
     MetricsRegistry,
     active_metrics,
-    install_metrics,
     snapshot_percentile,
     use_metrics,
     validate_metrics,
@@ -75,7 +72,6 @@ from repro.observability.tracer import (
     active_tracer,
     count,
     counter_totals,
-    install_tracer,
     span,
     traced,
     use_tracer,
@@ -102,9 +98,6 @@ __all__ = [
     "emit_event",
     "flame_report",
     "hot_span",
-    "install_event_log",
-    "install_metrics",
-    "install_tracer",
     "load_events",
     "load_metrics_file",
     "load_trace",

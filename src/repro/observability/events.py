@@ -53,7 +53,7 @@ EVENT_KINDS: Tuple[str, ...] = (
     "service.slow_request",
 )
 
-_INSTALLED: Optional["EventLog"] = None
+#: The active log of each thread, set by :func:`use_event_log`.
 _TLS = threading.local()
 _UNSET = object()
 
@@ -211,23 +211,15 @@ def load_events(path: str) -> List[dict]:
 
 
 def active_event_log() -> Optional[EventLog]:
-    """The event log instrumented code should emit to, or None."""
-    return _TLS.__dict__.get("events", _INSTALLED)
-
-
-def install_event_log(log: Optional[EventLog]) -> Optional[EventLog]:
-    """Install ``log`` as the process-wide default; returns the
-    previous default."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = log
-    return previous
+    """The log of the current thread's innermost :func:`use_event_log`
+    extent, or None outside any extent."""
+    return _TLS.__dict__.get("events")
 
 
 @contextmanager
 def use_event_log(log: Optional[EventLog]) -> Iterator[Optional[EventLog]]:
     """Install ``log`` for the current thread's dynamic extent;
-    ``use_event_log(None)`` masks any process-wide default."""
+    ``use_event_log(None)`` masks an enclosing extent's log."""
     previous = _TLS.__dict__.get("events", _UNSET)
     _TLS.events = log
     try:
@@ -242,6 +234,6 @@ def use_event_log(log: Optional[EventLog]) -> Iterator[Optional[EventLog]]:
 def emit(kind: str, **fields: object) -> None:
     """Emit an event on the active log; no-op when logging is off (a
     single global read)."""
-    log = _TLS.__dict__.get("events", _INSTALLED)
+    log = _TLS.__dict__.get("events")
     if log is not None:
         log.emit(kind, **fields)

@@ -26,9 +26,9 @@ Design constraints mirror the tracer, in order:
    ``repro.metrics/1`` record decoupled from live state, safe to hand
    to the exporter thread or serialize over the service RPC.
 
-A registry is installed for a dynamic extent with :func:`use_metrics`
-(per-thread, mirroring :func:`~repro.observability.tracer.use_tracer`)
-or process-wide with :func:`install_metrics`.
+A registry is installed for the current thread's dynamic extent with
+:func:`use_metrics` (mirroring
+:func:`~repro.observability.tracer.use_tracer`).
 """
 
 from __future__ import annotations
@@ -51,14 +51,9 @@ LATENCY_BOUNDARIES_MS: Tuple[float, ...] = (
     1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
 )
 
-#: The process-wide registry default (:func:`install_metrics`); None
-#: means "metrics off".  :func:`use_metrics` scopes a registry to the
-#: current thread's dynamic extent on top of this default.
-_INSTALLED: Optional["MetricsRegistry"] = None
-
-#: Per-thread dynamic-extent override; holds an entry only while the
-#: thread is inside a :func:`use_metrics` block (an explicit ``None``
-#: entry masks the process-wide default for that extent).
+#: The active registry of each thread; holds an entry only while the
+#: thread is inside a :func:`use_metrics` block.  No entry, or a
+#: ``None`` one, means "metrics off".
 _TLS = threading.local()
 
 _UNSET = object()
@@ -374,24 +369,9 @@ def snapshot_percentile(
 
 
 def active_metrics() -> Optional[MetricsRegistry]:
-    """The registry instrumented code should report to, or None.
-
-    The current thread's :func:`use_metrics` extent wins; outside any
-    extent the process-wide :func:`install_metrics` default applies.
-    """
-    return _TLS.__dict__.get("metrics", _INSTALLED)
-
-
-def install_metrics(
-    registry: Optional[MetricsRegistry],
-) -> Optional[MetricsRegistry]:
-    """Install ``registry`` as the process-wide default; returns the
-    previous default.  Threads inside a :func:`use_metrics` extent keep
-    their scoped registry."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = registry
-    return previous
+    """The registry of the current thread's innermost
+    :func:`use_metrics` extent, or None outside any extent."""
+    return _TLS.__dict__.get("metrics")
 
 
 @contextmanager
@@ -400,7 +380,7 @@ def use_metrics(
 ) -> Iterator[Optional[MetricsRegistry]]:
     """Install ``registry`` for the dynamic extent of the ``with``
     block, scoped to the current thread; ``use_metrics(None)`` masks
-    any process-wide default within the block."""
+    an enclosing extent's registry within the block."""
     previous = _TLS.__dict__.get("metrics", _UNSET)
     _TLS.metrics = registry
     try:
@@ -415,14 +395,14 @@ def use_metrics(
 def inc(name: str, amount: int = 1) -> None:
     """Bump a counter on the active registry; no-op when metrics are
     off (a single global read)."""
-    registry = _TLS.__dict__.get("metrics", _INSTALLED)
+    registry = _TLS.__dict__.get("metrics")
     if registry is not None:
         registry.inc(name, amount)
 
 
 def set_gauge(name: str, value: float) -> None:
     """Set a gauge on the active registry; no-op when metrics are off."""
-    registry = _TLS.__dict__.get("metrics", _INSTALLED)
+    registry = _TLS.__dict__.get("metrics")
     if registry is not None:
         registry.set_gauge(name, value)
 
@@ -434,6 +414,6 @@ def observe(
 ) -> None:
     """Record a histogram observation on the active registry; no-op
     when metrics are off."""
-    registry = _TLS.__dict__.get("metrics", _INSTALLED)
+    registry = _TLS.__dict__.get("metrics")
     if registry is not None:
         registry.observe(name, value, boundaries)

@@ -22,9 +22,8 @@ Design constraints, in order:
    traces travel back through a multiprocessing pool unchanged and the
    parent can merge them deterministically.
 
-A tracer is installed for a dynamic extent with :func:`use_tracer`
-(mirroring :func:`repro.runtime.costcache.use_cache`) or process-wide
-with :func:`install_tracer`.
+A tracer is installed for the current thread's dynamic extent with
+:func:`use_tracer` (mirroring :func:`repro.runtime.costcache.use_cache`).
 
 Span record layout (the in-memory form of one ``repro.trace/1`` line)::
 
@@ -44,19 +43,12 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-#: The process-wide tracer default (:func:`install_tracer`); None means
-#: "tracing off".  :func:`use_tracer` scopes a tracer to the *current
-#: thread's* dynamic extent on top of this default, so concurrent
-#: threads can each trace their own unit of work without clobbering
-#: each other (the service daemon's worker threads compute on
-#: themselves only when it has no process pool).
-_INSTALLED: Optional["Tracer"] = None
-
-#: Per-thread dynamic-extent override; holds an entry only while the
-#: thread is inside a :func:`use_tracer` block (an explicit ``None``
-#: entry masks the process-wide default for that extent).
+#: The active tracer of each thread; holds an entry only while the
+#: thread is inside a :func:`use_tracer` block, so concurrent threads
+#: can each trace their own unit of work without clobbering each
+#: other.  No entry, or a ``None`` one, means "tracing off".
 _TLS = threading.local()
 
 _UNSET = object()
@@ -168,7 +160,7 @@ class Tracer:
         return int(target["id"])
 
     def graft(
-        self, records: List[dict], origin: Optional[str] = None
+        self, records: Sequence[dict], origin: Optional[str] = None
     ) -> None:
         """Adopt a finished span subtree under the innermost open span.
 
@@ -218,22 +210,9 @@ class Tracer:
 
 
 def active_tracer() -> Optional[Tracer]:
-    """The tracer instrumented code should report to, or None.
-
-    The current thread's :func:`use_tracer` extent wins; outside any
-    extent the process-wide :func:`install_tracer` default applies.
-    """
-    return _TLS.__dict__.get("tracer", _INSTALLED)
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` as the process-wide default; returns the
-    previous default.  Threads inside a :func:`use_tracer` extent keep
-    their scoped tracer."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = tracer
-    return previous
+    """The tracer of the current thread's innermost :func:`use_tracer`
+    extent, or None outside any extent."""
+    return _TLS.__dict__.get("tracer")
 
 
 @contextmanager
@@ -241,8 +220,9 @@ def use_tracer(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
     """Install ``tracer`` for the dynamic extent of the ``with`` block.
 
     The installation is scoped to the current thread, so concurrent
-    extents in different threads each see their own tracer; ``use_tracer(None)`` masks any process-wide
-    default within the block.
+    extents in different threads each see their own tracer;
+    ``use_tracer(None)`` masks an enclosing extent's tracer within the
+    block.
     """
     previous = _TLS.__dict__.get("tracer", _UNSET)
     _TLS.tracer = tracer
@@ -257,7 +237,7 @@ def use_tracer(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
 
 def span(name: str) -> object:
     """Open a span on the active tracer; no-op when tracing is off."""
-    tracer = _TLS.__dict__.get("tracer", _INSTALLED)
+    tracer = _TLS.__dict__.get("tracer")
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name)
@@ -265,7 +245,7 @@ def span(name: str) -> object:
 
 def count(key: str, amount: int = 1) -> None:
     """Bump a counter on the active span; no-op when tracing is off."""
-    tracer = _TLS.__dict__.get("tracer", _INSTALLED)
+    tracer = _TLS.__dict__.get("tracer")
     if tracer is not None:
         tracer.count(key, amount)
 
@@ -288,7 +268,7 @@ def traced(
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
         def wrapper(*args: object, **kwargs: object) -> object:
-            tracer = _TLS.__dict__.get("tracer", _INSTALLED)
+            tracer = _TLS.__dict__.get("tracer")
             if tracer is None:
                 return fn(*args, **kwargs)
             with tracer.span(name):

@@ -1,10 +1,8 @@
-"""High-performance cost-evaluation layer: compiled instance kernels,
-incremental (delta) evaluation for the QO_N/QO_H search loops, and the
-``repro bench`` microbenchmark suite.
+"""High-performance cost-evaluation layer: compiled instance kernels
+and incremental (delta) evaluation for the QO_N/QO_H search loops.
 
-Kept import-light: the benchmark harness (``repro.perf.bench``) imports
-the optimizer stack and must be imported explicitly, because the
-optimizer stack in turn imports the evaluators exported here.
+Kept import-light: the optimizer stack imports the evaluators exported
+here, so nothing in this package imports an optimizer at module level.
 """
 
 from repro.perf.incremental import (

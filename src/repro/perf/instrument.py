@@ -1,19 +1,20 @@
-"""Exact-arithmetic operation counting for the perf benchmarks.
+"""Exact-arithmetic operation counting for the perf tests and probes.
 
-``repro bench`` must report *deterministic* work measures alongside
-wall-clock time — wall time depends on the machine, but the number of
-big-int multiplications per neighbor evaluation does not.
+Wall time depends on the machine, but the number of big-int
+multiplications per neighbor evaluation does not.
 :class:`CountingValue` wraps an exact ``int``/``Fraction`` and forwards
 arithmetic to it while ticking an :class:`OpCounter`; wrapping every
 statistic of an instance (:func:`counting_qon_instance`) makes both the
 reference cost path and the kernel path count themselves, with values
-that stay exactly equal to the unwrapped run.
+that stay exactly equal to the unwrapped run.  The pinned op-count
+tests in ``tests/test_perf_differential.py`` and the
+``perf.qon_mults_per_eval`` probe of ``bench/`` count this way.
 
 The proxies set ``exact_proxy = True`` so the compiled kernels treat
 them as exact arithmetic (see ``repro.perf.kernels.is_exact_value``)
 and take the same incremental shortcuts they would for the raw values.
-Only the benchmark harness and tests build these; the hot paths never
-pay for the indirection.
+Only tests and benchmark probes build these; the hot paths never pay
+for the indirection.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from repro.runtime.costcache import (
     CostCache,
     active_cache,
     fingerprint,
-    install_cache,
     use_cache,
 )
 
@@ -39,7 +38,6 @@ __all__ = [
     "CostCache",
     "active_cache",
     "fingerprint",
-    "install_cache",
     "use_cache",
     # lazily resolved:
     "OPTIMIZERS",

@@ -17,13 +17,15 @@ full-plan costs and the relation bitmask for subset sizes.  The QO_H
 search layer reuses the same store for pipeline-decomposition plans
 keyed on the sequence.
 
-A cache is installed for a dynamic extent with :func:`use_cache` (or
-process-wide with :func:`install_cache`, which the parallel sweep
-runner uses in its worker initializer).  When no cache is active the
-optimizers run exactly as before — the only overhead is one global
-read per optimizer call — except the few whose own lookups repeat
-within one call often enough to pay for a memo: :func:`memoize_call`
-gives each call of those a fresh cache of its own.
+A cache is installed for the current thread's dynamic extent with
+:func:`use_cache`: the sweep runner's ``_CacheScope`` picks each
+attempt's cache, and the attempt runs under :func:`use_cache`, in the
+serial loop and in every pool worker alike.  When no cache is active
+the optimizers run exactly as before — the only overhead is one
+thread-local read per optimizer call — except the few whose own
+lookups repeat within one call often enough to pay for a memo:
+:func:`memoize_call` gives each call of those a fresh cache of its
+own.
 
 Three capacity modes:
 
@@ -54,16 +56,10 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from repro.observability.metrics import inc as _metric_inc
 from repro.observability.tracer import count as _trace_count
 
-#: The process-wide cache default (:func:`install_cache`); None means
-#: "memoization off".  :func:`use_cache` scopes a cache to the current
-#: *thread's* dynamic extent on top of this default, so concurrent
-#: threads each consult their own cache (the service daemon's worker
-#: threads compute on themselves only when it has no process pool).
-_INSTALLED: Optional["CostCache"] = None
-
-#: Per-thread dynamic-extent override; holds an entry only while the
-#: thread is inside a :func:`use_cache` block (an explicit ``None``
-#: entry masks the process-wide default for that extent).
+#: The active cache of each thread; holds an entry only while the
+#: thread is inside a :func:`use_cache` block, so concurrent threads
+#: each consult their own cache.  No entry, or a ``None`` one, means
+#: "memoization off".
 _TLS = threading.local()
 
 _UNSET = object()
@@ -257,22 +253,9 @@ class CostCache:
 
 
 def active_cache() -> Optional[CostCache]:
-    """The cache the optimizers should consult, or None.
-
-    The current thread's :func:`use_cache` extent wins; outside any
-    extent the process-wide :func:`install_cache` default applies.
-    """
-    return _TLS.__dict__.get("cache", _INSTALLED)
-
-
-def install_cache(cache: Optional[CostCache]) -> Optional[CostCache]:
-    """Install ``cache`` as the process-wide default; returns the
-    previous default.  Threads inside a :func:`use_cache` extent keep
-    their scoped cache."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = cache
-    return previous
+    """The cache of the current thread's innermost :func:`use_cache`
+    extent, or None outside any extent."""
+    return _TLS.__dict__.get("cache")
 
 
 @contextmanager
@@ -281,8 +264,8 @@ def use_cache(cache: Optional[CostCache]) -> Iterator[Optional[CostCache]]:
 
     The installation is scoped to the current thread, so concurrent
     extents in different threads (the service worker pool) each see
-    their own cache; ``use_cache(None)`` masks any process-wide
-    default within the block.
+    their own cache; ``use_cache(None)`` masks an enclosing extent's
+    cache within the block.
     """
     previous = _TLS.__dict__.get("cache", _UNSET)
     _TLS.cache = cache

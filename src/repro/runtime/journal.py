@@ -59,30 +59,21 @@ SCHEMA = "repro.journal/2"
 PathLike = Union[str, Path]
 
 
-def instance_token(instance: object) -> str:
-    """The stable per-instance content token the fingerprints build on.
-
-    Delegates to :func:`repro.runtime.registry.instance_key`: journal
-    fingerprints and registry content addresses agree about instance
-    identity by construction, which is what keeps chunked/registry
-    dispatch from perturbing resume fingerprints.
-    """
-    return instance_key(instance)
-
-
 def task_fingerprint(index: int, task: SweepTask) -> str:
     """A stable content hash identifying one task slot of a sweep.
 
     Covers the slot index, the optimizer name, the label, the kwargs,
     the timeout and the instance statistics (via
-    :func:`instance_token`).
+    :func:`~repro.runtime.registry.instance_key`, the registry's
+    content address, so chunked/registry dispatch cannot perturb resume
+    fingerprints).
     """
     digest = hashlib.sha1()
     digest.update(
         f"{index}|{task.optimizer_name}|{task.label}|"
         f"{task.timeout}|{task.kwargs!r}|".encode()
     )
-    digest.update(instance_token(task.instance).encode())
+    digest.update(instance_key(task.instance).encode())
     return digest.hexdigest()
 
 
@@ -97,7 +88,7 @@ def request_fingerprint(
     """A stable content hash identifying one service-layer request.
 
     The same instance/optimizer identity the journal's
-    :func:`task_fingerprint` uses — :func:`instance_token` over the
+    :func:`task_fingerprint` uses — :func:`instance_key` over the
     instance statistics plus the optimizer name and kwargs — minus the
     sweep-slot index, so the request dedup/result cache recognizes a
     repeat regardless of when or from which connection it arrives.
@@ -108,7 +99,7 @@ def request_fingerprint(
     digest.update(
         f"{kind}|{optimizer}|{label}|{params!r}|{extra}|".encode()
     )
-    digest.update(instance_token(instance).encode())
+    digest.update(instance_key(instance).encode())
     return digest.hexdigest()
 
 

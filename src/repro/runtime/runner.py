@@ -389,13 +389,21 @@ class SweepResult:
         """Per-task traces merged into one ``repro.trace/1`` span tree.
 
         A synthetic ``sweep`` root (id 0, duration = the sweep's wall
-        time) adopts each task's subtree, in task-index order with ids
-        offset — so the merge is deterministic regardless of which
-        worker finished first.  Subtrees from pool workers keep their
-        worker-local ``start_s`` clocks; ``duration_s``, which is what
+        time) adopts each task's subtree through :meth:`Tracer.graft`,
+        in task-index order — so the merge is deterministic regardless
+        of which worker finished first.  Each subtree's root is tagged
+        ``origin: task-<index>``: it keeps its task-local (possibly
+        worker-local) ``start_s`` clock; ``duration_s``, which is what
         the reports aggregate, is always comparable.
         """
-        counters: Dict[str, int] = {}
+        tracer = Tracer("sweep")
+        for outcome in self.outcomes:
+            if outcome.trace:
+                tracer.graft(outcome.trace, origin=f"task-{outcome.index}")
+        records = tracer.finish()
+        root = records[0]
+        root["start_s"] = 0.0
+        root["duration_s"] = self.wall_time
         for name, value in (
             ("retries", self.retries),
             ("recovered_workers", self.recovered_workers),
@@ -406,45 +414,13 @@ class SweepResult:
             ("chunks", self.executor.chunks),
         ):
             if value:
-                counters[name] = value
-        records: List[dict] = [{
-            "id": 0,
-            "parent": None,
-            "name": "sweep",
-            "start_s": 0.0,
-            "duration_s": self.wall_time,
-            "counters": counters,
-            "attrs": {
-                "mode": self.mode,
-                "workers": self.workers,
-                "cache_enabled": self.cache_enabled,
-                "tasks": len(self.outcomes),
-            },
-        }]
-        next_id = 1
-        for outcome in self.outcomes:
-            if not outcome.trace:
-                continue
-            offset = next_id
-            top = 0
-            for record in outcome.trace:
-                merged = dict(record)
-                merged["id"] = record["id"] + offset
-                merged["parent"] = (
-                    0 if record["parent"] is None
-                    else record["parent"] + offset
-                )
-                if record["parent"] is None:
-                    # Each task tracer measures start_s from its own
-                    # (possibly worker-local) clock; tag the grafted
-                    # subtree so reports can surface that its offsets
-                    # are not comparable with its siblings'.
-                    attrs = dict(merged.get("attrs", {}))
-                    attrs["origin"] = f"task-{outcome.index}"
-                    merged["attrs"] = attrs
-                top = max(top, merged["id"])
-                records.append(merged)
-            next_id = top + 1
+                root["counters"][name] = value
+        root["attrs"] = {
+            "mode": self.mode,
+            "workers": self.workers,
+            "cache_enabled": self.cache_enabled,
+            "tasks": len(self.outcomes),
+        }
         return records
 
     @property

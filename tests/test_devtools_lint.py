@@ -178,7 +178,6 @@ class TestRuleFixtures:
             "benchmarks/test_bench_demo.py": """\
                 import os
                 from repro.runtime import cache
-                from repro.runtime.cache import install_cache
 
                 COUNTER = 0
 
@@ -186,11 +185,10 @@ class TestRuleFixtures:
                     global COUNTER
                     cache.default_size = 10
                     os.environ["REPRO_MODE"] = "bench"
-                    install_cache()
             """,
         })
         report = lint_paths([tree], select=["RPR008"])
-        assert codes_of(report) == ["RPR008"] * 4
+        assert codes_of(report) == ["RPR008"] * 3
 
     def test_rpr008_only_applies_to_benchmarks(self, tmp_path):
         tree = make_tree(tmp_path, {

@@ -20,7 +20,6 @@ from repro.observability import (
     counter_totals,
     flame_report,
     hot_span,
-    install_tracer,
     load_trace,
     span,
     summary_table,
@@ -117,17 +116,6 @@ class TestModuleHelpers:
                 assert active_tracer() is inner
             assert active_tracer() is outer
         assert active_tracer() is None
-
-    def test_install_tracer_returns_previous(self):
-        tracer = Tracer()
-        assert install_tracer(tracer) is None
-        try:
-            with span("via-module"):
-                count("hits")
-        finally:
-            assert install_tracer(None) is tracer
-        names = [r["name"] for r in tracer.finish()]
-        assert "via-module" in names
 
     def test_traced_decorator_records_span_and_explored(self):
         class Result:
@@ -301,6 +289,80 @@ class TestSweepTracing:
         assert any(
             t["counters"].get("subproblem_peak", 0) > 0 for t in task_spans
         )
+
+    @pytest.mark.parametrize("run", ["serial", "parallel", "resumed"])
+    def test_merged_tree_is_pinned(self, run, tmp_path):
+        """Ids, parents, names and ``origin`` tags of the merged tree,
+        and the fields of its ``sweep`` root, for each way a sweep can
+        produce its outcomes."""
+        tasks = grid_tasks(
+            ["dp", "iterative", "bnb"],
+            [(f"q{seed}", random_query(6, rng=seed)) for seed in range(2)],
+        )
+        journal = tmp_path / "j.jsonl"
+        if run == "serial":
+            result = run_sweep(tasks, workers=1, trace=True)
+        elif run == "parallel":
+            result = run_sweep(tasks, workers=2, trace=True)
+            if result.mode != "parallel":
+                pytest.skip("no multiprocessing pool available here")
+        else:
+            run_sweep(tasks, workers=1, trace=True, journal=journal)
+            result = run_sweep(
+                tasks, workers=1, trace=True, journal=journal, resume=True
+            )
+            assert result.resumed == len(tasks)
+        records = result.trace_records()
+        validate_trace(records)
+        assert [
+            (r["id"], r["parent"], r["name"],
+             r.get("attrs", {}).get("origin"))
+            for r in records
+        ] == [
+            (0, None, "sweep", None),
+            (1, 0, "task", "task-0"),
+            (2, 1, "optimize.dp", None),
+            (3, 0, "task", "task-1"),
+            (4, 3, "optimize.iterative", None),
+            (5, 0, "task", "task-2"),
+            (6, 5, "optimize.bnb", None),
+            (7, 6, "optimize.greedy_min_cost", None),
+            (8, 0, "task", "task-3"),
+            (9, 8, "optimize.dp", None),
+            (10, 0, "task", "task-4"),
+            (11, 10, "optimize.iterative", None),
+            (12, 0, "task", "task-5"),
+            (13, 12, "optimize.bnb", None),
+            (14, 13, "optimize.greedy_min_cost", None),
+        ]
+        root = records[0]
+        assert root["start_s"] == 0.0
+        assert root["duration_s"] == result.wall_time
+        assert root["attrs"] == {
+            "mode": result.mode, "workers": result.workers,
+            "cache_enabled": True, "tasks": 6,
+        }
+        if run == "serial":
+            assert root["counters"] == {"kernels_compiled": 2}
+        elif run == "resumed":
+            assert root["counters"] == {"resumed_tasks": 6}
+        else:
+            # Which worker runs which chunk moves the registry and
+            # kernel counts, so compare with the executor's own.
+            assert root["counters"] == {
+                name: value
+                for name, value in result.executor.to_dict().items() if value
+            }
+            assert result.executor.chunks == 6
+        # Every other field of a grafted record is the task's own.
+        own = [record for outcome in result for record in outcome.trace]
+        assert len(own) == len(records) - 1
+        for merged, record in zip(records[1:], own):
+            for key in ("name", "start_s", "duration_s", "counters"):
+                assert merged[key] == record[key]
+            attrs = dict(merged.get("attrs", {}))
+            attrs.pop("origin", None)
+            assert attrs == record.get("attrs", {})
 
     def test_untraced_sweep_carries_no_trace(self):
         result = run_sweep(_grid()[:2], workers=1)

@@ -1,177 +1,129 @@
-"""Tests for the ``repro bench`` microbenchmark harness.
+"""Gates of the perf kernels on the smallest gap-family cases.
 
-The suite runs the smoke grid once (module-scoped) and asserts the
-acceptance criteria on the resulting payload: schema validity, the
-cross-check that both evaluation paths agree on every case, and the
-deterministic >= 5x multiplication reduction on the EXP-T9 grid at
-``n >= 12``.  Schema rejection paths and the CLI wiring are covered
-against the same payload.
+Each family is run once per module, both paths on the same draws
+(seed 0): the Theorem 9 NO instance at n = 12 with 60 sampled moves,
+through :class:`~repro.perf.incremental.PrefixEvaluator` and
+:func:`~repro.joinopt.cost.total_cost`, and the Theorem 15 NO instance
+at n = 6 with 12 moves, through :class:`~repro.perf.qoh.QOHEvaluator`
+and :func:`~repro.hashjoin.optimizer.best_decomposition`.  The tests
+assert that both paths agree on every sequence, that the kernel does
+at least 5x fewer exact multiplications per neighbor, and that the
+QO_H evaluator reuses fragments and solves fewer allocation LPs.
+``tests/test_perf_differential.py`` pins the exact counts over the
+whole grid.
 """
-
-import copy
-import json
 
 import pytest
 
-from repro import api
-from repro.cli import main
-from repro.perf.bench import (
-    MULT_REDUCTION_TARGET,
-    SCHEMA,
-    bench_summary_lines,
-    load_bench,
-    run_bench,
-    validate_bench,
-    write_bench,
+from repro.hashjoin import allocation, pipeline
+from repro.hashjoin.optimizer import best_decomposition
+from repro.joinopt.cost import total_cost
+from repro.perf.incremental import PrefixEvaluator, sample_moves
+from repro.perf.instrument import OpCounter, counting_qon_instance
+from repro.perf.qoh import QOHEvaluator
+from repro.runtime.costcache import use_cache
+from repro.utils.rng import make_rng
+from tests.test_perf_differential import (
+    _assert_identical,
+    _feasible_base,
+    _shuffled,
+    _t15_no_instance,
+    _t9_no_instance,
 )
-from repro.utils.validation import ValidationError
+
+#: Reference-path multiplications (plus divisions) per neighbor must be
+#: at least this many times the kernel's.
+MULT_REDUCTION_TARGET = 5
 
 
 @pytest.fixture(scope="module")
-def smoke_payload():
-    return run_bench(smoke=True, seed=0)
+def qon_case():
+    n, move_count = 12, 60
+    instance = _t9_no_instance(n)
+    rng = make_rng(0)
+    base = _shuffled(n, rng)
+    moves = sample_moves(n, rng, move_count)
+    neighbors = [move.apply(base) for move in moves]
+    counter = OpCounter()
+    counting = counting_qon_instance(instance, counter)
+    with use_cache(None):
+        reference = [total_cost(instance, base)]
+        reference.extend(total_cost(instance, key) for key in neighbors)
+        evaluator = PrefixEvaluator(instance)
+        kernel = [evaluator.rebase(base)]
+        kernel.extend(
+            cost for _, _, cost in evaluator.evaluate_neighbors(base, moves)
+        )
+
+        for neighbor in neighbors:
+            total_cost(counting, neighbor)
+        reference_mults = counter.multiplicative
+        counting_evaluator = PrefixEvaluator(counting)
+        counting_evaluator.rebase(base)
+        counter.reset()
+        for _ in counting_evaluator.evaluate_neighbors(base, moves):
+            pass
+        kernel_mults = counter.multiplicative
+    return {
+        "reference": reference,
+        "kernel": kernel,
+        "reference_mults": reference_mults,
+        "kernel_mults": kernel_mults,
+    }
+
+
+@pytest.fixture(scope="module")
+def qoh_case():
+    instance = _t15_no_instance(6)
+    rng = make_rng(0)
+    base = _feasible_base(instance, rng)
+    moves = sample_moves(instance.num_relations, rng, 12)
+    sequences = [base] + [move.apply(base) for move in moves]
+    calls = [0]
+    original = allocation.allocate_memory
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch, use_cache(None):
+        patch.setattr(allocation, "allocate_memory", counted)
+        patch.setattr(pipeline, "allocate_memory", counted)
+        reference = [
+            best_decomposition(instance, sequence) for sequence in sequences
+        ]
+        reference_solves = calls[0]
+        calls[0] = 0
+        evaluator = QOHEvaluator(instance)
+        kernel = [evaluator.best_plan(sequence) for sequence in sequences]
+        kernel_solves = calls[0]
+    return {
+        "reference": reference,
+        "kernel": kernel,
+        "reference_solves": reference_solves,
+        "kernel_solves": kernel_solves,
+        "evaluator": evaluator,
+    }
 
 
 class TestRunBench:
-    def test_schema_and_structure(self, smoke_payload):
-        validate_bench(smoke_payload)
-        assert smoke_payload["schema"] == SCHEMA == "repro.bench/1"
-        assert smoke_payload["smoke"] is True
-        families = [case["family"] for case in smoke_payload["cases"]]
-        assert "qon-t9" in families
-        assert "qoh-t15" in families
+    def test_both_paths_identical_on_every_case(self, qon_case, qoh_case):
+        assert len(qon_case["kernel"]) == len(qon_case["reference"]) == 61
+        for kernel, reference in zip(qon_case["kernel"], qon_case["reference"]):
+            _assert_identical(kernel, reference)
+        assert len(qoh_case["reference"]) == 13
+        assert qoh_case["kernel"] == qoh_case["reference"]
 
-    def test_both_paths_identical_on_every_case(self, smoke_payload):
-        assert smoke_payload["totals"]["identical"] is True
-        assert all(case["identical"] for case in smoke_payload["cases"])
+    def test_mult_reduction_target_met(self, qon_case):
+        """The kernel does at least 5x fewer exact multiplications."""
+        kernel_mults = qon_case["kernel_mults"]
+        assert 0 < kernel_mults < qon_case["reference_mults"]
+        assert (
+            MULT_REDUCTION_TARGET * kernel_mults <= qon_case["reference_mults"]
+        )
 
-    def test_mult_reduction_target_met(self, smoke_payload):
-        """The headline acceptance number: >= 5x fewer multiplications."""
-        assert smoke_payload["totals"]["meets_mult_target"] is True
-        for case in smoke_payload["cases"]:
-            if case["family"] == "qon-t9" and case["n"] >= 12:
-                assert case["mult_reduction"] >= MULT_REDUCTION_TARGET
-                assert (
-                    case["kernel"]["mults_per_eval"]
-                    < case["reference"]["mults_per_eval"]
-                )
-
-    def test_qoh_fragments_are_shared(self, smoke_payload):
-        for case in smoke_payload["cases"]:
-            if case["family"] == "qoh-t15":
-                assert case["kernel"]["lp_solves"] < case["reference"]["lp_solves"]
-                assert case["kernel"]["fragments_reused"] > 0
-
-    def test_deterministic_measures_reproducible(self, smoke_payload):
-        """Op counts are machine-independent: a re-run matches exactly."""
-        again = run_bench(smoke=True, seed=0)
-        for first, second in zip(smoke_payload["cases"], again["cases"]):
-            if first["family"] == "qon-t9":
-                assert (
-                    first["reference"]["mults_per_eval"]
-                    == second["reference"]["mults_per_eval"]
-                )
-                assert (
-                    first["kernel"]["mults_per_eval"]
-                    == second["kernel"]["mults_per_eval"]
-                )
-                assert first["kernel"]["rebase_mults"] == second["kernel"]["rebase_mults"]
-            else:
-                assert first["reference"]["lp_solves"] == second["reference"]["lp_solves"]
-                assert first["kernel"]["lp_solves"] == second["kernel"]["lp_solves"]
-
-    def test_summary_lines(self, smoke_payload):
-        lines = bench_summary_lines(smoke_payload)
-        assert len(lines) == len(smoke_payload["cases"]) + 1
-        assert any("qon-t9" in line for line in lines)
-        assert any("qoh-t15" in line for line in lines)
-        assert "met" in lines[-1]
-
-
-class TestBenchIO:
-    def test_write_load_roundtrip(self, smoke_payload, tmp_path):
-        target = tmp_path / "nested" / "BENCH_test.json"
-        written = write_bench(smoke_payload, target)
-        assert written == target
-        text = target.read_text()
-        assert text.endswith("\n")
-        assert json.loads(text)["schema"] == SCHEMA
-        assert load_bench(target) == smoke_payload
-
-    def test_run_bench_writes_when_out_given(self, tmp_path):
-        target = tmp_path / "BENCH_out.json"
-        payload = run_bench(smoke=True, seed=1, out=target)
-        assert load_bench(target) == payload
-
-
-class TestValidateBench:
-    def test_rejects_wrong_schema(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        bad["schema"] = "repro.bench/0"
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-    def test_rejects_missing_case_field(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        del bad["cases"][0]["mult_reduction"]
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-    def test_rejects_unknown_family(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        bad["cases"][0]["family"] = "qon-t10"
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-    def test_rejects_bool_where_number_expected(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        bad["totals"]["min_qon_mult_reduction"] = True
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-    def test_rejects_totals_case_count_mismatch(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        bad["totals"]["cases"] = len(bad["cases"]) + 1
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-    def test_rejects_empty_cases(self, smoke_payload):
-        bad = copy.deepcopy(smoke_payload)
-        bad["cases"] = []
-        with pytest.raises(ValidationError):
-            validate_bench(bad)
-
-
-class TestApiFacade:
-    def test_facade_exports(self):
-        for name in (
-            "run_bench", "validate_bench", "write_bench",
-            "load_bench", "bench_summary_lines",
-        ):
-            assert name in api.__all__
-            assert callable(getattr(api, name))
-
-    def test_facade_round_trip(self, smoke_payload, tmp_path):
-        target = tmp_path / "BENCH_api.json"
-        api.write_bench(smoke_payload, target)
-        assert api.load_bench(target) == smoke_payload
-        assert api.bench_summary_lines(smoke_payload)
-
-
-class TestBenchCli:
-    def test_smoke_run_exits_zero_and_writes(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_cli.json"
-        assert main(["bench", "--smoke", "--out", str(target)]) == 0
-        out = capsys.readouterr().out
-        assert "qon-t9" in out
-        assert str(target) in out
-        payload = load_bench(target)
-        assert payload["smoke"] is True
-        assert payload["totals"]["meets_mult_target"] is True
-
-    def test_seed_is_recorded(self, tmp_path, capsys):
-        target = tmp_path / "BENCH_seeded.json"
-        assert main(
-            ["bench", "--smoke", "--seed", "7", "--out", str(target)]
-        ) == 0
-        assert load_bench(target)["seed"] == 7
+    def test_qoh_fragments_are_shared(self, qoh_case):
+        evaluator = qoh_case["evaluator"]
+        assert qoh_case["kernel_solves"] == evaluator.fragments_computed
+        assert qoh_case["kernel_solves"] < qoh_case["reference_solves"]
+        assert evaluator.fragments_reused > 0

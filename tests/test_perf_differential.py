@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.graphs.graph import Graph
+from repro.hashjoin import allocation, pipeline
 from repro.hashjoin.instance import QOHInstance
 from repro.hashjoin.optimizer import best_decomposition
 from repro.joinopt.cost import (
@@ -33,7 +34,6 @@ from repro.joinopt.cost import (
     total_cost,
 )
 from repro.joinopt.instance import QONInstance
-from repro.perf.bench import _t9_no_instance
 from repro.perf.incremental import (
     AdjacentSwap,
     PrefixEvaluator,
@@ -45,6 +45,7 @@ from repro.perf.kernels import CompiledQON, _has_mixed_ties, is_exact_value
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import CostCache, use_cache
 from repro.utils.rng import make_rng
+from repro.workloads.gaps import qoh_gap_pair, qon_gap_pair
 from repro.workloads.queries import random_query
 from tests.test_dp_differential import fraction_typed_instances
 
@@ -369,11 +370,19 @@ class TestCacheModes:
         assert stats_after.misses == stats_before.misses
 
 
-#: Counting-proxy tallies of one ``PrefixEvaluator`` on the ``repro
-#: bench`` QO_N grid (seed 0): the ``rebase`` and then all neighbors.
-#: The generic path runs plain ``*``, ``+`` and ``/`` in a fixed order,
-#: so these are exact.
-BENCH_GRID_COUNTS = {
+def _t9_no_instance(n):
+    """The Theorem 9 NO instance of the EXP-T9 grid: ``k_yes = n - 2``,
+    a parity-matched ``k_no`` and ``alpha = 4``."""
+    k_yes = n - 2
+    k_no = n // 3 + (k_yes - n // 3) % 2
+    return qon_gap_pair(n, k_yes, k_no, alpha=4).no_reduction.instance
+
+
+#: Counting-proxy tallies of one ``PrefixEvaluator`` on the Theorem 9
+#: NO grid (seed 0): the ``rebase`` and then all neighbors.  The
+#: generic path runs plain ``*``, ``+`` and ``/`` in a fixed order, so
+#: these are exact.
+T9_GRID_COUNTS = {
     (12, 200): (
         {"mults": 76, "divs": 0, "adds": 20},
         {"mults": 2045, "divs": 172, "adds": 822},
@@ -388,26 +397,112 @@ BENCH_GRID_COUNTS = {
     ),
 }
 
+#: Multiplications plus divisions per neighbor of the reference path,
+#: ``total_cost`` with no cache, on the same instances.
+T9_REFERENCE_MULTS_PER_NEIGHBOR = {12: 76, 14: 99}
 
-@pytest.mark.parametrize("n, move_count", sorted(BENCH_GRID_COUNTS))
+
+@pytest.mark.parametrize("n, move_count", sorted(T9_GRID_COUNTS))
 def test_counting_proxy_op_counts_pinned(n, move_count):
-    """Base and moves drawn as ``repro.perf.bench`` draws them."""
+    """The kernel does at least 5x fewer exact multiplications per
+    neighbor than ``total_cost``, and every neighbor cost equals
+    ``total_cost``'s in value and type."""
+    instance = _t9_no_instance(n)
     rng = make_rng(0)
     base = _shuffled(n, rng)
     moves = sample_moves(n, rng, move_count)
     counter = OpCounter()
-    evaluator = PrefixEvaluator(
-        counting_qon_instance(_t9_no_instance(n), counter)
-    )
+    counting = counting_qon_instance(instance, counter)
+    evaluator = PrefixEvaluator(counting)
     with use_cache(None):
         evaluator.rebase(base)
         rebase_counts = counter.snapshot()
         counter.reset()
         for _ in evaluator.evaluate_neighbors(base, moves):
             pass
-    assert (rebase_counts, counter.snapshot()) == BENCH_GRID_COUNTS[
+        kernel_counts = counter.snapshot()
+        kernel_ops = counter.multiplicative
+        counter.reset()
+        for move in moves:
+            total_cost(counting, move.apply(base))
+    assert (rebase_counts, kernel_counts) == T9_GRID_COUNTS[
         (n, move_count)
     ]
+    assert counter.multiplicative == (
+        T9_REFERENCE_MULTS_PER_NEIGHBOR[n] * move_count
+    )
+    assert 5 * kernel_ops <= counter.multiplicative
+    with use_cache(None):
+        evaluator = PrefixEvaluator(instance)
+        _assert_identical(evaluator.rebase(base), total_cost(instance, base))
+        for _, key, cost in evaluator.evaluate_neighbors(base, moves):
+            _assert_identical(cost, total_cost(instance, key))
+
+
+def _t15_no_instance(n):
+    """The Theorem 15 NO instance of the EXP-T15 grid:
+    ``epsilon = 1/2`` and ``alpha = 4^n``."""
+    return qoh_gap_pair(n, Fraction(1, 2), alpha=4**n).no_reduction.instance
+
+
+def _feasible_base(instance, rng):
+    """A shuffled sequence that starts with the one relation whose
+    ``hjmin`` exceeds the memory, if the instance has one."""
+    n = instance.num_relations
+    oversized = [r for r in range(n) if instance.hjmin(r) > instance.memory]
+    assert len(oversized) <= 1
+    rest = [r for r in range(n) if r not in oversized]
+    rng.shuffle(rest)
+    return (*oversized, *rest)
+
+
+#: ``QOHEvaluator`` on the Theorem 15 NO grid (seed 0): fragments
+#: computed and reused over the base and all neighbors, and the
+#: allocation LPs ``best_decomposition`` solves for the same sequences.
+T15_GRID_COUNTS = {
+    (6, 12): (143, 109, 252),
+    (6, 40): (190, 503, 693),
+    (9, 40): (667, 1043, 1710),
+}
+
+
+@pytest.mark.parametrize("n, move_count", sorted(T15_GRID_COUNTS))
+def test_qoh_lp_solves_pinned(n, move_count, monkeypatch):
+    """Every ``QOHEvaluator`` plan equals ``best_decomposition``'s, and
+    the evaluator solves fewer allocation LPs: one per fragment it
+    computes."""
+    calls = [0]
+    original = allocation.allocate_memory
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(allocation, "allocate_memory", counted)
+    monkeypatch.setattr(pipeline, "allocate_memory", counted)
+    instance = _t15_no_instance(n)
+    # The FH reduction adds a helper relation, so sequences range over
+    # the instance's own relation count, not the family parameter n.
+    rng = make_rng(0)
+    base = _feasible_base(instance, rng)
+    moves = sample_moves(instance.num_relations, rng, move_count)
+    sequences = [base] + [move.apply(base) for move in moves]
+    with use_cache(None):
+        expected = [
+            best_decomposition(instance, sequence) for sequence in sequences
+        ]
+        reference_solves = calls[0]
+        calls[0] = 0
+        evaluator = QOHEvaluator(instance)
+        actual = [evaluator.best_plan(sequence) for sequence in sequences]
+    assert actual == expected
+    computed, reused, reference = T15_GRID_COUNTS[(n, move_count)]
+    assert (evaluator.fragments_computed, evaluator.fragments_reused) == (
+        computed, reused,
+    )
+    assert calls[0] == computed
+    assert reference_solves == reference
+    assert computed < reference
 
 
 def _per_pair_tables(instance):

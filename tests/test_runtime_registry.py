@@ -31,8 +31,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.requests import OptimizeRequest, SweepSpec
 from repro.observability.metrics import MetricsRegistry, use_metrics
-from repro.runtime.journal import instance_token, task_fingerprint
+from repro.runtime.journal import task_fingerprint
 from repro.runtime.metrics import sweep_metrics, validate_metrics
 from repro.runtime.registry import (
     InstanceRef,
@@ -119,12 +120,42 @@ class TestInstanceKey:
             random_query(5, rng=1)
         )
 
-    def test_agrees_with_journal_instance_token(self):
-        instance = random_query(4, rng=7)
-        assert instance_key(instance) == instance_token(instance)
-
     def test_graphless_instances_key_on_repr(self):
         assert instance_key((1, 2, "x")) == repr((1, 2, "x"))
+
+
+class TestFingerprintsPinned:
+    """Journals and the daemon's result cache match work by these
+    digests, so a change to any of them stops journals that are
+    already written from resuming."""
+
+    def test_task_fingerprint(self):
+        task = runner_mod.SweepTask(
+            "sampling", random_query(5, rng=3), label="q0",
+            kwargs=(("rng", 0),), timeout=2.5,
+        )
+        assert task_fingerprint(2, task) == (
+            "5a49ef4a29ec5fc03a238fa71b494b447fe678a9"
+        )
+
+    def test_optimize_request_fingerprint(self):
+        request = OptimizeRequest.build(
+            random_query(5, rng=3), "sampling", rng=0
+        )
+        assert request.fingerprint() == (
+            "ecf48dd63a8fcbfad44ee1200310e124036e32a9"
+        )
+
+    def test_sweep_spec_fingerprint(self):
+        spec = SweepSpec.build(
+            ["dp", "sampling"],
+            [("q0", random_query(5, rng=3)), ("q1", random_query(4, rng=1))],
+            params={("sampling", "q0"): {"rng": 0}},
+            workers=2, timeout=2.5,
+        )
+        assert spec.fingerprint() == (
+            "8176dff1aefdf96db1ba30efc4fc874781a641a8"
+        )
 
 
 class TestRegistry:

@@ -34,7 +34,6 @@ from repro.observability import (
     active_metrics,
     counter_totals,
     diff_metrics,
-    install_metrics,
     load_events,
     load_metrics_file,
     metric_inc,
@@ -159,16 +158,6 @@ class TestNoOpDefault:
         assert active_metrics() is None
         assert seen == [None]
         assert registry.counter_value("test.hits") == 1
-
-    def test_install_metrics_process_wide(self):
-        registry = MetricsRegistry()
-        previous = install_metrics(registry)
-        try:
-            metric_inc("test.hits", 2)
-        finally:
-            install_metrics(previous)
-        assert registry.counter_value("test.hits") == 2
-        assert active_metrics() is previous
 
 
 # ---------------------------------------------------------------------
