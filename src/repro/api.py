@@ -45,9 +45,8 @@ from repro.core.requests import (
 from repro.core.results import PlanResult
 from repro.observability.events import EVENTS_SCHEMA
 from repro.observability.metrics import METRICS_SCHEMA
-from repro.perf.kernels import pin_kernels
 from repro.runtime.costcache import CostCache, use_cache
-from repro.runtime.registry import InstanceRegistry, instance_key
+from repro.runtime.registry import instance_key
 from repro.runtime.journal import read_journal
 from repro.runtime.metrics import (
     load_metrics,
@@ -82,7 +81,7 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.5"
+API_VERSION = "1.6"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
@@ -304,7 +303,6 @@ def sweep(
     *,
     journal: Optional[Any] = None,
     resume: bool = False,
-    registry_maxsize: Optional[int] = None,
 ) -> SweepResult:
     """Run an optimizer x instance grid through the instrumented runner.
 
@@ -317,16 +315,13 @@ def sweep(
 
     Only host-local operational arguments may accompany it; they are
     deliberately not part of the spec (a spec must be safe to accept
-    over a socket, and ``registry_maxsize`` never changes results —
-    only memory — so it stays out of request fingerprints):
+    over a socket):
 
     * ``journal`` — path of an fsynced ``repro.journal/2`` record of
       completed tasks;
     * ``resume=True`` — restore the tasks ``journal`` already holds and
       run the rest (:func:`~repro.runtime.runner.run_sweep` with
-      ``resume=True``);
-    * ``registry_maxsize`` — bound on each pool worker's live decoded
-      instances (see :mod:`repro.runtime.registry`).
+      ``resume=True``).
 
     The spec's ``retries`` tries per task with deterministic
     exponential ``backoff``.  A journal or a retry setting other than
@@ -357,7 +352,6 @@ def sweep(
         retry=RetryPolicy(attempts=max(1, spec.retries), backoff=spec.backoff),
         journal=journal,
         resume=resume,
-        registry_maxsize=registry_maxsize,
     )
 
 
@@ -525,7 +519,6 @@ __all__ = [
     "RPC_SCHEMAS",
     "CostCache",
     "ExecutionReport",
-    "InstanceRegistry",
     "OptimizeRequest",
     "PlanResult",
     "RetryPolicy",
@@ -545,7 +538,6 @@ __all__ = [
     "load_metrics",
     "optimize",
     "optimizer_names",
-    "pin_kernels",
     "read_journal",
     "reduce",
     "reduction_names",

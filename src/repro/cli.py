@@ -203,9 +203,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.retries < 1:
         print("--retries must be >= 1", file=sys.stderr)
         return 2
-    if args.registry_maxsize is not None and args.registry_maxsize < 0:
-        print("--registry-maxsize must be >= 0", file=sys.stderr)
-        return 2
 
     spec = api.SweepSpec.build(
         names,
@@ -226,12 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.utils.validation import ValidationError
 
     try:
-        result = api.sweep(
-            spec,
-            journal=args.journal,
-            resume=args.resume,
-            registry_maxsize=args.registry_maxsize,
-        )
+        result = api.sweep(spec, journal=args.journal, resume=args.resume)
     except ValidationError as exc:  # e.g. a journal of another schema
         print(f"cannot run the sweep: {exc}", file=sys.stderr)
         return 2
@@ -411,7 +403,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         retry_after_s=args.retry_after,
         result_cache_size=args.cache_size,
-        instance_cache_size=args.instance_cache_size,
         metrics_out=args.metrics_out,
         metrics_interval_s=args.metrics_interval,
         events_out=args.events_out,
@@ -751,11 +742,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-maxsize", type=int, default=None,
         help="bound the cost cache (LRU) at this many entries",
     )
-    sweep.add_argument(
-        "--registry-maxsize", type=int, default=None,
-        help="bound each worker's live decoded-instance LRU "
-        "(default: unbounded; evicted instances re-decode on demand)",
-    )
     sweep.add_argument("--metrics-out", default=None,
                        help="metrics JSON path (default: benchmarks/results/"
                        "sweep-metrics.json when that directory exists)")
@@ -850,11 +836,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-size", type=int, default=256,
         help="result-cache entries (0 disables result caching)",
-    )
-    serve.add_argument(
-        "--instance-cache-size", type=int, default=64,
-        help="decoded instances each worker process keeps alive (and "
-        "kernels it pins) for compiled-kernel reuse",
     )
     serve.add_argument(
         "--metrics-out", default=None,

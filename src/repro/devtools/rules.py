@@ -620,22 +620,21 @@ def _check_unknown_suppression(
 # RPR013 — instance registries are executor machinery
 # ---------------------------------------------------------------------
 
-#: The packages allowed to construct InstanceRegistry: the sweep
-#: executor (pool initializers, serial fallbacks) and the service
-#: daemon's keep-alive LRU.  Anywhere else, a private registry would
-#: fork the content-addressed store the executor reasons about —
-#: ship-bytes accounting, eviction bounds and journal-fingerprint
-#: agreement all assume one registry per worker/daemon, owned by the
-#: runtime.  Callers hold :class:`InstanceRef` keys, not registries.
-REGISTRY_HOMES = ("runtime", "service")
+#: The package allowed to construct InstanceRegistry: the sweep
+#: executor (its parent side and pool initializers).  Anywhere else, a
+#: private registry would fork the content-addressed store the
+#: executor reasons about — ship-bytes accounting and
+#: journal-fingerprint agreement both assume one registry per sweep
+#: and per worker, owned by the runtime.  Callers hold
+#: :class:`InstanceRef` keys, not registries.
+REGISTRY_HOMES = ("runtime",)
 
 
 @register(
     "RPR013",
     "registry-outside-runtime",
-    "only repro.runtime and repro.service may construct "
-    "InstanceRegistry; other code must pass InstanceRef keys through "
-    "the executor API",
+    "only repro.runtime may construct InstanceRegistry; other code "
+    "must pass InstanceRef keys through the executor API",
 )
 def _check_registry_confined(
     file: SourceFile, project: Project
@@ -660,10 +659,10 @@ def _check_registry_confined(
         if constructs:
             line, col = _loc(node)
             yield line, col, (
-                "InstanceRegistry constructed outside repro.runtime / "
-                "repro.service; the executor owns instance registries "
-                "(ship InstanceRef keys through run_sweep / the service "
-                "daemon instead of building a private store)"
+                "InstanceRegistry constructed outside repro.runtime; "
+                "the executor owns instance registries (ship InstanceRef "
+                "keys through run_sweep instead of building a private "
+                "store)"
             )
 
 

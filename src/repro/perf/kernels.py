@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import threading
 import weakref
-from collections import OrderedDict
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import (
@@ -587,69 +586,51 @@ _QOH_CACHE: "weakref.WeakValueDictionary[int, CompiledQOH]" = (
 # The weak memo alone cannot make kernels persist *across* tasks: the
 # evaluator is the only strong reference, so when a task's evaluator
 # dies the kernel is collected and the next task recompiles it even if
-# the instance object itself lived on.  The pin tier fixes that: a
-# bounded strong LRU of recently compiled kernels, enabled by the sweep
-# executor (workers pin while a registry keeps decoded instances live;
-# the serial loop pins for the duration of a sweep).  Pinning is pure
-# retention — lookups still go through the weak memo with its identity
-# check — so it can never change which kernel a caller sees, only how
-# long one stays warm.
+# the instance object itself lived on.  A retention scope fixes that:
+# while one is open, every kernel compiled or looked up on the calling
+# thread stays alive until the scope closes.  The sweep executor opens
+# one for each serial sweep and one for each pool worker's life, so a
+# sweep compiles each distinct instance at most once in each process
+# that runs its tasks.  Retention changes only
+# how long a kernel stays warm — lookups still go through the weak memo
+# with its identity check — never which kernel a caller sees.
 #
-# The tier is per thread: threads running serial sweeps at once (the
+# Scopes are per thread: threads running serial sweeps at once (the
 # service daemon's worker threads, when it has no process pool) must
-# neither reset one another's limit nor unpin one another's kernels.
-# A pool worker, the sweep runner's or the daemon's, runs its
-# initializer and its jobs on one thread, so its pins cover them all.
-class _PinTier(threading.local):
+# not release one another's kernels.  A pool worker runs its
+# initializer and its jobs on one thread, so its scope covers them all.
+class _Retained(threading.local):
     def __init__(self) -> None:
-        self.limit = 0
-        self.kernels: "OrderedDict[int, Union[CompiledQON, CompiledQOH]]" = (
-            OrderedDict()
-        )
+        self.depth = 0
+        self.kernels: Dict[int, Union[CompiledQON, CompiledQOH]] = {}
 
 
-_PINS = _PinTier()
-
-
-def pin_kernels(limit: int) -> None:
-    """Strongly retain up to ``limit`` most-recently-used kernels
-    compiled or looked up on the calling thread.
-
-    ``0`` (the default) disables pinning and releases every pinned
-    kernel.  A pinned kernel keeps its instance alive, so callers
-    should bound ``limit`` by how many distinct instances they expect
-    live at once (the executor uses the registry's live-tier bound).
-    """
-    require(limit >= 0, "kernel pin limit must be >= 0")
-    pins = _PINS
-    pins.limit = limit
-    if limit == 0:
-        pins.kernels.clear()
-    while len(pins.kernels) > limit:
-        pins.kernels.popitem(last=False)
+_RETAINED = _Retained()
 
 
 @contextmanager
-def pinned_kernels(limit: int) -> Iterator[None]:
-    """Scoped :func:`pin_kernels`: restores the calling thread's
-    previous limit on exit."""
-    previous = _PINS.limit
-    pin_kernels(limit)
+def retain_kernels() -> Iterator[None]:
+    """Keep every kernel compiled or looked up on the calling thread
+    alive until the outermost open scope on that thread closes.
+
+    A retained kernel keeps its instance alive too, so open a scope
+    only around work whose instances live as long anyway (a sweep's
+    tasks, a pool worker's shipped instances).
+    """
+    retained = _RETAINED
+    retained.depth += 1
     try:
         yield
     finally:
-        pin_kernels(previous)
+        retained.depth -= 1
+        if retained.depth == 0:
+            retained.kernels.clear()
 
 
-def _pin(key: int, kernel: Union[CompiledQON, CompiledQOH]) -> None:
-    pins = _PINS
-    if pins.limit == 0:
-        return
-    pinned = pins.kernels
-    pinned[key] = kernel
-    pinned.move_to_end(key)
-    while len(pinned) > pins.limit:
-        pinned.popitem(last=False)
+def _retain(key: int, kernel: Union[CompiledQON, CompiledQOH]) -> None:
+    retained = _RETAINED
+    if retained.depth:
+        retained.kernels[key] = kernel
 
 
 def compile_qon(instance: "QONInstance") -> CompiledQON:
@@ -661,7 +642,7 @@ def compile_qon(instance: "QONInstance") -> CompiledQON:
         kernel = CompiledQON(instance)
         _QON_CACHE[id(instance)] = kernel
         _metric_inc("perf.kernel_compiles")
-    _pin(id(instance), kernel)
+    _retain(id(instance), kernel)
     return kernel
 
 
@@ -674,5 +655,5 @@ def compile_qoh(instance: "QOHInstance") -> CompiledQOH:
         kernel = CompiledQOH(instance)
         _QOH_CACHE[id(instance)] = kernel
         _metric_inc("perf.kernel_compiles")
-    _pin(id(instance), kernel)
+    _retain(id(instance), kernel)
     return kernel

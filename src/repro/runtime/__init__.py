@@ -17,8 +17,8 @@ The layers:
 * :mod:`repro.runtime.journal` — the crash-safe JSONL task journal
   behind resumability (``repro.journal/2``);
 * :mod:`repro.runtime.registry` — the content-addressed instance
-  store behind chunked dispatch and the service daemon's keep-alive
-  LRU (``InstanceRegistry`` / ``instance_key``).
+  store behind chunked dispatch (``InstanceRegistry`` /
+  ``instance_key``).
 
 The cache symbols are imported eagerly; the other layers load lazily
 on first attribute access because the cost model itself imports

@@ -11,13 +11,14 @@ one executor, :func:`run_sweep`:
   :class:`~repro.runtime.registry.InstanceRegistry`: each *distinct*
   instance payload is shipped to each worker exactly once in the pool
   initializer, tasks carry lightweight
-  :class:`~repro.runtime.registry.InstanceRef` markers, and workers
-  keep decoded instances (and therefore the per-instance compiled
-  kernels of :mod:`repro.perf.kernels`) live across tasks.  Chunks
+  :class:`~repro.runtime.registry.InstanceRef` markers, and each
+  worker decodes an instance once and keeps it, with its compiled
+  kernels (:mod:`repro.perf.kernels`), for the pool's life.  Chunks
   complete in arbitrary order; :func:`_reassemble` restores exact task
   order from the per-outcome task index;
 * serially — with identical outcome semantics — when ``workers <= 1``
-  or no pool can be created.
+  or no pool can be created.  The tasks' own instance objects are
+  shared, and their compiled kernels live until the sweep ends.
 
 Either way each task runs under a per-task wall-clock timeout
 (SIGALRM-based, so a stuck optimizer returns a *marked* partial
@@ -73,6 +74,7 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import (
@@ -318,7 +320,7 @@ class ExecutorStats:
     ``ship_bytes`` (``runtime.ship_bytes``) — pickled instance bytes
     shipped to workers: each distinct payload travels once per worker
     per pool (respawns ship again).  ``registry_hits``
-    (``runtime.registry_hits``) — worker-side live-tier hits (a decoded
+    (``runtime.registry_hits``) — worker-side registry hits (a decoded
     instance was reused across tasks).  ``kernels_compiled``
     (``perf.kernel_compiles``) — actual :mod:`repro.perf.kernels`
     constructions, summed over workers (or over the serial loop).
@@ -433,33 +435,38 @@ class SweepResult:
         return sum(outcome.explored for outcome in self.outcomes)
 
 
+#: Each retry waits this many times as long as the one before ...
+BACKOFF_FACTOR = 2.0
+#: ... up to this many seconds.
+MAX_BACKOFF_S = 60.0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """How often to retry a failed task and how long to wait.
 
     ``attempts`` is the *total* number of tries per task.  The wait
-    before retry ``k`` (1-based) is ``backoff * factor ** (k - 1)``,
-    capped at ``max_delay`` — deliberately jitter-free so the schedule
-    is deterministic and testable.
+    before retry ``k`` (1-based) is
+    ``backoff * BACKOFF_FACTOR ** (k - 1)``, capped at
+    ``MAX_BACKOFF_S`` — deliberately jitter-free so the schedule is
+    deterministic and testable.
     """
 
     attempts: int = 1
     backoff: float = 0.0
-    factor: float = 2.0
-    max_delay: float = 60.0
 
     def __post_init__(self) -> None:
         require(self.attempts >= 1, "RetryPolicy.attempts must be >= 1")
         require(self.backoff >= 0.0, "RetryPolicy.backoff must be >= 0")
-        require(self.factor >= 1.0, "RetryPolicy.factor must be >= 1")
-        require(self.max_delay >= 0.0, "RetryPolicy.max_delay must be >= 0")
 
     def delay(self, retry: int) -> float:
         """Seconds to wait before retry number ``retry`` (1-based)."""
         require(retry >= 1, "retry numbers are 1-based")
         if self.backoff <= 0.0:
             return 0.0
-        return min(self.backoff * self.factor ** (retry - 1), self.max_delay)
+        return min(
+            self.backoff * BACKOFF_FACTOR ** (retry - 1), MAX_BACKOFF_S
+        )
 
     def delays(self) -> Tuple[float, ...]:
         """The full backoff schedule for a task that fails every try."""
@@ -677,6 +684,9 @@ _IN_POOL_WORKER = False
 #: initializer from the shipped settings and payload map.
 _WORKER_CACHE = _CacheScope(True, None, per_attempt=True)
 _WORKER_REGISTRY = InstanceRegistry()
+#: The worker's kernel retention scope: entered by the pool
+#: initializer, left only when the worker process exits.
+_WORKER_KERNELS = ExitStack()
 
 #: One dispatched chunk: ``(index, task, attempt)`` triples — each
 #: task's ``instance`` slot holding an :class:`InstanceRef` — plus the
@@ -694,25 +704,18 @@ def _worker_init(
     cache_maxsize: Optional[int],
     per_attempt: bool,
     payloads: Dict[str, bytes],
-    registry_max_live: Optional[int],
 ) -> None:
-    from repro.perf.kernels import pin_kernels
+    from repro.perf.kernels import retain_kernels
 
     global _IN_POOL_WORKER, _WORKER_CACHE, _WORKER_REGISTRY
     _IN_POOL_WORKER = True
     # A sweep killed outright never shuts its pool down.
     exit_with_parent()
     _WORKER_CACHE = _CacheScope(cache, cache_maxsize, per_attempt)
-    _WORKER_REGISTRY = InstanceRegistry.from_payloads(
-        payloads, max_live=registry_max_live
-    )
-    # Worker-persistent kernels: while the registry keeps a decoded
-    # instance live, keep its compiled kernel alive too.  Bounded by
-    # the live tier so pinning cannot outgrow the registry.
-    pin_kernels(
-        registry_max_live if registry_max_live is not None
-        else len(payloads)
-    )
+    _WORKER_REGISTRY = InstanceRegistry.from_payloads(payloads)
+    # The registry keeps each decoded instance for the pool's life;
+    # keep its compiled kernels as long.
+    _WORKER_KERNELS.enter_context(retain_kernels())
 
 
 def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
@@ -721,7 +724,7 @@ def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
     The registry hands every task of a repeated instance the *same*
     decoded object, so the per-instance kernel memo in
     :mod:`repro.perf.kernels` survives across tasks.  The chunk counts
-    into a registry of its own — registry hits and decodes, kernel
+    into a registry of its own — registry hits and misses, kernel
     compiles — and returns its counters with the outcomes, so the
     parent sees how much reuse actually happened in this chunk.
     """
@@ -752,15 +755,12 @@ def _make_executor(
     cache_maxsize: Optional[int],
     per_attempt: bool,
     payloads: Dict[str, bytes],
-    registry_max_live: Optional[int],
 ) -> ProcessPoolExecutor:
     """Create the pool (split out so tests can force creation failure)."""
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_worker_init,
-        initargs=(
-            cache, cache_maxsize, per_attempt, payloads, registry_max_live,
-        ),
+        initargs=(cache, cache_maxsize, per_attempt, payloads),
     )
 
 
@@ -883,14 +883,13 @@ def _run_serial(
     trace: bool,
     fault_plan: Optional["FaultPlan"],
 ) -> None:
-    from repro.perf.kernels import pinned_kernels
+    from repro.perf.kernels import retain_kernels
 
-    # In-process tasks already share live instances; pin their kernels
-    # for the duration of the sweep so compilation is per-instance,
-    # matching what a registry worker sees.
-    distinct = len({id(task.instance) for task in tasks})
+    # In-process tasks already share live instances; keep their kernels
+    # until the sweep ends so compilation is per instance, matching
+    # what a pool worker sees.
     position = 0
-    with pinned_kernels(distinct):
+    with retain_kernels():
         try:
             for position, index in enumerate(pending):
                 while ledger.settle(index, _execute(
@@ -921,7 +920,6 @@ def _run_parallel(
     timeout: Optional[float],
     trace: bool,
     fault_plan: Optional["FaultPlan"],
-    registry_maxsize: Optional[int],
 ) -> bool:
     """Pool-backed loop; returns False when no pool can be created.
 
@@ -951,8 +949,7 @@ def _run_parallel(
 
     def spawn() -> ProcessPoolExecutor:
         pool = _make_executor(
-            workers, cache, cache_maxsize, per_attempt, payloads,
-            registry_maxsize,
+            workers, cache, cache_maxsize, per_attempt, payloads
         )
         tally.inc("runtime.ship_bytes", registry.payload_bytes() * workers)
         return pool
@@ -1109,7 +1106,6 @@ def run_sweep(
     fault_plan: Optional["FaultPlan"] = None,
     journal: Optional[PathLike] = None,
     sleep: Callable[[float], None] = time.sleep,
-    registry_maxsize: Optional[int] = None,
     resume: bool = False,
 ) -> SweepResult:
     """Run every task and return outcomes in task order.
@@ -1133,9 +1129,6 @@ def run_sweep(
         journal: path to append fsynced per-task records to.
         sleep: backoff clock, injectable so tests assert the schedule
             without waiting it out.
-        registry_maxsize: bound on each worker's *live* decoded
-            instances (the payload tier keeps everything, so eviction
-            only costs a re-decode).  ``None`` is unbounded.
         resume: restore every task whose fingerprint has a completed
             record in ``journal`` (bit-identical result, ``explored``,
             cache counters) and run only the rest, appending their
@@ -1177,7 +1170,6 @@ def run_sweep(
             if workers > 1 and len(pending) > 1 and _run_parallel(
                 tasks, pending, ledger, tally, workers, cache,
                 cache_maxsize, per_attempt, timeout, trace, fault_plan,
-                registry_maxsize,
             ):
                 mode = "parallel"
             else:

@@ -43,11 +43,10 @@ span trees.  A dead worker breaks the pool: its jobs get error replies
 and the next job runs on a respawned pool.  Only when no pool can be
 created at all do the threads run :func:`_compute` themselves.
 
-Each worker process keeps a bounded keep-alive LRU of decoded
-instances, keyed by their canonical wire JSON, and pins as many
-compiled kernels, so repeated requests against the same instance on
-the same worker reuse its compiled cost kernels (memoized per *live*
-object).
+A job computes on the instance decoded from its request, so that
+instance and its compiled kernels live as long as the job: nothing but
+the result cache outlives a request, and a served request compiles the
+kernels a direct call in a fresh process compiles.
 
 SIGTERM/SIGINT (or the ``shutdown`` op) triggers a graceful drain:
 the listener closes, late requests get retry-after rejections, queued
@@ -63,7 +62,6 @@ from __future__ import annotations
 
 import dataclasses
 import io
-import json
 import multiprocessing
 import os
 import signal
@@ -104,8 +102,6 @@ class ServerConfig:
     ``retry_after_s`` — the hint attached to rejection replies.
     ``result_cache_size`` — result-cache entries (0 disables caching
     *and* dedup-by-cache, not dedup-by-inflight).
-    ``instance_cache_size`` — decoded instances each worker process
-    keeps alive, and compiled kernels it pins, for kernel reuse.
     ``metrics_out`` — append ``repro.metrics/1`` snapshot lines here
     every ``metrics_interval_s`` seconds (None disables the exporter;
     the live registry and the ``metrics`` RPC op work either way).
@@ -120,7 +116,6 @@ class ServerConfig:
     max_queue: int = 32
     retry_after_s: float = 0.05
     result_cache_size: int = 256
-    instance_cache_size: int = 64
     metrics_out: Optional[str] = None
     metrics_interval_s: float = 1.0
     events_out: Optional[str] = None
@@ -130,20 +125,13 @@ class ServerConfig:
 class _Job:
     """One admitted computation plus everyone waiting on it."""
 
-    __slots__ = ("op", "request", "payload", "fingerprint", "waiters", "done")
+    __slots__ = ("op", "request", "fingerprint", "waiters", "done")
 
     def __init__(
-        self,
-        op: str,
-        request: RequestLike,
-        payload: Dict[str, Any],
-        fingerprint: str,
+        self, op: str, request: RequestLike, fingerprint: str
     ) -> None:
         self.op = op
         self.request = request
-        #: The wire payload, kept for the instance keys (computed only
-        #: for jobs that reach a worker).
-        self.payload = payload
         self.fingerprint = fingerprint
         #: ``(connection, frame_id, coalesced)`` per requester.
         self.waiters: List[Tuple["_Connection", int, bool]] = []
@@ -155,17 +143,12 @@ class _Job:
 
 @dataclass(frozen=True)
 class _Work:
-    """What computing one job needs, shipped to a worker process.
-
-    ``instance_keys`` holds the canonical JSON of each instance of the
-    request, in request order (empty when the instance LRU is off);
-    ``events`` asks for the events the computation emits.
-    """
+    """What computing one job needs, shipped to a worker process;
+    ``events`` asks for the events the computation emits."""
 
     op: str
     request: RequestLike
     fingerprint: str
-    instance_keys: Tuple[str, ...]
     events: bool
 
 
@@ -174,9 +157,9 @@ class _Computed:
     """What one computation produced and recorded, shipped back.
 
     ``wall_time_s`` is the time around ``api.execute_request``;
-    ``counters`` what the job counted (kernel compiles, instance-LRU
-    hits and misses, its cost cache's evaluations and hits, a sweep's
-    tally); ``events`` the ``repro.events/1`` lines it emitted.
+    ``counters`` what the job counted (kernel compiles, the counts a
+    memoizing optimizer publishes, a sweep's tally); ``events`` the
+    ``repro.events/1`` lines it emitted.
     """
 
     result: Any = None
@@ -187,57 +170,23 @@ class _Computed:
     events: str = ""
 
 
-#: The keep-alive instance LRU of a worker process, built by
-#: :func:`_init_worker`.
-_INSTANCES = api.InstanceRegistry(max_live=0)
-
-
-def _init_worker(instance_cache_size: int) -> None:
+def _init_worker() -> None:
     """Pool initializer.
 
     SIGINT and SIGTERM are the parent's: its drain lets a running job
     finish, so a signal sent to the whole process group must not kill
-    the worker.  While the LRU keeps a decoded instance live, its
-    compiled kernel stays pinned too, as in the sweep runner's workers.
+    the worker.
     """
-    global _INSTANCES
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
     # A daemon killed outright never shuts its pool down, and these
     # workers ignore SIGTERM.
     exit_with_parent()
-    _INSTANCES = api.InstanceRegistry(max_live=instance_cache_size)
-    api.pin_kernels(instance_cache_size)
 
 
-def _canonical(
-    request: RequestLike,
-    keys: Tuple[str, ...],
-    instances: "api.InstanceRegistry",
-) -> RequestLike:
-    """``request`` with each instance swapped for the live object the
-    LRU holds under its key, so repeated requests share one compiled
-    kernel."""
-    if not keys:
-        return request
-    if isinstance(request, api.OptimizeRequest):
-        return dataclasses.replace(
-            request, instance=instances.canonical(keys[0], request.instance)
-        )
-    return dataclasses.replace(
-        request,
-        instances=tuple(
-            (label, instances.canonical(key, instance))
-            for (label, instance), key in zip(request.instances, keys)
-        ),
-    )
-
-
-def _compute(
-    work: _Work, instances: Optional["api.InstanceRegistry"] = None
-) -> _Computed:
+def _compute(work: _Work) -> _Computed:
     """Compute one job: in a pool worker, or on a worker thread when
-    no pool can be created (then with the daemon's own ``instances``).
+    no pool can be created.
 
     Everything the job counts, traces and emits goes to stores made
     for this job alone and travels back in the :class:`_Computed`, the
@@ -246,8 +195,7 @@ def _compute(
     does the same work and records the same span counters: a sweep
     brings its own caches, and the optimizers that memoize their own
     call publish their memo's counts themselves.  Nothing is retained
-    between requests but decoded instances and their kernels (the
-    result cache answers repeats).
+    between requests (the result cache answers repeats).
     """
     request = work.request
     trace_id = getattr(request, "trace_id", None)
@@ -264,10 +212,6 @@ def _compute(
     error: Optional[str] = None
     with use_metrics(counters), use_event_log(log), \
             use_tracer(tracer), api.use_cache(None):
-        request = _canonical(
-            request, work.instance_keys,
-            _INSTANCES if instances is None else instances,
-        )
         started = time.perf_counter()
         try:
             with tracer.span(f"execute.{work.fingerprint[:12]}"):
@@ -285,18 +229,7 @@ def _compute(
     )
 
 
-def _instance_keys(op: str, payload: Dict[str, Any]) -> Tuple[str, ...]:
-    """The canonical JSON of each instance in a request payload."""
-    encoded = (
-        [payload["instance"]] if op == "optimize"
-        else [entry for _label, entry in payload["instances"]]
-    )
-    return tuple(json.dumps(entry, sort_keys=True) for entry in encoded)
-
-
-def _start_pool(
-    workers: int, instance_cache_size: int
-) -> Optional[ProcessPoolExecutor]:
+def _start_pool(workers: int) -> Optional[ProcessPoolExecutor]:
     """A forked pool of ``workers`` compute processes, up and
     answering, or None when none can be created (no ``fork``, no
     semaphores, a sandbox)."""
@@ -305,7 +238,6 @@ def _start_pool(
             max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_init_worker,
-            initargs=(instance_cache_size,),
         )
     except Exception:
         return None
@@ -376,14 +308,10 @@ class OptimizationServer:
         self._inflight: Dict[str, _Job] = {}
         self._running_count = 0
         self._results: "OrderedDict[str, api.ServiceReply]" = OrderedDict()
-        self._instance_cache_size = max(self.config.instance_cache_size, 0)
         # The compute pool; None until start() and when no pool can be
-        # created (then the worker threads compute, with this LRU).
+        # created (then the worker threads compute).
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
-        self._instances = api.InstanceRegistry(
-            max_live=self._instance_cache_size
-        )
         self._connections: List[_Connection] = []
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
@@ -410,7 +338,7 @@ class OptimizationServer:
         self._started = True
         # Fork first, while no thread of this server runs and no socket
         # is open: the workers inherit neither.
-        pool = _start_pool(self.config.workers, self._instance_cache_size)
+        pool = _start_pool(self.config.workers)
         with self._pool_lock:
             self._pool = pool
         address = self.config.address
@@ -696,7 +624,7 @@ class OptimizationServer:
                         fingerprint=fingerprint,
                     )
                 else:
-                    job = _Job(op, request, payload, fingerprint)
+                    job = _Job(op, request, fingerprint)
                     job.waiters.append((connection, frame_id, False))
                     if not bypass:
                         self._inflight[fingerprint] = job
@@ -765,10 +693,6 @@ class OptimizationServer:
             op=job.op,
             request=job.request,
             fingerprint=job.fingerprint,
-            instance_keys=(
-                _instance_keys(job.op, job.payload)
-                if self._instance_cache_size else ()
-            ),
             events=self._event_log is not None,
         ))
         # What the job counted and emitted where it ran reaches the
@@ -815,8 +739,7 @@ class OptimizationServer:
             with self._pool_lock:
                 pool = self._pool
             if pool is None:
-                api.pin_kernels(self._instance_cache_size)
-                return _compute(work, self._instances)
+                return _compute(work)
             started = time.perf_counter()
             try:
                 future = pool.submit(_compute, work)
@@ -848,9 +771,7 @@ class OptimizationServer:
                 return  # already replaced, or stopped by shutdown()
             broken.shutdown(wait=False, cancel_futures=True)
             self.metrics.inc("service.worker_recoveries")
-            self._pool = _start_pool(
-                self.config.workers, self._instance_cache_size
-            )
+            self._pool = _start_pool(self.config.workers)
 
     def _stop_pool(self, drained: bool) -> None:
         with self._pool_lock:

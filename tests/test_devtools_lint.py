@@ -316,7 +316,7 @@ class TestRuleFixtures:
                 from repro.runtime.registry import InstanceRegistry
 
                 def private_store():
-                    return InstanceRegistry(max_live=4)
+                    return InstanceRegistry()
             """,
         })
         report = lint_paths([tree], select=["RPR013"])
@@ -334,7 +334,7 @@ class TestRuleFixtures:
         report = lint_paths([tree], select=["RPR013"])
         assert codes_of(report) == ["RPR013"]
 
-    def test_rpr013_allows_runtime_and_service(self, tmp_path):
+    def test_rpr013_allows_runtime_only(self, tmp_path):
         tree = make_tree(tmp_path, {
             "src/repro/runtime/runner.py": """\
                 from repro.runtime.registry import InstanceRegistry
@@ -343,13 +343,15 @@ class TestRuleFixtures:
                     return InstanceRegistry()
             """,
             "src/repro/service/server.py": """\
-                from repro import api
+                from repro.runtime.registry import InstanceRegistry
 
                 def build(config):
-                    return api.InstanceRegistry(max_live=8)
+                    return InstanceRegistry()
             """,
         })
-        assert lint_paths([tree], select=["RPR013"]).ok
+        report = lint_paths([tree], select=["RPR013"])
+        assert codes_of(report) == ["RPR013"]
+        assert report.diagnostics[0].path.endswith("service/server.py")
 
     def test_rpr013_allows_passing_refs_through(self, tmp_path):
         tree = make_tree(tmp_path, {

@@ -42,7 +42,7 @@ from repro.perf.kernels import (
     compile_qon,
     is_exact_value,
     iter_bits,
-    pinned_kernels,
+    retain_kernels,
 )
 from repro.perf.qoh import QOHEvaluator
 from repro.runtime.costcache import CostCache
@@ -193,23 +193,40 @@ class TestKernelMemoization:
 class TestPinTier:
     def test_interleaved_scopes_on_two_threads_leave_nothing_pinned(self):
         """Scope A enters, scope B enters, A exits, B exits, each on
-        its own thread: neither limit outlives its scope, so a kernel
-        compiled afterwards is not kept alive by a stale pin."""
+        its own thread: a scope keeps its own thread's kernels alive
+        while it is open, A's exit does not release B's, and nothing
+        outlives its scope, so a kernel compiled afterwards is not
+        kept alive by a stale scope."""
         a_entered, b_entered, a_exited = (
             threading.Event() for _ in range(3)
         )
+        alive = {}
+
+        def compiled(seed):
+            return weakref.ref(compile_qon(random_query(5, rng=seed)))
 
         def scope_a():
-            with pinned_kernels(3):
+            with retain_kernels():
+                kernel = compiled(12)
                 a_entered.set()
                 b_entered.wait(10)
+                gc.collect()
+                alive["a in scope"] = kernel() is not None
+            # Checked while B's scope is still open.
+            gc.collect()
+            alive["a after scope"] = kernel() is not None
             a_exited.set()
 
         def scope_b():
             a_entered.wait(10)
-            with pinned_kernels(2):
+            with retain_kernels():
+                kernel = compiled(13)
                 b_entered.set()
                 a_exited.wait(10)
+                gc.collect()
+                alive["b after a exits"] = kernel() is not None
+            gc.collect()
+            alive["b after scope"] = kernel() is not None
 
         threads = [
             threading.Thread(target=scope_a),
@@ -221,9 +238,24 @@ class TestPinTier:
             thread.join(timeout=30)
             assert not thread.is_alive()
         assert a_exited.is_set() and b_entered.is_set()
+        assert alive == {
+            "a in scope": True,
+            "a after scope": False,
+            "b after a exits": True,
+            "b after scope": False,
+        }
         instance = random_query(5, rng=11)
         kernel = weakref.ref(compile_qon(instance))
         del instance
+        gc.collect()
+        assert kernel() is None
+
+    def test_nested_scopes_retain_until_the_outermost_exits(self):
+        with retain_kernels():
+            with retain_kernels():
+                kernel = weakref.ref(compile_qon(random_query(5, rng=14)))
+            gc.collect()
+            assert kernel() is not None
         gc.collect()
         assert kernel() is None
 

@@ -50,6 +50,7 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.runner import (
     FAILURE_KINDS,
+    MAX_BACKOFF_S,
     OPTIMIZERS,
     RetryPolicy,
     SweepTask,
@@ -210,8 +211,11 @@ class TestBackoff:
         assert policy.delays() == RetryPolicy(attempts=4, backoff=0.5).delays()
 
     def test_max_delay_caps_growth(self):
-        policy = RetryPolicy(attempts=6, backoff=1.0, max_delay=3.0)
-        assert policy.delays() == (1.0, 2.0, 3.0, 3.0, 3.0)
+        policy = RetryPolicy(attempts=9, backoff=1.0)
+        assert MAX_BACKOFF_S == 60.0
+        assert policy.delays() == (
+            1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0
+        )
 
     def test_sweep_sleeps_exactly_the_schedule(self):
         recorded = []
@@ -229,8 +233,6 @@ class TestBackoff:
             RetryPolicy(attempts=0)
         with pytest.raises(ValidationError):
             RetryPolicy(backoff=-1.0)
-        with pytest.raises(ValidationError):
-            RetryPolicy(factor=0.5)
 
 
 class TestWorkerKillRecovery:

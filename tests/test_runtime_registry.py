@@ -2,9 +2,9 @@
 
 Four contracts, per ISSUE requirements:
 
-* registry semantics — content-keyed dedup, live-tier object identity,
-  eviction followed by transparent *refetch* (re-decode) from the
-  payload tier, pass-through mode, counters;
+* registry semantics — content-keyed dedup, one decode per key and
+  the same object on every later get, counters; a pool worker decodes
+  and compiles each distinct instance at most once;
 * golden bit-identity — a chunked + registry parallel sweep produces
   outcome-for-outcome identical results (cost value, type and
   ``repr``, sequence, ``explored``, exact cache counters) to the
@@ -172,64 +172,26 @@ class TestRegistry:
         )
 
     def test_live_hit_returns_the_same_object(self):
+        """The first get decodes (a miss); every later get returns that
+        same object (a hit).  Registering keeps only the payload."""
         registry = InstanceRegistry()
         instance = random_query(5, rng=0)
         key = registry.register(instance)
         counters = MetricsRegistry()
         with use_metrics(counters):
-            assert registry.get(key) is instance
-            assert registry.get(key) is instance
+            decoded = registry.get(key)
+            assert registry.get(key) is decoded
+            assert registry.get(key) is decoded
+        assert decoded is not instance
+        assert instance_key(decoded) == key
+        assert _counted(counters, "misses") == 1
         assert _counted(counters, "hits") == 2
-        assert _counted(counters, "decodes") == 0
 
     def test_unregistered_key_raises(self):
-        with pytest.raises(KeyError):
+        counters = MetricsRegistry()
+        with use_metrics(counters), pytest.raises(KeyError):
             InstanceRegistry().get("no-such-key")
-
-    def test_eviction_then_refetch(self):
-        """An evicted instance is transparently re-decoded from its
-        payload — eviction is a memory/speed trade, never a loss."""
-        registry = InstanceRegistry(max_live=1)
-        first = random_query(5, rng=0)
-        second = random_query(5, rng=1)
-        counters = MetricsRegistry()
-        with use_metrics(counters):
-            key_first = registry.register(first)
-            registry.register(second)  # evicts `first` from the live tier
-            assert _counted(counters, "evictions") == 1
-            refetched = registry.get(key_first)
-            assert refetched is not first  # decoded copy, not the original
-            assert instance_key(refetched) == key_first  # same content
-            assert _counted(counters, "decodes") == 1
-            # The refetched object is now live: next get is a hit.
-            assert registry.get(key_first) is refetched
-        assert _counted(counters, "hits") == 1
-        assert _counted(counters, "evictions") == 2  # `second` went too
-
-    def test_max_live_zero_is_pass_through(self):
-        registry = InstanceRegistry(max_live=0)
-        instance = random_query(5, rng=0)
-        key = registry.register(instance)
-        assert registry.canonical(key, instance) is instance
-        counters = MetricsRegistry()
-        with use_metrics(counters):
-            first = registry.get(key)
-            second = registry.get(key)
-        assert first is not second  # nothing kept live: decode per get
-        assert _counted(counters, "decodes") == 2
-        assert _counted(counters, "hits") == 0
-
-    def test_canonical_dedups_decoded_instances(self):
-        registry = InstanceRegistry(max_live=4)
-        original = random_query(5, rng=0)
-        copy = pickle.loads(pickle.dumps(original))
-        counters = MetricsRegistry()
-        with use_metrics(counters):
-            assert registry.canonical("k", original) is original
-            assert registry.canonical("k", copy) is original
-        assert _counted(counters, "hits") == 1
-        assert _counted(counters, "misses") == 1
-        assert len(registry) == 0  # canonical never touches payloads
+        assert _counted(counters, "misses") == 0
 
     def test_from_payloads_round_trip(self):
         parent = InstanceRegistry()
@@ -239,10 +201,6 @@ class TestRegistry:
         decoded = worker.get(key)
         assert decoded is not instance
         assert instance_key(decoded) == key
-
-    def test_rejects_negative_max_live(self):
-        with pytest.raises(ValidationError):
-            InstanceRegistry(max_live=-1)
 
 
 # ---------------------------------------------------------------------
@@ -299,18 +257,28 @@ class TestChunkedBitIdentity:
         # 3 optimizers per instance in one worker set: reuse must show.
         assert executor.registry_hits > 0
 
-    def test_bounded_registry_evicts_and_stays_identical(self, monkeypatch):
-        """registry_maxsize=1 forces eviction-then-refetch inside the
-        sweep; outcomes must not notice."""
-        pin_chunksize(monkeypatch, 2)
-        tasks = _tasks(seeds=3)
-        serial = run_sweep(tasks, workers=1, cache=False)
-        bounded = run_sweep(
-            tasks, workers=2, cache=False, registry_maxsize=1,
-        )
-        if bounded.mode != "parallel":
+    def test_each_worker_decodes_and_compiles_an_instance_once(
+        self, monkeypatch
+    ):
+        """Three kernel-using optimizers on each of two instances, one
+        task per chunk: a worker keeps what it decoded and compiled for
+        its life, so across both workers no instance is decoded or
+        compiled more than twice."""
+        pin_chunksize(monkeypatch, 1)
+        tasks = _tasks(seeds=2)
+        distinct = len({id(task.instance) for task in tasks})
+        counters = MetricsRegistry()
+        with use_metrics(counters):
+            result = run_sweep(tasks, workers=2, cache=False)
+        if result.mode != "parallel":
             pytest.skip("no process pool available here")
-        assert_bit_identical(bounded, serial)
+        hits = _counted(counters, "hits")
+        misses = _counted(counters, "misses")
+        assert (distinct, len(tasks)) == (2, 6)
+        assert hits + misses == len(tasks)
+        assert misses <= 2 * distinct
+        assert result.executor.registry_hits == hits
+        assert 0 < result.executor.kernels_compiled <= 2 * distinct
 
     def test_executor_stats_flow_into_metrics(self, monkeypatch):
         pin_chunksize(monkeypatch, 2)
@@ -354,7 +322,7 @@ class TestChunkedBitIdentity:
     def test_concurrent_serial_sweeps_count_only_their_own_compiles(self):
         """The service daemon runs serial sweeps on several threads at
         once: each must report the kernels it compiled itself, one per
-        instance (its pin scope keeps them across its tasks)."""
+        instance (its retention scope keeps them across its tasks)."""
         barrier = threading.Barrier(2, timeout=60)
         compiled = {}
 

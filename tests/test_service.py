@@ -5,8 +5,9 @@ Covers, per ISSUE requirements:
 * cache bit-identity — a cached reply equals a freshly computed one
   (and a direct ``repro.api`` call) in value, type and repr;
 * a served optimize request does a direct call's work: for every
-  registered optimizer, the same result, span counters and published
-  cost counts as the call run with no cost cache;
+  registered optimizer, the same result, span counters, published
+  cost counts and kernel compiles as the call run with no cost cache
+  on a freshly decoded instance;
 * request dedup — N identical concurrent requests coalesce into one
   computation, every requester gets the shared reply;
 * the ``no_cache`` bypass flag recomputes but still refreshes;
@@ -17,10 +18,9 @@ Covers, per ISSUE requirements:
   retired ``stats`` op gets the unknown-op error reply);
 * graceful drain on shutdown, also when a signal reaches the whole
   process group, and a drain timeout that ends a stuck worker;
-* the worker processes: per-worker instance reuse and kernel pins,
-  counters and events that cross the process boundary, a dead worker
-  and the respawned pool, the no-pool fallback, workers that exit with
-  a killed daemon;
+* the worker processes: counters and events that cross the process
+  boundary, a dead worker and the respawned pool, the no-pool
+  fallback, workers that exit with a killed daemon;
 * the 16 MiB frame cap, enforced while a line is read;
 * a 64-client concurrent mixed optimize/sweep workload whose replies
   are bit-identical to direct ``repro.api`` calls with nonzero
@@ -49,9 +49,11 @@ from repro.core.results import PlanResult
 from repro.hashjoin.instance import QOHInstance
 from repro.joinopt.instance import Graph
 from repro.observability import (
+    MetricsRegistry,
     Tracer,
     counter_totals,
     load_events,
+    use_metrics,
     use_tracer,
     validate_metrics,
     validate_trace,
@@ -249,60 +251,6 @@ class TestResultCache:
         assert dict(second.counters) == want
         assert_bit_identical(second.result, direct)
 
-    def test_instance_objects_are_reused_across_requests(
-        self, make_server, qon_instance
-    ):
-        server, address = make_server(workers=1)
-        sampling = api.OptimizeRequest.build(
-            qon_instance, "sampling", samples=10, rng=1,
-        )
-        greedy = api.OptimizeRequest.build(qon_instance, "greedy-cost")
-        with ServiceClient(address) as client:
-            assert client.optimize(sampling).ok
-            assert client.optimize(greedy).ok
-        # One distinct wire payload -> one live decoded instance in the
-        # daemon's registry live tier (repro.runtime.registry), counted
-        # in the daemon's own metrics: the first request's decode was
-        # the one miss, and the second reused it instead of retaining
-        # a duplicate object.
-        metrics = server.metrics
-        assert metrics.counter_value("runtime.registry_misses") == 1
-        assert metrics.counter_value("runtime.registry_hits") >= 1
-
-    def test_instance_objects_are_reused_within_each_worker(
-        self, make_server, qon_instance
-    ):
-        server, address = make_server(workers=2)
-        sampling = api.OptimizeRequest.build(
-            qon_instance, "sampling", samples=10, rng=1,
-        )
-        greedy = api.OptimizeRequest.build(qon_instance, "greedy-cost")
-        with ServiceClient(address) as client:
-            assert client.optimize(sampling).ok
-            assert client.optimize(greedy).ok
-        # Each worker process keeps its own LRU: the second request
-        # hits only if it lands on the worker that decoded the first.
-        hits = server.metrics.counter_value("runtime.registry_hits")
-        misses = server.metrics.counter_value("runtime.registry_misses")
-        assert misses <= 2
-        assert hits + misses == 2
-
-    def test_repeated_requests_compile_one_kernel(self, make_server):
-        server, address = make_server(workers=1)
-        instance = api.generate("chain", 9, seed=1)
-        with ServiceClient(address) as client:
-            for algorithm in KERNEL_ALGORITHMS:
-                reply = client.optimize(
-                    api.OptimizeRequest.build(instance, algorithm)
-                )
-                assert reply.ok and not reply.cached
-        # The worker keeps the live instance and pins its kernel, so
-        # only the first request compiles it.
-        metrics = server.metrics
-        assert metrics.counter_value("runtime.registry_misses") == 1
-        assert metrics.counter_value("runtime.registry_hits") == 3
-        assert metrics.counter_value("perf.kernel_compiles") == 1
-
 
 # ---------------------------------------------------------------------
 # A served request does the work of a direct call
@@ -314,14 +262,19 @@ class TestServedEqualsDirect:
     def test_served_reply_equals_the_direct_call(self, make_server, name):
         """The daemon computes a job with no cost cache, as a direct
         call in a fresh process: the same result, the same span
-        counters, and the cost counts the call published itself."""
+        counters, the cost counts the call published itself, and the
+        kernels it compiled (none outlive a request)."""
         kwargs = {"rng": 0} if name in RANDOMIZED else {}
         request = api.OptimizeRequest.build(
             instance_for(name), name, **kwargs
         )
+        # A fresh decode, as a fresh process would hold: no kernel of
+        # it is compiled yet.
+        fresh = api.OptimizeRequest.from_dict(request.to_dict())
         tracer = Tracer("direct")
-        with use_tracer(tracer), api.use_cache(None):
-            direct = api.execute_request(request)
+        counted = MetricsRegistry()
+        with use_metrics(counted), use_tracer(tracer), api.use_cache(None):
+            direct = api.execute_request(fresh)
         want = counter_totals(tracer.finish())
         _server, address = make_server(workers=1)
         with ServiceClient(address) as client:
@@ -338,6 +291,10 @@ class TestServedEqualsDirect:
         ):
             moved = after.get(metric, 0) - before.get(metric, 0)
             assert moved == dict(reply.counters).get(counter, 0)
+        compiles = "perf.kernel_compiles"
+        assert after.get(compiles, 0) - before.get(compiles, 0) == (
+            counted.counter_value(compiles)
+        )
 
 
 # ---------------------------------------------------------------------
@@ -804,8 +761,6 @@ class TestWorkerProcesses:
         ]
         names = (
             "perf.kernel_compiles",
-            "runtime.registry_hits",
-            "runtime.registry_misses",
             "runtime.cost_evaluations",
             "runtime.cache_hits",
         )
@@ -819,9 +774,13 @@ class TestWorkerProcesses:
                     for request in requests
                 ]
             assert all(reply.ok for reply in replies)
-            counts = {
-                name: server.metrics.counter_value(name) for name in names
-            }
+            counted = server.metrics.snapshot()["counters"]
+            # The daemon keeps no instance registry.
+            assert not [
+                name for name in counted
+                if name.startswith("runtime.registry_")
+            ]
+            counts = {name: counted.get(name, 0) for name in names}
             return [reply.result for reply in replies], counts
 
         pooled, pooled_counts = serve_all(*make_server(workers=1))
@@ -833,7 +792,10 @@ class TestWorkerProcesses:
         threaded, threaded_counts = serve_all(threaded_server, address)
 
         assert pooled_counts == threaded_counts
-        assert pooled_counts["perf.kernel_compiles"] == 1
+        # No instance or kernel outlives its request: each optimize
+        # request compiles the chain's kernel, and the sweep compiles
+        # it once for its two tasks.
+        assert pooled_counts["perf.kernel_compiles"] == 5
         direct_evaluations = 0
         for request, got_pooled, got_threaded in zip(
             requests, pooled, threaded
