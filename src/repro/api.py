@@ -43,7 +43,6 @@ from repro.core.requests import (
     SweepSpec,
 )
 from repro.core.results import PlanResult
-from repro.observability.events import EVENTS_SCHEMA
 from repro.observability.metrics import METRICS_SCHEMA
 from repro.runtime.costcache import CostCache, use_cache
 from repro.runtime.registry import instance_key
@@ -81,7 +80,7 @@ FAMILIES: Dict[str, Callable] = {
 }
 
 #: Facade version, bumped whenever the request/reply surface changes.
-API_VERSION = "1.6"
+API_VERSION = "1.7"
 
 #: Every wire schema this facade (and the service daemon) speaks.
 RPC_SCHEMAS: Tuple[str, ...] = (
@@ -89,7 +88,6 @@ RPC_SCHEMAS: Tuple[str, ...] = (
     REQUEST_SCHEMA,
     REPLY_SCHEMA,
     METRICS_SCHEMA,
-    EVENTS_SCHEMA,
 )
 
 def capabilities() -> Dict[str, Any]:
@@ -513,7 +511,6 @@ def scorecard() -> Any:
 
 __all__ = [
     "API_VERSION",
-    "EVENTS_SCHEMA",
     "FAMILIES",
     "METRICS_SCHEMA",
     "RPC_SCHEMAS",

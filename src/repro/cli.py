@@ -394,9 +394,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.metrics_interval <= 0:
         print("--metrics-interval must be > 0", file=sys.stderr)
         return 2
-    if args.slow_ms is not None and args.slow_ms < 0:
-        print("--slow-ms must be >= 0", file=sys.stderr)
-        return 2
     server = OptimizationServer(ServerConfig(
         address=_parse_address(args.socket),  # type: ignore[arg-type]
         workers=args.workers,
@@ -405,8 +402,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         result_cache_size=args.cache_size,
         metrics_out=args.metrics_out,
         metrics_interval_s=args.metrics_interval,
-        events_out=args.events_out,
-        slow_ms=args.slow_ms,
     ))
     address = server.start()
     print(
@@ -539,17 +534,6 @@ def _top_lines(snapshot: Dict[str, object],
     if compiles:
         lines.append(f"kernels   compiles={compiles}"
                      f"{rate('perf.kernel_compiles')}")
-    if "service.events_logged" in gauges:
-        logged = int(gauges["service.events_logged"])  # type: ignore[arg-type]
-        per_s = ""
-        if previous is not None:
-            prev_gauges = previous.get("gauges")
-            assert isinstance(prev_gauges, dict)
-            span_s = float(snapshot["ts"]) - float(previous["ts"])  # type: ignore[arg-type]
-            if span_s > 0:
-                delta = logged - int(prev_gauges.get("service.events_logged", 0))
-                per_s = f" ({delta / span_s:.1f}/s)"
-        lines.append(f"events    logged={logged}{per_s}")
     return lines
 
 
@@ -845,15 +829,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--metrics-interval", type=float, default=1.0,
         help="seconds between exported metrics snapshots",
-    )
-    serve.add_argument(
-        "--events-out", default=None,
-        help="append repro.events/1 operational events to this file",
-    )
-    serve.add_argument(
-        "--slow-ms", type=float, default=None,
-        help="emit a sampled service.slow_request event for requests "
-        "at or above this wall time",
     )
     serve.set_defaults(func=_cmd_serve)
 

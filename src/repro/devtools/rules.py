@@ -671,10 +671,10 @@ def _check_registry_confined(
 # ---------------------------------------------------------------------
 
 #: The instrumented layers.  Operational counters there must be
-#: emitted through :mod:`repro.observability.metrics` (and events
-#: through the event log), not accumulated in ad-hoc module globals —
-#: a private ``_N_THINGS += 1`` is invisible to ``repro top``, the
-#: exporter, and the service's counter-identity check.
+#: emitted through :mod:`repro.observability.metrics`, not accumulated
+#: in ad-hoc module globals — a private ``_N_THINGS += 1`` is invisible
+#: to ``repro top``, the exporter, and the service's counter-identity
+#: check.
 TELEMETRY_MODULES = ("runtime", "service", "perf")
 
 
@@ -682,7 +682,7 @@ TELEMETRY_MODULES = ("runtime", "service", "perf")
     "RPR014",
     "ad-hoc-telemetry-counter",
     "runtime/service/perf code must emit operational counters through "
-    "the MetricsRegistry / event-log API, not module-level globals",
+    "the MetricsRegistry API, not module-level globals",
 )
 def _check_adhoc_counters(
     file: SourceFile, project: Project

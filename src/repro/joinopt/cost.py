@@ -16,7 +16,7 @@ used by Lemmas 5–8.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.joinopt.instance import QONInstance
 from repro.observability.tracer import count as trace_count
@@ -105,34 +105,6 @@ def total_cost(instance: QONInstance, sequence: JoinSequence) -> object:
         instance, "qon-cost", key,
         lambda: _total_cost_uncached(instance, key),
     )
-
-
-def partial_costs(instance: QONInstance, sequence: JoinSequence) -> Tuple[List, List]:
-    """Both ``join_costs`` and ``intermediate_sizes`` in one pass.
-
-    One validation and one prefix walk: ``H_i`` is taken before the
-    prefix size is extended to ``N_i``, in the same operation order as
-    the two single-purpose functions, so the lists are identical to
-    calling them separately.
-    """
-    check_sequence(instance, sequence)
-    costs: List = []
-    sizes: List = []
-    prefix_size = instance.size(sequence[0])
-    for position in range(1, len(sequence)):
-        incoming = sequence[position]
-        probe = min(
-            instance.access_cost(earlier, incoming)
-            for earlier in sequence[:position]
-        )
-        costs.append(prefix_size * probe)
-        prefix_size = prefix_size * instance.size(incoming)
-        for earlier in sequence[:position]:
-            selectivity = instance.selectivity(earlier, incoming)
-            if selectivity != 1:
-                prefix_size = prefix_size * selectivity
-        sizes.append(prefix_size)
-    return costs, sizes
 
 
 def back_edge_counts(instance: QONInstance, sequence: JoinSequence) -> List[int]:

@@ -15,30 +15,15 @@ Public surface:
   :func:`metric_gauge` / :func:`metric_observe` emission points,
   :data:`METRICS_SCHEMA`, :func:`validate_metrics` — live
   counters/gauges/histograms (``repro.metrics/1``);
-* :class:`EventLog`, :func:`use_event_log` / :func:`active_event_log` /
-  :func:`emit_event`, :data:`EVENTS_SCHEMA`, :data:`EVENT_KINDS`,
-  :func:`validate_event` / :func:`load_events` — the structured
-  operational event stream (``repro.events/1``);
-* :class:`TelemetryExporter`, :func:`render_prometheus`,
-  :func:`load_metrics_file` / :func:`summarize_metrics` /
-  :func:`diff_metrics` — snapshot export and file tooling.
+* :class:`TelemetryExporter`, :func:`load_metrics_file` /
+  :func:`summarize_metrics` / :func:`diff_metrics` — snapshot export
+  and file tooling.
 """
 
-from repro.observability.events import (
-    EVENT_KINDS,
-    EVENTS_SCHEMA,
-    EventLog,
-    active_event_log,
-    load_events,
-    use_event_log,
-    validate_event,
-)
-from repro.observability.events import emit as emit_event
 from repro.observability.export import (
     TelemetryExporter,
     diff_metrics,
     load_metrics_file,
-    render_prometheus,
     summarize_metrics,
 )
 from repro.observability.metrics import (
@@ -78,9 +63,6 @@ from repro.observability.tracer import (
 )
 
 __all__ = [
-    "EVENT_KINDS",
-    "EVENTS_SCHEMA",
-    "EventLog",
     "LATENCY_BOUNDARIES_MS",
     "METRICS_SCHEMA",
     "MetricsRegistry",
@@ -88,33 +70,27 @@ __all__ = [
     "TelemetryExporter",
     "Trace",
     "Tracer",
-    "active_event_log",
     "active_metrics",
     "active_tracer",
     "aggregate",
     "count",
     "counter_totals",
     "diff_metrics",
-    "emit_event",
     "flame_report",
     "hot_span",
-    "load_events",
     "load_metrics_file",
     "load_trace",
     "metric_gauge",
     "metric_inc",
     "metric_observe",
-    "render_prometheus",
     "snapshot_percentile",
     "span",
     "summarize_metrics",
     "summary_table",
     "trace_origins",
     "traced",
-    "use_event_log",
     "use_metrics",
     "use_tracer",
-    "validate_event",
     "validate_metrics",
     "validate_trace",
     "write_trace",

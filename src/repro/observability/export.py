@@ -1,5 +1,4 @@
-"""Telemetry export: periodic ``repro.metrics/1`` snapshots and
-Prometheus-style text exposition.
+"""Telemetry export: periodic ``repro.metrics/1`` snapshots.
 
 A :class:`TelemetryExporter` owns a daemon thread that calls a
 snapshot function every ``interval_s`` seconds and appends the
@@ -7,11 +6,6 @@ snapshot function every ``interval_s`` seconds and appends the
 final snapshot is written unconditionally at :meth:`stop`, so even a
 short-lived daemon leaves at least one line — the CI smoke job asserts
 its counter identities.
-
-The same snapshot dict renders to Prometheus text exposition with
-:func:`render_prometheus`: dotted names become underscore-joined
-``repro_``-prefixed families, histograms expand to cumulative
-``_bucket``/``_sum``/``_count`` series per convention.
 
 File-level helpers (:func:`load_metrics_file`,
 :func:`summarize_metrics`, :func:`diff_metrics`) back the
@@ -57,12 +51,6 @@ class TelemetryExporter:
         self._stop = threading.Event()
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
-        self._lines = 0
-
-    @property
-    def lines_written(self) -> int:
-        with self._lock:
-            return self._lines
 
     def write_snapshot(self) -> dict:
         """Snapshot, validate, and append one line immediately."""
@@ -73,7 +61,6 @@ class TelemetryExporter:
         with self._lock:
             self._stream.write(line + "\n")
             self._stream.flush()
-            self._lines += 1
         return snapshot
 
     def start(self) -> None:
@@ -105,50 +92,12 @@ class TelemetryExporter:
         return final
 
 
-def _prometheus_name(name: str) -> str:
-    return "repro_" + name.replace(".", "_")
-
-
-def render_prometheus(snapshot: dict) -> str:
-    """One ``repro.metrics/1`` snapshot as Prometheus text exposition.
-
-    Counters render as ``counter`` families, gauges as ``gauge``,
-    histograms as cumulative ``le``-labelled buckets plus ``_sum`` and
-    ``_count`` — the conventional shape scrapers expect.  Families are
-    emitted in sorted-name order so output is deterministic.
-    """
-    problems = validate_metrics(snapshot)
-    require(not problems, f"invalid metrics snapshot: {problems[:1]}")
-    out: List[str] = []
-    for name in sorted(snapshot["counters"]):
-        family = _prometheus_name(name)
-        out.append(f"# TYPE {family} counter")
-        out.append(f"{family} {snapshot['counters'][name]}")
-    for name in sorted(snapshot["gauges"]):
-        family = _prometheus_name(name)
-        out.append(f"# TYPE {family} gauge")
-        out.append(f"{family} {snapshot['gauges'][name]}")
-    for name in sorted(snapshot["histograms"]):
-        spec = snapshot["histograms"][name]
-        family = _prometheus_name(name)
-        out.append(f"# TYPE {family} histogram")
-        cumulative = 0
-        for bound, bucket in zip(spec["boundaries"], spec["buckets"]):
-            cumulative += bucket
-            out.append(f'{family}_bucket{{le="{bound}"}} {cumulative}')
-        cumulative += spec["buckets"][-1]
-        out.append(f'{family}_bucket{{le="+Inf"}} {cumulative}')
-        out.append(f"{family}_sum {spec['sum']}")
-        out.append(f"{family}_count {spec['count']}")
-    return "\n".join(out) + "\n"
-
-
 def load_metrics_file(path: str) -> List[dict]:
     """Read and validate a JSONL file of ``repro.metrics/1`` lines.
 
     Raises ``ValueError`` naming the first offending line.  Every line
-    must carry the expected schema tag — a file whose lines answer
-    ``schema == "repro.events/1"`` is a different artifact and is
+    must carry the ``repro.metrics/1`` tag — a file of another schema
+    (a ``repro.trace/1`` trace, say) is a different artifact and is
     rejected here rather than half-parsed.
     """
     snapshots: List[dict] = []

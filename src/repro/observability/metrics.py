@@ -230,10 +230,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def gauge_value(self, name: str) -> Optional[float]:
-        with self._lock:
-            return self._gauges.get(name)
-
     def histogram_percentile(self, name: str, q: int) -> float:
         with self._lock:
             histogram = self._histograms.get(name)

@@ -109,8 +109,6 @@ from repro.joinopt.optimizers import (
     random_sampling,
     simulated_annealing,
 )
-from repro.observability.events import active_event_log
-from repro.observability.events import emit as _emit_event
 from repro.observability.metrics import (
     MetricsRegistry,
     active_metrics,
@@ -558,14 +556,6 @@ def _execute(index: int, task: SweepTask, cache: Optional[CostCache],
     run = _resolve(task)
     kwargs = dict(task.kwargs)
     timeout = task.timeout if task.timeout is not None else default_timeout
-    if active_event_log() is not None:
-        _emit_event(
-            "task.start",
-            index=index,
-            optimizer=task.optimizer_name,
-            label=task.label,
-            attempt=attempt,
-        )
     tracer = Tracer("task") if trace else None
     if tracer is not None:
         tracer.root["attrs"] = {
@@ -845,13 +835,6 @@ class _Ledger:
             self.finalize(index, outcome)
             return False
         self.retries += 1
-        if active_event_log() is not None:
-            _emit_event(
-                "task.retry",
-                index=index,
-                attempt=attempt + 1,
-                failure=outcome.failure,
-            )
         delay = self.retry.delay(attempt + 1)
         if delay > 0.0:
             self.sleep(delay)
@@ -1015,12 +998,6 @@ def _run_parallel(
                 inflight = sorted(
                     index for indices in futures.values() for index in indices
                 )
-                if active_event_log() is not None:
-                    _emit_event(
-                        "task.worker_death",
-                        inflight=inflight,
-                        recovery=ledger.recovered,
-                    )
                 futures.clear()
                 executor.shutdown(wait=False, cancel_futures=True)
                 try:
@@ -1069,8 +1046,8 @@ def publish_sweep_telemetry(
     the task, retry and recovery counts.  The executor ran under the
     tally, so nothing inside the sweep reached that registry directly
     and nothing is counted twice, whichever mode ran.  With no registry
-    and no event log installed this is two global reads.  Returns
-    ``result`` unchanged, for call-site chaining.
+    installed this is one global read.  Returns ``result`` unchanged,
+    for call-site chaining.
     """
     registry = active_metrics()
     if registry is not None:
@@ -1080,18 +1057,6 @@ def publish_sweep_telemetry(
         registry.inc("runtime.task_retries", result.retries)
         registry.inc("runtime.worker_recoveries", result.recovered_workers)
         _add_counters(registry, counters)
-    if active_event_log() is not None:
-        for outcome in result.outcomes:
-            _emit_event(
-                "task.finish",
-                index=outcome.index,
-                optimizer=outcome.optimizer,
-                label=outcome.label,
-                ok=outcome.ok,
-                failure=outcome.failure,
-                attempts=outcome.attempts,
-                wall_ms=outcome.wall_time * 1000.0,
-            )
     return result
 
 

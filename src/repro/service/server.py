@@ -34,12 +34,11 @@ worker process :func:`_compute` runs it through
 :func:`repro.api.execute_request` — the only optimization entry point
 this package may touch (lint rule RPR011) — with no cost cache active,
 exactly as a direct call, under a fresh
-:class:`~repro.observability.tracer.Tracer`, metrics registry and (when
-the daemon logs events) in-memory event log, and returns the result or
-error with everything those recorded.  The thread publishes the
-counters and events into the daemon's registry and event log and
-builds the reply, so replies carry span counter totals and optional
-span trees.  A dead worker breaks the pool: its jobs get error replies
+:class:`~repro.observability.tracer.Tracer` and metrics registry, and
+returns the result or error with everything those recorded.  The
+thread publishes the counters into the daemon's registry and builds
+the reply, so replies carry span counter totals and optional span
+trees.  A dead worker breaks the pool: its jobs get error replies
 and the next job runs on a respawned pool.  Only when no pool can be
 created at all do the threads run :func:`_compute` themselves.
 
@@ -61,7 +60,6 @@ parent without killing a job mid-flight.
 from __future__ import annotations
 
 import dataclasses
-import io
 import multiprocessing
 import os
 import signal
@@ -75,7 +73,6 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro import api
-from repro.observability.events import EventLog, use_event_log
 from repro.observability.export import TelemetryExporter
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracer import Tracer, counter_totals, use_tracer
@@ -105,10 +102,6 @@ class ServerConfig:
     ``metrics_out`` — append ``repro.metrics/1`` snapshot lines here
     every ``metrics_interval_s`` seconds (None disables the exporter;
     the live registry and the ``metrics`` RPC op work either way).
-    ``events_out`` — append ``repro.events/1`` lines here (None
-    disables the event log).
-    ``slow_ms`` — requests slower than this emit a sampled
-    ``service.slow_request`` event (requires ``events_out``).
     """
 
     address: Address = ("127.0.0.1", 0)
@@ -118,8 +111,6 @@ class ServerConfig:
     result_cache_size: int = 256
     metrics_out: Optional[str] = None
     metrics_interval_s: float = 1.0
-    events_out: Optional[str] = None
-    slow_ms: Optional[float] = None
 
 
 class _Job:
@@ -142,24 +133,12 @@ class _Job:
 
 
 @dataclass(frozen=True)
-class _Work:
-    """What computing one job needs, shipped to a worker process;
-    ``events`` asks for the events the computation emits."""
-
-    op: str
-    request: RequestLike
-    fingerprint: str
-    events: bool
-
-
-@dataclass(frozen=True)
 class _Computed:
     """What one computation produced and recorded, shipped back.
 
     ``wall_time_s`` is the time around ``api.execute_request``;
     ``counters`` what the job counted (kernel compiles, the counts a
-    memoizing optimizer publishes, a sweep's tally); ``events`` the
-    ``repro.events/1`` lines it emitted.
+    memoizing optimizer publishes, a sweep's tally).
     """
 
     result: Any = None
@@ -167,7 +146,6 @@ class _Computed:
     wall_time_s: float = 0.0
     records: Tuple[Dict[str, Any], ...] = ()
     counters: Dict[str, int] = dataclasses.field(default_factory=dict)
-    events: str = ""
 
 
 def _init_worker() -> None:
@@ -184,12 +162,12 @@ def _init_worker() -> None:
     exit_with_parent()
 
 
-def _compute(work: _Work) -> _Computed:
+def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
     """Compute one job: in a pool worker, or on a worker thread when
     no pool can be created.
 
-    Everything the job counts, traces and emits goes to stores made
-    for this job alone and travels back in the :class:`_Computed`, the
+    Everything the job counts and traces goes to stores made for this
+    job alone and travels back in the :class:`_Computed`, the
     pattern of the sweep runner's pool chunks.  The job runs with no
     cost cache active, as a direct call in a fresh process does, so it
     does the same work and records the same span counters: a sweep
@@ -197,24 +175,20 @@ def _compute(work: _Work) -> _Computed:
     call publish their memo's counts themselves.  Nothing is retained
     between requests (the result cache answers repeats).
     """
-    request = work.request
     trace_id = getattr(request, "trace_id", None)
-    tracer = Tracer(root_name=f"service.{work.op}")
+    tracer = Tracer(root_name=f"service.{op}")
     if trace_id is not None:
         tracer.root["attrs"] = {
             "trace_id": trace_id,
             "parent_span": getattr(request, "parent_span", None),
         }
     counters = MetricsRegistry()
-    sink = io.StringIO() if work.events else None
-    log = EventLog(sink) if sink is not None else None
     result: Any = None
     error: Optional[str] = None
-    with use_metrics(counters), use_event_log(log), \
-            use_tracer(tracer), api.use_cache(None):
+    with use_metrics(counters), use_tracer(tracer), api.use_cache(None):
         started = time.perf_counter()
         try:
-            with tracer.span(f"execute.{work.fingerprint[:12]}"):
+            with tracer.span(f"execute.{fingerprint[:12]}"):
                 result = api.execute_request(request)
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -225,7 +199,6 @@ def _compute(work: _Work) -> _Computed:
         wall_time_s=wall,
         records=tuple(tracer.finish()),
         counters=counters.snapshot()["counters"],
-        events=sink.getvalue() if sink is not None else "",
     )
 
 
@@ -297,10 +270,6 @@ class OptimizationServer:
         # decided, so ``received == computed + cache_hits + coalesced +
         # rejected + errors`` holds in every snapshot at quiescence.
         self.metrics = MetricsRegistry()
-        self._event_log: Optional[EventLog] = (
-            EventLog(self.config.events_out, slow_ms=self.config.slow_ms)
-            if self.config.events_out is not None else None
-        )
         self._exporter: Optional[TelemetryExporter] = None
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
@@ -436,8 +405,6 @@ class OptimizationServer:
             self._exporter = None
         else:
             final = self.metrics_snapshot()
-        if self._event_log is not None:
-            self._event_log.close()
         return final
 
     def serve_forever(self) -> Dict[str, Any]:
@@ -468,10 +435,6 @@ class OptimizationServer:
         self.metrics.set_gauge("service.queue_depth", queue_depth)
         self.metrics.set_gauge("service.in_flight", in_flight)
         self.metrics.set_gauge("service.workers", self.config.workers)
-        if self._event_log is not None:
-            self.metrics.set_gauge(
-                "service.events_logged", float(self._event_log.emitted)
-            )
         return self.metrics.snapshot()
 
     # -- accept / read ------------------------------------------------
@@ -589,7 +552,6 @@ class OptimizationServer:
             return
         bypass = bool(request.no_cache)
         reply: Optional[api.ServiceReply] = None
-        decision = "admit"
         with self._lock:
             if not bypass:
                 cached = self._results.get(fingerprint)
@@ -604,14 +566,13 @@ class OptimizationServer:
                             (connection, frame_id, True)
                         )
                         self.metrics.inc("service.coalesced")
-                        decision = "coalesce"
-            if reply is None and decision == "admit":
+                        return  # the shared computation replies
+            if reply is None:
                 if (
                     self._stop_event.is_set()
                     or len(self._pending) >= self.config.max_queue
                 ):
                     self.metrics.inc("service.rejected")
-                    decision = "reject"
                     reply = api.ServiceReply(
                         op=op,
                         status="rejected",
@@ -630,15 +591,6 @@ class OptimizationServer:
                         self._inflight[fingerprint] = job
                     self._pending.append(job)
                     self._work_ready.notify()
-        # Event I/O stays outside the admission lock.
-        if self._event_log is not None and decision != "admit":
-            self._event_log.emit(
-                f"service.{decision}", op=op, fingerprint=fingerprint
-            )
-        elif self._event_log is not None and reply is None:
-            self._event_log.emit(
-                "service.admit", op=op, fingerprint=fingerprint
-            )
         if reply is not None:
             self._send_reply(connection, frame_id, reply)
 
@@ -656,7 +608,7 @@ class OptimizationServer:
             # _run_job handles every exception itself, so the
             # bookkeeping below always runs with a reply in hand.
             reply = self._run_job(job)
-            evicted: List[str] = []
+            evictions = 0
             with self._lock:
                 self._running_count -= 1
                 job.done = True
@@ -670,18 +622,13 @@ class OptimizationServer:
                     while (
                         len(self._results) > self.config.result_cache_size
                     ):
-                        dropped, _ = self._results.popitem(last=False)
-                        evicted.append(dropped)
+                        self._results.popitem(last=False)
+                        evictions += 1
                 waiters = list(job.waiters)
                 if not self._pending and not self._running_count:
                     self._drained.notify_all()
-            if evicted:
-                self.metrics.inc("service.result_evictions", len(evicted))
-                if self._event_log is not None:
-                    for dropped in evicted:
-                        self._event_log.emit(
-                            "service.evict", fingerprint=dropped
-                        )
+            if evictions:
+                self.metrics.inc("service.result_evictions", evictions)
             for connection, frame_id, coalesced in waiters:
                 self._send_reply(
                     connection, frame_id,
@@ -689,18 +636,11 @@ class OptimizationServer:
                 )
 
     def _run_job(self, job: _Job) -> api.ServiceReply:
-        computed = self._compute_job(_Work(
-            op=job.op,
-            request=job.request,
-            fingerprint=job.fingerprint,
-            events=self._event_log is not None,
-        ))
-        # What the job counted and emitted where it ran reaches the
-        # daemon's one registry and event log here.
+        computed = self._compute_job(job)
+        # What the job counted where it ran reaches the daemon's one
+        # registry here.
         for name, value in computed.counters.items():
             self.metrics.inc(name, value)
-        if self._event_log is not None and computed.events:
-            self._event_log.replay(computed.events)
         # A request-supplied trace context implies the caller is
         # reconstructing a distributed trace, so the server-side spans
         # always travel back with the reply in that case.
@@ -726,23 +666,21 @@ class OptimizationServer:
         self.metrics.observe(
             "service.latency_ms", computed.wall_time_s * 1000.0
         )
-        if self._event_log is not None:
-            self._event_log.observe_latency(
-                computed.wall_time_s, op=job.op, fingerprint=job.fingerprint
-            )
         return dataclasses.replace(reply, result=computed.result)
 
-    def _compute_job(self, work: _Work) -> _Computed:
-        """Run ``work`` on the pool, or on this thread when there is
+    def _compute_job(self, job: _Job) -> _Computed:
+        """Run ``job`` on the pool, or on this thread when there is
         none; every failure comes back as a :class:`_Computed` error."""
+        # The waiters hold sockets: only what computing needs travels.
+        args = (job.op, job.request, job.fingerprint)
         while True:
             with self._pool_lock:
                 pool = self._pool
             if pool is None:
-                return _compute(work)
+                return _compute(*args)
             started = time.perf_counter()
             try:
-                future = pool.submit(_compute, work)
+                future = pool.submit(_compute, *args)
             except BrokenExecutor:
                 self._replace_pool(pool)
                 continue  # it never ran: submit it again

@@ -367,3 +367,11 @@ class TestCapabilities:
         assert "dp" in payload["optimizers"]
         assert "qoh-exhaustive" in payload["optimizers"]
         assert set(payload["families"]) == set(api.FAMILIES)
+
+    def test_rpc_schemas_are_exactly_the_wire_schemas(self):
+        # The daemon speaks frames, requests, replies and metrics
+        # snapshots; no other schema is advertised.
+        assert api.capabilities()["rpc_schemas"] == [
+            "repro.rpc/1", "repro.request/1", "repro.reply/1",
+            "repro.metrics/1",
+        ]

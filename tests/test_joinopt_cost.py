@@ -188,6 +188,7 @@ def test_property_costs_positive(instance, rng):
     costs = join_costs(instance, order)
     assert all(c > 0 for c in costs)
     assert len(costs) == instance.num_relations - 1
+    assert sum(costs) == total_cost(instance, order)
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,12 +27,7 @@ from repro.graphs.graph import Graph
 from repro.hashjoin import allocation, pipeline
 from repro.hashjoin.instance import QOHInstance
 from repro.hashjoin.optimizer import best_decomposition
-from repro.joinopt.cost import (
-    intermediate_sizes,
-    join_costs,
-    partial_costs,
-    total_cost,
-)
+from repro.joinopt.cost import total_cost
 from repro.joinopt.instance import QONInstance
 from repro.perf.incremental import (
     AdjacentSwap,
@@ -612,33 +607,6 @@ class TestKernelCompile:
         instance = TIE_EXAMPLE[0]
         assert CompiledQON(instance).mixed_ties
         _assert_same_tables(instance)
-
-
-class TestPartialCosts:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=2, max_value=8),
-        st.integers(min_value=0, max_value=10_000),
-    )
-    def test_single_pass_matches_components(self, n, seed):
-        """partial_costs == (join_costs, intermediate_sizes), bit for bit."""
-        instance = random_query(n, rng=seed)
-        rng = make_rng(seed + 1)
-        for _ in range(4):
-            sequence = _shuffled(n, rng)
-            costs, sizes = partial_costs(instance, sequence)
-            expected_costs = join_costs(instance, sequence)
-            expected_sizes = intermediate_sizes(instance, sequence)
-            assert costs == expected_costs
-            assert sizes == expected_sizes
-            for a, b in zip(costs, expected_costs):
-                assert type(a) is type(b)
-            for a, b in zip(sizes, expected_sizes):
-                assert type(a) is type(b)
-            total = total_cost(instance, sequence)
-            assert sum(costs[1:], costs[0] * 0) + costs[0] == total or (
-                sum(costs) == total
-            )
 
 
 class TestQOHPlanIdentity:

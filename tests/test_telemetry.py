@@ -1,4 +1,4 @@
-"""Tests for the live telemetry layer (metrics, events, export, top).
+"""Tests for the live telemetry layer (metrics, export, top).
 
 Covers, per ISSUE requirements:
 
@@ -8,10 +8,9 @@ Covers, per ISSUE requirements:
   overflow bucket, ``sum(buckets) == count``, nearest-rank
   percentiles);
 * exporter snapshot schema round-trip (write -> load -> validate,
-  Prometheus rendering, summarize/diff);
+  summarize/diff);
 * client-side distributed-trace stitching whose span counters are
   bit-identical to a local run of the same request;
-* the slow-request event threshold and sampling;
 * ``repro top`` / ``repro metrics`` CLI exit codes.
 """
 
@@ -25,8 +24,6 @@ import pytest
 from repro import api
 from repro.cli import main
 from repro.observability import (
-    EVENT_KINDS,
-    EventLog,
     LATENCY_BOUNDARIES_MS,
     MetricsRegistry,
     TelemetryExporter,
@@ -34,15 +31,12 @@ from repro.observability import (
     active_metrics,
     counter_totals,
     diff_metrics,
-    load_events,
     load_metrics_file,
     metric_inc,
-    render_prometheus,
     snapshot_percentile,
     summarize_metrics,
     use_metrics,
     use_tracer,
-    validate_event,
     validate_metrics,
     validate_trace,
 )
@@ -161,68 +155,6 @@ class TestNoOpDefault:
 
 
 # ---------------------------------------------------------------------
-# EventLog
-# ---------------------------------------------------------------------
-
-
-class TestEventLog:
-    def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "events.jsonl")
-        log = EventLog(path)
-        log.emit("task.start", index=0, optimizer="dp")
-        log.emit("task.finish", index=0, ok=True)
-        log.close()
-        events = load_events(path)
-        assert [e["kind"] for e in events] == ["task.start", "task.finish"]
-        for event in events:
-            assert validate_event(event) == []
-
-    def test_unknown_kind_and_reserved_keys_rejected(self, tmp_path):
-        log = EventLog(str(tmp_path / "e.jsonl"))
-        with pytest.raises(ValidationError):
-            log.emit("task.exploded")
-        with pytest.raises(ValidationError):
-            log.emit("task.start", ts=123.0)
-        with pytest.raises(ValidationError):
-            log.emit("task.start", schema="repro.events/2")
-        log.close()
-
-    def test_slow_request_threshold(self, tmp_path):
-        path = str(tmp_path / "e.jsonl")
-        log = EventLog(path, slow_ms=50.0)
-        assert log.observe_latency(0.010, op="optimize") is False
-        assert log.observe_latency(0.051, op="optimize") is True
-        assert log.observe_latency(0.050, op="optimize") is True  # at bound
-        log.close()
-        events = load_events(path)
-        assert [e["kind"] for e in events] == ["service.slow_request"] * 2
-        assert all(e["wall_ms"] >= 50.0 for e in events)
-
-    def test_slow_request_sampling(self, tmp_path):
-        path = str(tmp_path / "e.jsonl")
-        log = EventLog(path, slow_ms=0.0, sample_every=3)
-        emitted = [log.observe_latency(0.001) for _ in range(9)]
-        log.close()
-        # Every slow request counts; every 3rd is written.
-        assert emitted.count(True) == 3
-        assert len(load_events(path)) == 3
-
-    def test_no_threshold_means_no_slow_events(self, tmp_path):
-        path = str(tmp_path / "e.jsonl")
-        log = EventLog(path)
-        assert log.observe_latency(10.0) is False
-        log.close()
-        assert load_events(path) == []
-
-    def test_taxonomy_pin(self):
-        assert EVENT_KINDS == (
-            "task.start", "task.finish", "task.retry",
-            "task.worker_death", "service.admit", "service.reject",
-            "service.coalesce", "service.evict", "service.slow_request",
-        )
-
-
-# ---------------------------------------------------------------------
 # Exporter round-trip
 # ---------------------------------------------------------------------
 
@@ -245,19 +177,6 @@ class TestExporter:
         assert snapshots[-1]["counters"] == final["counters"]
         for snapshot in snapshots:
             assert validate_metrics(snapshot) == []
-
-    def test_prometheus_rendering(self):
-        registry = MetricsRegistry()
-        registry.inc("service.received", 4)
-        registry.set_gauge("service.queue_depth", 2.0)
-        registry.observe("service.latency_ms", 3.0, boundaries=(1.0, 5.0))
-        text = render_prometheus(registry.snapshot())
-        assert "# TYPE repro_service_received counter" in text
-        assert "repro_service_received 4" in text
-        assert "repro_service_queue_depth 2.0" in text
-        assert 'repro_service_latency_ms_bucket{le="5.0"} 1' in text
-        assert 'repro_service_latency_ms_bucket{le="+Inf"} 1' in text
-        assert "repro_service_latency_ms_count 1" in text
 
     def test_summarize_and_diff(self, tmp_path):
         registry = MetricsRegistry()
@@ -377,16 +296,13 @@ class TestServiceTelemetry:
         assert root["attrs"]["trace_id"] == "abc123"
         assert root["attrs"]["parent_span"] == 4
 
-    def test_event_and_metrics_files(self, tmp_path):
+    def test_metrics_file(self, tmp_path):
         metrics_out = str(tmp_path / "metrics.jsonl")
-        events_out = str(tmp_path / "events.jsonl")
         server = OptimizationServer(ServerConfig(
             address=("127.0.0.1", 0),
             workers=1,
             metrics_out=metrics_out,
             metrics_interval_s=60.0,
-            events_out=events_out,
-            slow_ms=0.0,
         ))
         address = tuple(server.start())
         with ServiceClient(address) as client:
@@ -397,9 +313,6 @@ class TestServiceTelemetry:
         server.shutdown(drain_timeout=DRAIN_TIMEOUT)
         snapshots = load_metrics_file(metrics_out)
         assert snapshots[-1]["counters"]["service.received"] == 1
-        kinds = [event["kind"] for event in load_events(events_out)]
-        assert "service.admit" in kinds
-        assert "service.slow_request" in kinds  # slow_ms=0 samples all
 
     def test_exported_snapshot_carries_the_daemon_gauges(self, tmp_path):
         # No client polls the metrics op: the exporter's own snapshots
@@ -437,26 +350,18 @@ class TestServiceTelemetry:
 
 
 class TestSweepTelemetry:
-    def test_run_sweep_publishes_counters_and_events(self, tmp_path):
-        events_path = str(tmp_path / "events.jsonl")
+    def test_run_sweep_publishes_counters(self):
         registry = MetricsRegistry()
-        log = EventLog(events_path)
         instance = chain_query(5, rng=5)
         spec = api.SweepSpec.build(
             ["dp", "greedy-cost"], [("chain5", instance)]
         )
-        from repro.observability import use_event_log
-
-        with use_metrics(registry), use_event_log(log):
+        with use_metrics(registry):
             result = api.sweep(spec)
-        log.close()
         assert registry.counter_value("runtime.tasks_completed") == len(
             result.outcomes
         )
         assert registry.counter_value("runtime.cost_evaluations") > 0
-        kinds = [event["kind"] for event in load_events(events_path)]
-        assert kinds.count("task.start") == len(result.outcomes)
-        assert kinds.count("task.finish") == len(result.outcomes)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_published_counters_equal_the_sweep_totals(self, workers):
@@ -527,10 +432,8 @@ class TestCLI:
         assert "cannot load" in capsys.readouterr().err
 
     def test_metrics_rejects_wrong_schema_file(self, tmp_path, capsys):
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            '{"schema": "repro.events/1", "kind": "task.start", "ts": 0}\n'
-        )
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"schema": "repro.trace/1", "meta": {}}\n')
         assert main(["metrics", str(path)]) == 1
 
     def test_top_once_against_live_server(self, capsys):
@@ -571,6 +474,8 @@ class TestCLI:
         assert main([
             "serve", "--metrics-interval", "0"
         ]) == 2
-        assert main([
-            "serve", "--slow-ms", "-1"
-        ]) == 2
+        # The retired event-log flags are unknown arguments now.
+        for flag in ("--events-out", "--slow-ms"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["serve", flag, "x"])
+            assert exit_info.value.code == 2
