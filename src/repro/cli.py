@@ -808,7 +808,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--workers", type=int, default=2,
-        help="worker processes = max in-flight computations",
+        help="compute processes = max in-flight computations",
     )
     serve.add_argument(
         "--max-queue", type=int, default=32,

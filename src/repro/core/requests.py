@@ -97,8 +97,11 @@ def decode_value(payload: Any) -> Any:
     if isinstance(payload, dict):
         kind = payload.get("$kind")
         if kind == "fraction":
-            numerator, denominator = payload["value"].split("/", 1)
-            return Fraction(int(numerator), int(denominator))
+            text = payload.get("value")
+            require(isinstance(text, str), "a fraction value must be a string")
+            numerator, denominator = map(int, text.split("/", 1))
+            require(denominator != 0, "a fraction has a zero denominator")
+            return Fraction(numerator, denominator)
         if kind == "tuple":
             return tuple(decode_value(v) for v in payload["value"])
         raise ValidationError(f"unknown tagged value kind {kind!r}")
@@ -239,11 +242,11 @@ def result_from_dict(payload: Dict[str, Any]) -> PlanResult:
     the service-cache bit-identity contract.
     """
     require(isinstance(payload, dict), "result payload must be a dict")
-    require(
-        payload.get("type") == "plan_result",
-        f"result payload type must be 'plan_result', "
-        f"got {payload.get('type')!r}",
-    )
+    if payload.get("type") != "plan_result":
+        raise ValidationError(
+            f"result payload type must be 'plan_result', "
+            f"got {payload.get('type')!r}"
+        )
     require_fields(payload, _RESULT_FIELDS, "result")
     return PlanResult(
         cost=decode_cost(payload["cost"]),
@@ -283,7 +286,8 @@ def outcome_from_dict(payload: Any, where: str = "outcome") -> Any:
     from repro.runtime.runner import TaskOutcome, validate_task_record
 
     validate_task_record(payload, where)
-    require("result" in payload, f"{where}: missing field 'result'")
+    if "result" not in payload:
+        raise ValidationError(f"{where}: missing field 'result'")
     encoded = payload["result"]
     return TaskOutcome.from_record(
         payload,
@@ -323,11 +327,11 @@ def sweep_result_from_dict(payload: Dict[str, Any]) -> Any:
     """Decode into a real :class:`SweepResult` (traces stay remote)."""
     from repro.runtime.runner import ExecutorStats, SweepResult
 
-    require(
-        payload.get("type") == "sweep_result",
-        f"sweep payload type must be 'sweep_result', "
-        f"got {payload.get('type')!r}",
-    )
+    if payload.get("type") != "sweep_result":
+        raise ValidationError(
+            f"sweep payload type must be 'sweep_result', "
+            f"got {payload.get('type')!r}"
+        )
     require_fields(payload, _SWEEP_RESULT_FIELDS, "sweep_result")
     outcomes = payload["outcomes"]
     # Additive: payloads encoded before executor stats existed decode
@@ -443,10 +447,11 @@ class OptimizeRequest:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "OptimizeRequest":
         validate_request(payload)
-        require(
-            payload["type"] == "optimize_request",
-            f"expected an optimize_request payload, got {payload['type']!r}",
-        )
+        if payload["type"] != "optimize_request":
+            raise ValidationError(
+                "expected an optimize_request payload, "
+                f"got {payload['type']!r}"
+            )
         return cls(
             instance=io.from_dict(payload["instance"]),
             algorithm=payload["algorithm"],
@@ -580,10 +585,10 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SweepSpec":
         validate_request(payload)
-        require(
-            payload["type"] == "sweep_spec",
-            f"expected a sweep_spec payload, got {payload['type']!r}",
-        )
+        if payload["type"] != "sweep_spec":
+            raise ValidationError(
+                f"expected a sweep_spec payload, got {payload['type']!r}"
+            )
         return cls(
             optimizers=tuple(payload["optimizers"]),
             instances=tuple(
@@ -645,16 +650,17 @@ def validate_request(payload: Dict[str, Any]) -> None:
     trace deep inside a decoder.
     """
     require(isinstance(payload, dict), "request payload must be a dict")
-    require(
-        payload.get("schema") == REQUEST_SCHEMA,
-        f"request schema must be {REQUEST_SCHEMA!r}, "
-        f"got {payload.get('schema')!r}",
-    )
+    if payload.get("schema") != REQUEST_SCHEMA:
+        raise ValidationError(
+            f"request schema must be {REQUEST_SCHEMA!r}, "
+            f"got {payload.get('schema')!r}"
+        )
     kind = payload.get("type")
-    require(
-        kind in _REQUEST_TYPES,
-        f"request type must be one of {list(_REQUEST_TYPES)}, got {kind!r}",
-    )
+    if kind not in _REQUEST_TYPES:
+        raise ValidationError(
+            f"request type must be one of {list(_REQUEST_TYPES)}, "
+            f"got {kind!r}"
+        )
     require_fields(
         payload,
         _OPTIMIZE_FIELDS if kind == "optimize_request" else _SWEEP_FIELDS,
@@ -677,13 +683,16 @@ def validate_request(payload: Dict[str, Any]) -> None:
         )
     if kind == "sweep_spec":
         for name in ("workers", "cache_maxsize"):
-            require(name in payload, f"request: missing field {name!r}")
+            if name not in payload:
+                raise ValidationError(f"request: missing field {name!r}")
             value = payload[name]
-            require(
+            if not (
                 value is None
-                or (isinstance(value, int) and not isinstance(value, bool)),
-                f"request.{name} must be null or an int",
-            )
+                or (isinstance(value, int) and not isinstance(value, bool))
+            ):
+                raise ValidationError(
+                    f"request.{name} must be null or an int"
+                )
         require("timeout" in payload, "request: missing field 'timeout'")
         timeout = payload["timeout"]
         require(
@@ -817,28 +826,28 @@ _REPLY_FIELDS: Dict[str, FieldType] = {
 def validate_reply(payload: Dict[str, Any]) -> None:
     """Schema-check a reply payload; raises :class:`ValidationError`."""
     require(isinstance(payload, dict), "reply payload must be a dict")
-    require(
-        payload.get("schema") == REPLY_SCHEMA,
-        f"reply schema must be {REPLY_SCHEMA!r}, "
-        f"got {payload.get('schema')!r}",
-    )
-    require(
-        payload.get("type") == "service_reply",
-        f"reply type must be 'service_reply', got {payload.get('type')!r}",
-    )
-    require_fields(payload, _REPLY_FIELDS, "reply")
-    require(
-        payload["status"] in REPLY_STATUSES,
-        f"reply.status must be one of {list(REPLY_STATUSES)}, "
-        f"got {payload['status']!r}",
-    )
-    for name in ("error", "fingerprint"):
-        require(name in payload, f"reply: missing field {name!r}")
-        value = payload[name]
-        require(
-            value is None or isinstance(value, str),
-            f"reply.{name} must be null or a string",
+    if payload.get("schema") != REPLY_SCHEMA:
+        raise ValidationError(
+            f"reply schema must be {REPLY_SCHEMA!r}, "
+            f"got {payload.get('schema')!r}"
         )
+    if payload.get("type") != "service_reply":
+        raise ValidationError(
+            "reply type must be 'service_reply', "
+            f"got {payload.get('type')!r}"
+        )
+    require_fields(payload, _REPLY_FIELDS, "reply")
+    if payload["status"] not in REPLY_STATUSES:
+        raise ValidationError(
+            f"reply.status must be one of {list(REPLY_STATUSES)}, "
+            f"got {payload['status']!r}"
+        )
+    for name in ("error", "fingerprint"):
+        if name not in payload:
+            raise ValidationError(f"reply: missing field {name!r}")
+        value = payload[name]
+        if not (value is None or isinstance(value, str)):
+            raise ValidationError(f"reply.{name} must be null or a string")
     require("retry_after" in payload, "reply: missing field 'retry_after'")
     retry_after = payload["retry_after"]
     require(

@@ -10,13 +10,14 @@ from __future__ import annotations
 import itertools
 from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
-from repro.utils.validation import check_index, require
+from repro.utils.validation import ValidationError, check_index, require
 
 Edge = Tuple[int, int]
 
 
 def _normalize_edge(u: int, v: int) -> Edge:
-    require(u != v, f"self-loop at vertex {u} is not allowed")
+    if u == v:
+        raise ValidationError(f"self-loop at vertex {u} is not allowed")
     return (u, v) if u < v else (v, u)
 
 

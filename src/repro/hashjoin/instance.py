@@ -16,7 +16,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.graphs.graph import Graph
 from repro.hashjoin.cost_model import HashJoinCostModel
-from repro.utils.validation import check_index, require
+from repro.utils.validation import ValidationError, check_index, require
 
 EdgeKey = Tuple[int, int]
 
@@ -44,23 +44,27 @@ class QOHInstance:
         model: HashJoinCostModel = HashJoinCostModel(),
     ) -> None:
         n = graph.num_vertices
-        require(len(sizes) == n, f"need {n} sizes, got {len(sizes)}")
+        if len(sizes) != n:
+            raise ValidationError(f"need {n} sizes, got {len(sizes)}")
         for index, size in enumerate(sizes):
-            require(
-                isinstance(size, int) and size > 0,
-                f"relation size t_{index} must be a positive int (pages)",
-            )
+            if not (isinstance(size, int) and size > 0):
+                raise ValidationError(
+                    f"relation size t_{index} must be a positive int (pages)"
+                )
         require(memory > 0, "memory M must be positive")
         normalized: Dict[EdgeKey, Fraction] = {}
         for (i, j), value in selectivities.items():
             check_index(i, n, "selectivity index")
             check_index(j, n, "selectivity index")
-            require(graph.has_edge(i, j), f"selectivity on non-edge ({i},{j})")
+            if not graph.has_edge(i, j):
+                raise ValidationError(f"selectivity on non-edge ({i},{j})")
             fraction = Fraction(value)
-            require(0 < fraction <= 1, f"selectivity {fraction} out of (0,1]")
+            if not 0 < fraction <= 1:
+                raise ValidationError(f"selectivity {fraction} out of (0,1]")
             normalized[_edge_key(i, j)] = fraction
         for edge in graph.edges:
-            require(edge in normalized, f"missing selectivity for edge {edge}")
+            if edge not in normalized:
+                raise ValidationError(f"missing selectivity for edge {edge}")
         self._graph = graph
         self._sizes = tuple(sizes)
         self._selectivities = normalized

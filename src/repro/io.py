@@ -23,7 +23,12 @@ from repro.hashjoin.cost_model import HashJoinCostModel
 from repro.hashjoin.instance import QOHInstance
 from repro.joinopt.instance import QONInstance
 from repro.starqo.instance import SQOCPInstance
-from repro.utils.validation import ValidationError, require
+from repro.utils.validation import (
+    FieldType,
+    ValidationError,
+    require,
+    require_fields,
+)
 
 PathLike = Union[str, Path]
 
@@ -39,10 +44,36 @@ def _encode_number(value: Union[int, Fraction]) -> str:
 
 
 def _decode_number(text: str) -> Union[int, Fraction]:
+    if not isinstance(text, str):
+        raise ValidationError(
+            "a statistic must be encoded as a string, "
+            f"got {type(text).__name__}"
+        )
     if "/" in text:
-        numerator, denominator = text.split("/", 1)
-        return Fraction(int(numerator), int(denominator))
+        numerator, denominator = map(int, text.split("/", 1))
+        require(denominator != 0, "a statistic has a zero denominator")
+        return Fraction(numerator, denominator)
     return int(text)
+
+
+# What each decoder reads, checked before it reads it: a malformed
+# payload is refused with a ValidationError naming the field.
+_GRAPH_FIELDS: Dict[str, FieldType] = {"num_vertices": int, "edges": list}
+_QON_FIELDS: Dict[str, FieldType] = {
+    "graph": dict, "sizes": list, "selectivities": dict,
+    "access_costs": dict,
+}
+_QOH_FIELDS: Dict[str, FieldType] = {
+    "graph": dict, "sizes": list, "selectivities": dict, "memory": str,
+    "model": dict,
+}
+_QOH_MODEL_FIELDS: Dict[str, FieldType] = {"psi": str, "g_scale": int}
+_SQOCP_FIELDS: Dict[str, FieldType] = {
+    "num_satellites": int, "sort_passes": int, "page_size": int,
+    "tuples": list, "pages": list, "sort_costs": list,
+    "selectivities": list, "satellite_access": list, "center_access": list,
+    "threshold": (str, type(None)),
+}
 
 
 # -- graphs -----------------------------------------------------------
@@ -56,6 +87,7 @@ def graph_to_dict(graph: Graph) -> Dict[str, Any]:
 
 def graph_from_dict(payload: Dict[str, Any]) -> Graph:
     require(payload.get("type") == "graph", "payload is not a graph")
+    require_fields(payload, _GRAPH_FIELDS, "graph")
     return Graph(payload["num_vertices"], payload["edges"])
 
 
@@ -80,6 +112,7 @@ def qon_to_dict(instance: QONInstance) -> Dict[str, Any]:
 
 def qon_from_dict(payload: Dict[str, Any]) -> QONInstance:
     require(payload.get("type") == "qon", "payload is not a QO_N instance")
+    require_fields(payload, _QON_FIELDS, "qon")
     graph = graph_from_dict(payload["graph"])
     sizes = [_decode_number(text) for text in payload["sizes"]]
     selectivities = {
@@ -114,6 +147,8 @@ def qoh_to_dict(instance: QOHInstance) -> Dict[str, Any]:
 
 def qoh_from_dict(payload: Dict[str, Any]) -> QOHInstance:
     require(payload.get("type") == "qoh", "payload is not a QO_H instance")
+    require_fields(payload, _QOH_FIELDS, "qoh")
+    require_fields(payload["model"], _QOH_MODEL_FIELDS, "qoh.model")
     graph = graph_from_dict(payload["graph"])
     sizes = [_decode_number(text) for text in payload["sizes"]]
     selectivities = {
@@ -167,6 +202,7 @@ def sqocp_to_dict(instance: SQOCPInstance) -> Dict[str, Any]:
 
 def sqocp_from_dict(payload: Dict[str, Any]) -> SQOCPInstance:
     require(payload.get("type") == "sqocp", "payload is not an SQO-CP instance")
+    require_fields(payload, _SQOCP_FIELDS, "sqocp")
     return SQOCPInstance(
         num_satellites=payload["num_satellites"],
         sort_passes=payload["sort_passes"],
@@ -211,7 +247,8 @@ def to_dict(obj: Any) -> Dict[str, Any]:
     request layer (:mod:`repro.core.requests`) embeds instances with.
     """
     encoder = _ENCODERS.get(type(obj))
-    require(encoder is not None, f"cannot serialize {type(obj)!r}")
+    if encoder is None:
+        raise ValidationError(f"cannot serialize {type(obj)!r}")
     return encoder(obj)
 
 
@@ -219,7 +256,10 @@ def from_dict(payload: Dict[str, Any]) -> Any:
     """Deserialize a payload produced by :func:`to_dict` (exactly)."""
     require(isinstance(payload, dict), "instance payload must be a dict")
     decoder = _DECODERS.get(payload.get("type"))
-    require(decoder is not None, f"unknown payload type {payload.get('type')!r}")
+    if decoder is None:
+        raise ValidationError(
+            f"unknown payload type {payload.get('type')!r}"
+        )
     return decoder(payload)
 
 

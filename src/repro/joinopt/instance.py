@@ -71,7 +71,8 @@ class QONInstance:
         validate: bool = True,
     ) -> None:
         n = graph.num_vertices
-        require(len(sizes) == n, f"need {n} sizes, got {len(sizes)}")
+        if len(sizes) != n:
+            raise ValidationError(f"need {n} sizes, got {len(sizes)}")
         self._graph = graph
         self._sizes = tuple(sizes)
 
@@ -79,7 +80,8 @@ class QONInstance:
         for (i, j), value in selectivities.items():
             check_index(i, n, "selectivity index")
             check_index(j, n, "selectivity index")
-            require(graph.has_edge(i, j), f"selectivity on non-edge ({i},{j})")
+            if not graph.has_edge(i, j):
+                raise ValidationError(f"selectivity on non-edge ({i},{j})")
             key = _edge_key(i, j)
             if key in normalized and normalized[key] != value:
                 raise ValidationError(
@@ -87,7 +89,8 @@ class QONInstance:
                 )
             normalized[key] = value
         for edge in graph.edges:
-            require(edge in normalized, f"missing selectivity for edge {edge}")
+            if edge not in normalized:
+                raise ValidationError(f"missing selectivity for edge {edge}")
         self._selectivities = normalized
 
         costs: Dict[Tuple[int, int], object] = {}
@@ -110,17 +113,21 @@ class QONInstance:
     def _validate(self) -> None:
         n = self.num_relations
         for t_index, t in enumerate(self._sizes):
-            require(t > 0, f"relation size t_{t_index} must be positive")
+            if not t > 0:
+                raise ValidationError(
+                    f"relation size t_{t_index} must be positive"
+                )
         for key, s in self._selectivities.items():
-            require(0 < s <= 1, f"selectivity {key} must lie in (0, 1]")
+            if not 0 < s <= 1:
+                raise ValidationError(f"selectivity {key} must lie in (0, 1]")
         for (i, j), w in self._access_costs.items():
             t_j = self._sizes[j]
             if self._graph.has_edge(i, j):
                 lower = t_j * self.selectivity(i, j)
-                require(
-                    lower <= w <= t_j,
-                    f"w[{i}][{j}]={w!r} violates [{lower!r}, {t_j!r}]",
-                )
+                if not lower <= w <= t_j:
+                    raise ValidationError(
+                        f"w[{i}][{j}]={w!r} violates [{lower!r}, {t_j!r}]"
+                    )
 
     # -- accessors ---------------------------------------------------
     @property

@@ -11,8 +11,7 @@ Public surface:
 * :func:`summary_table` / :func:`flame_report` / :func:`aggregate` /
   :func:`hot_span` / :func:`counter_totals` — reporting;
 * :class:`MetricsRegistry`, :func:`use_metrics` /
-  :func:`active_metrics`, the :func:`metric_inc` /
-  :func:`metric_gauge` / :func:`metric_observe` emission points,
+  :func:`active_metrics`, the :func:`metric_inc` emission point,
   :data:`METRICS_SCHEMA`, :func:`validate_metrics` — live
   counters/gauges/histograms (``repro.metrics/1``);
 * :class:`TelemetryExporter`, :func:`load_metrics_file` /
@@ -36,8 +35,6 @@ from repro.observability.metrics import (
     validate_metrics,
 )
 from repro.observability.metrics import inc as metric_inc
-from repro.observability.metrics import observe as metric_observe
-from repro.observability.metrics import set_gauge as metric_gauge
 from repro.observability.report import (
     aggregate,
     flame_report,
@@ -80,9 +77,7 @@ __all__ = [
     "hot_span",
     "load_metrics_file",
     "load_trace",
-    "metric_gauge",
     "metric_inc",
-    "metric_observe",
     "snapshot_percentile",
     "span",
     "summarize_metrics",

@@ -230,13 +230,6 @@ class MetricsRegistry:
         with self._lock:
             return self._counters.get(name, 0)
 
-    def histogram_percentile(self, name: str, q: int) -> float:
-        with self._lock:
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                return 0.0
-            return histogram.percentile(q)
-
     def snapshot(self) -> dict:
         """A consistent ``repro.metrics/1`` cut of every instrument.
 
@@ -394,22 +387,3 @@ def inc(name: str, amount: int = 1) -> None:
     registry = _TLS.__dict__.get("metrics")
     if registry is not None:
         registry.inc(name, amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    """Set a gauge on the active registry; no-op when metrics are off."""
-    registry = _TLS.__dict__.get("metrics")
-    if registry is not None:
-        registry.set_gauge(name, value)
-
-
-def observe(
-    name: str,
-    value: float,
-    boundaries: Sequence[float] = LATENCY_BOUNDARIES_MS,
-) -> None:
-    """Record a histogram observation on the active registry; no-op
-    when metrics are off."""
-    registry = _TLS.__dict__.get("metrics")
-    if registry is not None:
-        registry.observe(name, value, boundaries)

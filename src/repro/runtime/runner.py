@@ -120,7 +120,12 @@ from repro.runtime.registry import InstanceRef, InstanceRegistry
 from repro.starqo.dp import sqocp_dp
 from repro.starqo.optimizer import sqocp_optimal
 from repro.utils.process import exit_with_parent
-from repro.utils.validation import FieldType, require, require_fields
+from repro.utils.validation import (
+    FieldType,
+    ValidationError,
+    require,
+    require_fields,
+)
 
 if TYPE_CHECKING:  # runtime imports would be circular: both import this
     from repro.runtime.journal import JournalWriter
@@ -298,15 +303,16 @@ def validate_task_record(record: object, where: str) -> None:
     are the extending schema's business.  ``where`` names the record in
     messages (``"journal record"``, ``"metrics.tasks[3]"``, ...).
     """
-    require(isinstance(record, dict), f"{where} must be a dict")
-    assert isinstance(record, dict)
+    if not isinstance(record, dict):
+        raise ValidationError(f"{where} must be a dict")
     require_fields(record, _RECORD_FIELDS, where)
-    require(
-        record["failure"] is None or record["failure"] in FAILURE_KINDS,
-        f"{where}.failure must be null or one of {list(FAILURE_KINDS)}, "
-        f"got {record['failure']!r}",
-    )
-    require(record["attempts"] >= 0, f"{where}.attempts must be >= 0")
+    if not (record["failure"] is None or record["failure"] in FAILURE_KINDS):
+        raise ValidationError(
+            f"{where}.failure must be null or one of {list(FAILURE_KINDS)}, "
+            f"got {record['failure']!r}"
+        )
+    if not record["attempts"] >= 0:
+        raise ValidationError(f"{where}.attempts must be >= 0")
     require_fields(record["cache"], _CACHE_FIELDS, f"{where}.cache")
 
 

@@ -57,7 +57,8 @@ def request_frame(
     op: str, frame_id: int, payload: Optional[Dict[str, Any]] = None
 ) -> Dict[str, Any]:
     """Build a request frame (client side)."""
-    require(op in OPS, f"unknown op {op!r}; known: {list(OPS)}")
+    if op not in OPS:
+        raise ValidationError(f"unknown op {op!r}; known: {list(OPS)}")
     return {"rpc": RPC_SCHEMA, "id": frame_id, "op": op,
             "payload": payload}
 
@@ -78,10 +79,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     Raises :class:`ValidationError` on anything that is not a JSON
     object — the caller decides whether that kills the connection.
     """
-    require(
-        len(line) <= MAX_FRAME_BYTES,
-        f"frame exceeds {MAX_FRAME_BYTES} bytes",
-    )
+    if len(line) > MAX_FRAME_BYTES:
+        raise ValidationError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
     try:
         frame = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -92,35 +91,33 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 
 def validate_request_frame(frame: Dict[str, Any]) -> None:
     """Schema-check a request frame; raises :class:`ValidationError`."""
-    require(
-        frame.get("rpc") == RPC_SCHEMA,
-        f"frame rpc must be {RPC_SCHEMA!r}, got {frame.get('rpc')!r}",
-    )
+    if frame.get("rpc") != RPC_SCHEMA:
+        raise ValidationError(
+            f"frame rpc must be {RPC_SCHEMA!r}, got {frame.get('rpc')!r}"
+        )
     frame_id = frame.get("id")
     require(
         isinstance(frame_id, int) and not isinstance(frame_id, bool),
         "frame id must be an integer",
     )
     op = frame.get("op")
-    require(op in OPS, f"unknown op {op!r}; known: {list(OPS)}")
+    if op not in OPS:
+        raise ValidationError(f"unknown op {op!r}; known: {list(OPS)}")
     payload = frame.get("payload")
     require(
         payload is None or isinstance(payload, dict),
         "frame payload must be null or an object",
     )
-    if op in COMPUTE_OPS:
-        require(
-            isinstance(payload, dict),
-            f"op {op!r} requires a request payload",
-        )
+    if op in COMPUTE_OPS and not isinstance(payload, dict):
+        raise ValidationError(f"op {op!r} requires a request payload")
 
 
 def validate_reply_frame(frame: Dict[str, Any]) -> None:
     """Schema-check a reply frame; raises :class:`ValidationError`."""
-    require(
-        frame.get("rpc") == RPC_SCHEMA,
-        f"frame rpc must be {RPC_SCHEMA!r}, got {frame.get('rpc')!r}",
-    )
+    if frame.get("rpc") != RPC_SCHEMA:
+        raise ValidationError(
+            f"frame rpc must be {RPC_SCHEMA!r}, got {frame.get('rpc')!r}"
+        )
     frame_id = frame.get("id")
     require(
         isinstance(frame_id, int) and not isinstance(frame_id, bool),

@@ -5,7 +5,7 @@ frames, :mod:`repro.service.protocol`) over a local socket — AF_UNIX
 when given a filesystem path, TCP on localhost otherwise.  One reader
 thread per connection parses and validates frames; compute operations
 pass through admission control into a bounded queue consumed by a
-fixed worker pool; everything else (handshake, metrics, shutdown) is
+fixed set of worker threads; everything else (handshake, metrics, shutdown) is
 answered inline.
 
 What the admission path guarantees, in order:
@@ -24,23 +24,27 @@ What the admission path guarantees, in order:
    draining) the request is *rejected with an explicit retry-after
    reply*; nothing is ever silently dropped.
 
-Computation runs in worker processes, so requests compute in parallel
-instead of taking turns on one interpreter lock.  ``start()`` forks a
-``ProcessPoolExecutor`` of ``config.workers`` processes before it binds
-the listener or starts a thread, so no worker inherits a socket or a
-lock held by another thread.  Each of ``config.workers`` worker threads
-takes an admitted job off the queue and hands it to the pool; in the
-worker process :func:`_compute` runs it through
-:func:`repro.api.execute_request` — the only optimization entry point
-this package may touch (lint rule RPR011) — with no cost cache active,
-exactly as a direct call, under a fresh
+Computation runs in compute processes, so requests compute in
+parallel instead of taking turns on one interpreter lock.  Each of
+``config.workers`` worker threads owns one compute process and reaches
+it over its own ``multiprocessing.Pipe``: the thread takes an admitted
+job off the queue, sends ``(op, request, fingerprint)`` down the pipe
+and blocks until the :class:`_Computed` comes back, so a job passes
+through no executor thread.  ``start()`` forks the processes before it
+binds the listener or starts a thread, so none inherits a socket or a
+lock held by another thread; each closes every daemon-side pipe end it
+inherited.  On the process's main thread :func:`_compute` runs the job
+through :func:`repro.api.execute_request` — the only optimization
+entry point this package may touch (lint rule RPR011) — with no cost
+cache active, exactly as a direct call, under a fresh
 :class:`~repro.observability.tracer.Tracer` and metrics registry, and
 returns the result or error with everything those recorded.  The
 thread publishes the counters into the daemon's registry and builds
 the reply, so replies carry span counter totals and optional span
-trees.  A dead worker breaks the pool: its jobs get error replies
-and the next job runs on a respawned pool.  Only when no pool can be
-created at all do the threads run :func:`_compute` themselves.
+trees.  A compute process that dies fails only the job it was
+computing (an error reply); its thread forks a successor before its
+next job (``service.worker_recoveries``).  A thread whose process
+cannot be started runs :func:`_compute` itself.
 
 A job computes on the instance decoded from its request, so that
 instance and its compiled kernels live as long as the job: nothing but
@@ -49,10 +53,10 @@ kernels a direct call in a fresh process compiles.
 
 SIGTERM/SIGINT (or the ``shutdown`` op) triggers a graceful drain:
 the listener closes, late requests get retry-after rejections, queued
-work finishes, workers exit, and :meth:`OptimizationServer.shutdown`
+work finishes, compute processes exit, and :meth:`OptimizationServer.shutdown`
 returns the final ``repro.metrics/1`` snapshot — whose ``service.*``
 admission counters sum to exactly the number of compute requests
-received.  Worker processes ignore both signals, so one sent to the
+received.  Compute processes ignore both signals, so one sent to the
 whole process group (Ctrl-C in a terminal) starts the drain in the
 parent without killing a job mid-flight.
 """
@@ -61,6 +65,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import multiprocessing.util
 import os
 import signal
 import socket
@@ -68,9 +73,10 @@ import threading
 import time
 import traceback
 from collections import OrderedDict, deque
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple, Union
+from multiprocessing.connection import Connection
+from multiprocessing.process import BaseProcess
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import api
 from repro.observability.export import TelemetryExporter
@@ -92,7 +98,7 @@ class ServerConfig:
     ``address`` — AF_UNIX socket path (str) or ``(host, port)`` tuple;
     ``port 0`` picks a free port (read it back from
     :attr:`OptimizationServer.address`).
-    ``workers`` — worker processes (each fed by one worker thread) =
+    ``workers`` — compute processes (each fed by one worker thread) =
     max in-flight computations.
     ``max_queue`` — pending requests admitted beyond the in-flight
     ones; the backpressure bound.
@@ -129,7 +135,7 @@ class _Job:
         self.done = False
 
 
-# -- compute side (a pool worker process) ------------------------------
+# -- compute side (a compute process) -----------------------------------
 
 
 @dataclass(frozen=True)
@@ -149,22 +155,22 @@ class _Computed:
 
 
 def _init_worker() -> None:
-    """Pool initializer.
+    """Set up a compute process before its first job.
 
     SIGINT and SIGTERM are the parent's: its drain lets a running job
     finish, so a signal sent to the whole process group must not kill
-    the worker.
+    the process.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    # A daemon killed outright never shuts its pool down, and these
-    # workers ignore SIGTERM.
+    # A daemon killed outright never closes the pipes, and these
+    # processes ignore SIGTERM.
     exit_with_parent()
 
 
 def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
-    """Compute one job: in a pool worker, or on a worker thread when
-    no pool can be created.
+    """Compute one job: in a compute process, or on a worker thread
+    that has none.
 
     Everything the job counts and traces goes to stores made for this
     job alone and travels back in the :class:`_Computed`, the
@@ -202,25 +208,72 @@ def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
     )
 
 
-def _start_pool(workers: int) -> Optional[ProcessPoolExecutor]:
-    """A forked pool of ``workers`` compute processes, up and
-    answering, or None when none can be created (no ``fork``, no
-    semaphores, a sandbox)."""
+def _serve_jobs(jobs: Connection, inherited: Sequence[Connection]) -> None:
+    """A compute process's life: compute each ``(op, request,
+    fingerprint)`` the daemon sends on ``jobs`` on this main thread and
+    send back its :class:`_Computed`, until the daemon closes the pipe.
+
+    ``inherited`` holds every daemon-side pipe end the fork copied,
+    this process's own included: it closes them all, or closing one of
+    those pipes at drain would never reach its process.
+    """
+    _init_worker()
+    for end in inherited:
+        end.close()
+    while True:
+        try:
+            job = jobs.recv()
+        except EOFError:
+            return  # the daemon closed the pipe: drained
+        computed = _compute(*job)
+        try:
+            jobs.send(computed)
+        except OSError:
+            return  # the daemon is gone
+        except Exception as exc:  # a result that cannot pickle
+            jobs.send(_Computed(
+                error=f"{type(exc).__name__}: {exc}",
+                wall_time_s=computed.wall_time_s,
+            ))
+
+
+@dataclass(frozen=True)
+class _Worker:
+    """One compute process and the daemon's end of its pipe."""
+
+    process: BaseProcess
+    conn: Connection
+
+
+def _spawn_worker(inherited: Sequence[Connection]) -> Optional[_Worker]:
+    """Fork one compute process, or None when none can be started (no
+    ``fork``, no file descriptors, a sandbox).
+
+    Not daemonic: a served sweep with ``workers > 1`` forks its own
+    pool inside it.  Should the daemon's interpreter exit without
+    :meth:`OptimizationServer.shutdown`, the pipe closes before
+    ``multiprocessing`` joins its children, so the process ends.
+    """
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
+        context = multiprocessing.get_context("fork")
+        conn, child_conn = context.Pipe()
+    except Exception:
+        return None
+    try:
+        process = context.Process(
+            target=_serve_jobs,
+            args=(child_conn, (*inherited, conn)),
+            name="repro-compute",
         )
+        process.start()
     except Exception:
+        conn.close()
         return None
-    try:
-        # Under fork the first submit forks every worker at once.
-        pool.submit(int).result()
-    except Exception:
-        pool.shutdown(wait=False, cancel_futures=True)
-        return None
-    return pool
+    finally:
+        child_conn.close()
+    worker = _Worker(process, conn)
+    multiprocessing.util.Finalize(worker, conn.close, exitpriority=0)
+    return worker
 
 
 class _Connection:
@@ -277,10 +330,13 @@ class OptimizationServer:
         self._inflight: Dict[str, _Job] = {}
         self._running_count = 0
         self._results: "OrderedDict[str, api.ServiceReply]" = OrderedDict()
-        # The compute pool; None until start() and when no pool can be
-        # created (then the worker threads compute).
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_lock = threading.Lock()
+        # Worker thread i computes on compute process _workers[i]; None
+        # before start(), after shutdown() and when none can be started
+        # (then the thread computes itself).  Only thread i replaces
+        # entry i, under _spawn_lock, so each fork sees every pipe end
+        # it must close.
+        self._workers: List[Optional[_Worker]] = [None] * self.config.workers
+        self._spawn_lock = threading.Lock()
         self._connections: List[_Connection] = []
         self._threads: List[threading.Thread] = []
         self._listener: Optional[socket.socket] = None
@@ -301,15 +357,14 @@ class OptimizationServer:
         return self._address
 
     def start(self) -> Address:
-        """Fork the compute pool, then bind, listen, and launch the
+        """Fork the compute processes, then bind, listen, and launch the
         accept + worker threads."""
         require(not self._started, "server already started")
         self._started = True
         # Fork first, while no thread of this server runs and no socket
-        # is open: the workers inherit neither.
-        pool = _start_pool(self.config.workers)
-        with self._pool_lock:
-            self._pool = pool
+        # is open: the compute processes inherit neither.
+        for slot in range(self.config.workers):
+            self._spawn(slot)
         address = self.config.address
         try:
             if isinstance(address, str):
@@ -326,7 +381,7 @@ class OptimizationServer:
                 self._address = listener.getsockname()[:2]
             listener.listen(128)
         except OSError:
-            self._stop_pool(drained=True)  # nothing was admitted
+            self._stop_workers(drained=True)  # nothing was admitted
             raise
         self._listener = listener
         if self.config.metrics_out is not None:
@@ -341,10 +396,11 @@ class OptimizationServer:
         )
         accept.start()
         self._threads.append(accept)
-        for index in range(self.config.workers):
+        for slot in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop,
-                name=f"repro-worker-{index}",
+                args=(slot,),
+                name=f"repro-worker-{slot}",
                 daemon=True,
             )
             worker.start()
@@ -369,8 +425,8 @@ class OptimizationServer:
         reject late arrivals with retry-after, waits for every queued
         and running computation to finish and its replies to be sent,
         then stops the workers and closes the remaining connections.
-        The worker processes exit before this returns; a job still
-        running when ``drain_timeout`` expires has its worker ended.
+        The compute processes exit before this returns; a job still
+        running when ``drain_timeout`` expires has its process killed.
         """
         self._stop_event.set()
         if self._listener is not None:
@@ -393,7 +449,7 @@ class OptimizationServer:
             connections = list(self._connections)
         for connection in connections:
             connection.close()
-        self._stop_pool(drained)
+        self._stop_workers(drained)
         if self._unix_path is not None:
             try:
                 os.unlink(self._unix_path)
@@ -596,7 +652,7 @@ class OptimizationServer:
 
     # -- workers ------------------------------------------------------
 
-    def _worker_loop(self) -> None:
+    def _worker_loop(self, slot: int) -> None:
         while True:
             with self._lock:
                 while not self._pending and not self._closed:
@@ -607,7 +663,7 @@ class OptimizationServer:
                 self._running_count += 1
             # _run_job handles every exception itself, so the
             # bookkeeping below always runs with a reply in hand.
-            reply = self._run_job(job)
+            reply = self._run_job(slot, job)
             evictions = 0
             with self._lock:
                 self._running_count -= 1
@@ -635,8 +691,8 @@ class OptimizationServer:
                     dataclasses.replace(reply, coalesced=coalesced),
                 )
 
-    def _run_job(self, job: _Job) -> api.ServiceReply:
-        computed = self._compute_job(job)
+    def _run_job(self, slot: int, job: _Job) -> api.ServiceReply:
+        computed = self._compute_job(slot, job)
         # What the job counted where it ran reaches the daemon's one
         # registry here.
         for name, value in computed.counters.items():
@@ -668,60 +724,73 @@ class OptimizationServer:
         )
         return dataclasses.replace(reply, result=computed.result)
 
-    def _compute_job(self, job: _Job) -> _Computed:
-        """Run ``job`` on the pool, or on this thread when there is
-        none; every failure comes back as a :class:`_Computed` error."""
+    def _compute_job(self, slot: int, job: _Job) -> _Computed:
+        """Run ``job`` on this thread's compute process, or on this
+        thread when it has none; every failure comes back as a
+        :class:`_Computed` error."""
         # The waiters hold sockets: only what computing needs travels.
         args = (job.op, job.request, job.fingerprint)
-        while True:
-            with self._pool_lock:
-                pool = self._pool
-            if pool is None:
-                return _compute(*args)
-            started = time.perf_counter()
-            try:
-                future = pool.submit(_compute, *args)
-            except BrokenExecutor:
-                self._replace_pool(pool)
-                continue  # it never ran: submit it again
-            except RuntimeError as exc:  # the pool was shut down
-                return _Computed(error=f"{type(exc).__name__}: {exc}")
-            try:
-                return future.result()
-            except BrokenExecutor as exc:
-                self._replace_pool(pool)
-                return _Computed(
-                    error=f"{type(exc).__name__}: a worker process died "
-                    "while this job was in flight",
-                    wall_time_s=time.perf_counter() - started,
-                )
-            except Exception as exc:  # e.g. a result that cannot pickle
-                return _Computed(
-                    error=f"{type(exc).__name__}: {exc}",
-                    wall_time_s=time.perf_counter() - started,
-                )
+        with self._spawn_lock:
+            worker = self._workers[slot]
+        if worker is not None and not worker.process.is_alive():
+            worker = self._replace(slot, worker)  # it died between jobs
+        if worker is None:
+            return _compute(*args)
+        started = time.perf_counter()
+        try:
+            worker.conn.send(args)
+            return worker.conn.recv()
+        except (EOFError, OSError):
+            pass  # the process died with the job
+        except Exception as exc:  # a job or result the pipe cannot carry
+            return _Computed(
+                error=f"{type(exc).__name__}: {exc}",
+                wall_time_s=time.perf_counter() - started,
+            )
+        self._replace(slot, worker)
+        return _Computed(
+            error=f"compute process {worker.process.pid} died (exit code "
+            f"{worker.process.exitcode}) while this job was in flight",
+            wall_time_s=time.perf_counter() - started,
+        )
 
-    def _replace_pool(self, broken: ProcessPoolExecutor) -> None:
-        """Respawn the pool a worker death broke, once per broken pool
-        however many threads saw it break."""
-        with self._pool_lock:
-            if self._pool is not broken:
-                return  # already replaced, or stopped by shutdown()
-            broken.shutdown(wait=False, cancel_futures=True)
-            self.metrics.inc("service.worker_recoveries")
-            self._pool = _start_pool(self.config.workers)
+    def _replace(self, slot: int, dead: _Worker) -> Optional[_Worker]:
+        """Reap slot ``slot``'s dead compute process and fork its
+        successor."""
+        dead.process.kill()  # in case it is only wedged
+        dead.process.join()
+        dead.conn.close()
+        return self._spawn(slot, replacing=True)
 
-    def _stop_pool(self, drained: bool) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        if not drained:
-            # A job outlived the drain: end its worker (which ignores
-            # SIGTERM) instead of waiting for it.
-            for process in list(pool._processes.values()):
-                process.kill()
-        pool.shutdown(wait=True, cancel_futures=True)
+    def _spawn(self, slot: int, replacing: bool = False) -> Optional[_Worker]:
+        """Fork slot ``slot``'s compute process; None when none can be
+        started or the server is stopping.  A replacement counts one
+        ``service.worker_recoveries``."""
+        with self._spawn_lock:
+            if self._closed:
+                return None  # _stop_workers empties the slots
+            if replacing:
+                self.metrics.inc("service.worker_recoveries")
+            worker = _spawn_worker([
+                other.conn for other in self._workers if other is not None
+            ])
+            self._workers[slot] = worker
+        return worker
+
+    def _stop_workers(self, drained: bool) -> None:
+        """End every compute process: a drained one exits when its pipe
+        closes; one that outlived the drain is killed (it ignores
+        SIGTERM), and its thread, woken by the death, closes the pipe."""
+        with self._spawn_lock:
+            workers = [w for w in self._workers if w is not None]
+            self._workers = [None] * len(self._workers)
+        for worker in workers:
+            if drained:
+                worker.conn.close()
+            else:
+                worker.process.kill()
+        for worker in workers:
+            worker.process.join()
 
     # -- replies ------------------------------------------------------
 

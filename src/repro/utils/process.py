@@ -4,8 +4,8 @@ A process pool is shut down by its parent.  A parent killed outright
 (SIGKILL, the OOM killer) never does that, and its workers would wait
 on the pool's call queue for ever once their current job ends: they
 are reparented, not signalled.  :func:`exit_with_parent` makes a
-worker notice and exit on its own.  The sweep runner's and the
-service daemon's pool initializers both start it.
+worker notice and exit on its own.  The sweep runner's pool
+initializer and the service daemon's compute processes both start it.
 """
 
 from __future__ import annotations

@@ -5,6 +5,12 @@ Instances of the optimization problems carry numeric invariants from
 the paper (e.g. the access-path bounds ``t_j * s_ij <= w_ij <= t_j``).
 Constructors enforce them eagerly so that a malformed instance fails at
 build time, not deep inside a cost computation.
+
+The checks on the request path (decoding, encoding and fingerprinting
+a service request) run thousands of times per request, so they build
+their message only when they fail: ``if not condition: raise
+ValidationError(f"...")`` rather than ``require(condition, f"...")``,
+whose f-string is formatted on every call.
 """
 
 from __future__ import annotations
@@ -38,13 +44,16 @@ def require_fields(
     ``<where>.<name>``.
     """
     for name, kind in fields.items():
-        require(name in payload, f"{where}: missing field {name!r}")
+        if name not in payload:
+            raise ValidationError(f"{where}: missing field {name!r}")
         value = payload[name]
-        require(
-            isinstance(value, kind)
-            and (kind is bool or not isinstance(value, bool)),
-            f"{where}.{name}: expected {kind}, got {type(value).__name__}",
-        )
+        if not isinstance(value, kind) or (
+            kind is not bool and isinstance(value, bool)
+        ):
+            raise ValidationError(
+                f"{where}.{name}: expected {kind}, "
+                f"got {type(value).__name__}"
+            )
 
 
 def check_positive(value: Real, name: str) -> None:
@@ -69,7 +78,5 @@ def check_fraction(value: Real, name: str) -> None:
 
 def check_index(index: int, size: int, name: str) -> None:
     """Require ``0 <= index < size``."""
-    require(
-        0 <= index < size,
-        f"{name} must lie in [0, {size}), got {index}",
-    )
+    if not 0 <= index < size:
+        raise ValidationError(f"{name} must lie in [0, {size}), got {index}")

@@ -6,7 +6,8 @@ Covers, per ISSUE requirements:
   ``ServiceReply`` — including the value/type/repr bit-identity of a
   decoded ``PlanResult`` on every substrate (int, Fraction and
   LogNumber costs; pipeline and star plans);
-* schema validation errors with messages, not stack traces;
+* schema validation errors with messages, not stack traces, and the
+  exact text of the request path's messages;
 * stable content fingerprints (``no_cache`` excluded from identity);
 * malformed sweep replies raise ``ValidationError``, not ``KeyError``;
 * the two forms ``api.optimize`` takes;
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro import api
+from repro import api, io
 from repro.core.requests import (
     REPLY_SCHEMA,
     REQUEST_SCHEMA,
@@ -36,7 +37,8 @@ from repro.core.requests import (
 )
 from repro.core.results import PlanResult
 from repro.hashjoin.instance import HashJoinCostModel, QOHInstance
-from repro.joinopt.instance import Graph
+from repro.joinopt.instance import Graph, QONInstance
+from repro.service import protocol
 from repro.starqo.instance import SQOCPInstance
 from repro.utils.lognum import LogNumber
 from repro.utils.validation import ValidationError
@@ -328,6 +330,168 @@ class TestServiceReply:
         payload["error"] = "boom"
         with pytest.raises(ValidationError, match="non-ok"):
             validate_reply(payload)
+
+
+# ---------------------------------------------------------------------
+# Validation message text
+# ---------------------------------------------------------------------
+
+
+def raised_message(build):
+    """The text of the :class:`ValidationError` ``build()`` raises; the
+    error must be exactly that type."""
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError
+    return str(info.value)
+
+
+class TestMessageText:
+    """The request path's checks say exactly this when they fail."""
+
+    def test_out_of_range_edge_endpoint(self):
+        assert raised_message(lambda: Graph(3, [(0, 5)])) == (
+            "edge endpoint must lie in [0, 3), got 5"
+        )
+        assert raised_message(lambda: Graph(3, [(-1, 2)])) == (
+            "edge endpoint must lie in [0, 3), got -1"
+        )
+
+    def test_self_loop(self):
+        assert raised_message(lambda: Graph(3, [(1, 1)])) == (
+            "self-loop at vertex 1 is not allowed"
+        )
+
+    def test_selectivity_on_a_non_edge(self):
+        graph = Graph(3, [(0, 1)])
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 4, 4],
+            {(0, 1): Fraction(1, 2), (0, 2): Fraction(1, 2)},
+        )) == "selectivity on non-edge (0,2)"
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 4, 4], {(0, 3): Fraction(1, 2)},
+        )) == "selectivity index must lie in [0, 3), got 3"
+
+    def test_access_cost_outside_its_bounds(self):
+        graph = Graph(2, [(0, 1)])
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 6], {(0, 1): Fraction(1, 4)},
+            {(0, 1): Fraction(13, 2)},
+        )) == "w[0][1]=Fraction(13, 2) violates [Fraction(3, 2), 6]"
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 6], {(0, 1): Fraction(1, 4)}, {(1, 0): 0},
+        )) == "w[1][0]=0 violates [Fraction(1, 1), 4]"
+
+    def test_instance_statistics(self):
+        graph = Graph(2, [(0, 1)])
+        assert raised_message(lambda: QONInstance(
+            graph, [4], {(0, 1): Fraction(1, 4)},
+        )) == "need 2 sizes, got 1"
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 0], {(0, 1): Fraction(1, 4)},
+        )) == "relation size t_1 must be positive"
+        assert raised_message(lambda: QONInstance(
+            graph, [4, 6], {(0, 1): Fraction(5, 4)},
+        )) == "selectivity (0, 1) must lie in (0, 1]"
+        assert raised_message(lambda: QONInstance(graph, [4, 6], {})) == (
+            "missing selectivity for edge (0, 1)"
+        )
+
+    def test_optimize_payload_of_the_wrong_type(self, qon_instance):
+        spec = api.SweepSpec.build(["dp"], [("q5", qon_instance)])
+        assert raised_message(
+            lambda: api.OptimizeRequest.from_dict(spec.to_dict())
+        ) == "expected an optimize_request payload, got 'sweep_spec'"
+        request = api.OptimizeRequest.build(qon_instance)
+        assert raised_message(
+            lambda: api.SweepSpec.from_dict(request.to_dict())
+        ) == "expected a sweep_spec payload, got 'optimize_request'"
+        payload = request.to_dict()
+        payload["type"] = "plan"
+        assert raised_message(lambda: validate_request(payload)) == (
+            "request type must be one of "
+            "['optimize_request', 'sweep_spec'], got 'plan'"
+        )
+
+    def test_request_schema_and_fields(self, qon_instance):
+        payload = api.OptimizeRequest.build(qon_instance).to_dict()
+        assert raised_message(
+            lambda: validate_request({**payload, "schema": "x/1"})
+        ) == "request schema must be 'repro.request/1', got 'x/1'"
+        missing = dict(payload)
+        del missing["algorithm"]
+        assert raised_message(lambda: validate_request(missing)) == (
+            "request: missing field 'algorithm'"
+        )
+        assert raised_message(
+            lambda: validate_request({**payload, "no_cache": "yes"})
+        ) == "request.no_cache: expected <class 'bool'>, got str"
+        assert raised_message(
+            lambda: validate_request({**payload, "params": True})
+        ) == "request.params: expected <class 'list'>, got bool"
+        spec = api.SweepSpec.build(["dp"], [("q5", qon_instance)]).to_dict()
+        del spec["workers"]
+        assert raised_message(lambda: validate_request(spec)) == (
+            "request: missing field 'workers'"
+        )
+        spec["workers"] = "2"
+        assert raised_message(lambda: validate_request(spec)) == (
+            "request.workers must be null or an int"
+        )
+
+    def test_reply_with_an_unknown_status(self):
+        payload = api.ServiceReply(op="optimize").to_dict()
+        assert raised_message(
+            lambda: validate_reply({**payload, "status": "maybe"})
+        ) == (
+            "reply.status must be one of ['ok', 'error', 'rejected'], "
+            "got 'maybe'"
+        )
+        assert raised_message(
+            lambda: validate_reply({**payload, "schema": None})
+        ) == "reply schema must be 'repro.reply/1', got None"
+        assert raised_message(
+            lambda: validate_reply({**payload, "fingerprint": 7})
+        ) == "reply.fingerprint must be null or a string"
+
+    def test_result_payload_of_the_wrong_type(self, qon_instance):
+        payload = result_to_dict(api.optimize(qon_instance, "dp"))
+        assert raised_message(
+            lambda: result_from_dict({**payload, "type": "plan"})
+        ) == "result payload type must be 'plan_result', got 'plan'"
+        assert raised_message(
+            lambda: result_from_dict({**payload, "explored": "9"})
+        ) == "result.explored: expected <class 'int'>, got str"
+
+    def test_frames(self):
+        assert raised_message(lambda: protocol.request_frame("stats", 1)) == (
+            "unknown op 'stats'; known: "
+            "['hello', 'optimize', 'sweep', 'metrics', 'shutdown']"
+        )
+        frame = protocol.request_frame("optimize", 1, {})
+        assert raised_message(
+            lambda: protocol.validate_request_frame({**frame, "rpc": "x"})
+        ) == "frame rpc must be 'repro.rpc/1', got 'x'"
+        assert raised_message(
+            lambda: protocol.validate_request_frame({**frame, "op": "x"})
+        ) == (
+            "unknown op 'x'; known: "
+            "['hello', 'optimize', 'sweep', 'metrics', 'shutdown']"
+        )
+        assert raised_message(
+            lambda: protocol.validate_request_frame(
+                {**frame, "payload": None}
+            )
+        ) == "op 'optimize' requires a request payload"
+        reply = protocol.reply_frame(1, {})
+        assert raised_message(
+            lambda: protocol.validate_reply_frame({**reply, "rpc": None})
+        ) == "frame rpc must be 'repro.rpc/1', got None"
+
+    def test_instance_payload_of_an_unknown_type(self):
+        assert raised_message(lambda: io.from_dict({"type": "tree"})) == (
+            "unknown payload type 'tree'"
+        )
 
 
 # ---------------------------------------------------------------------

@@ -18,9 +18,12 @@ Covers, per ISSUE requirements:
   retired ``stats`` op gets the unknown-op error reply);
 * graceful drain on shutdown, also when a signal reaches the whole
   process group, and a drain timeout that ends a stuck worker;
-* the worker processes: counters that cross the process boundary, a
-  dead worker and the respawned pool, the no-pool fallback, workers
-  that exit with a killed daemon;
+* the compute processes: counters that cross the process boundary, a
+  death that fails only its own job and is replaced, a process found
+  dead between jobs, the no-process fallback, a served parallel sweep,
+  processes that exit with a killed daemon or an interpreter that
+  never shut the server down;
+* malformed instance payloads answered with error replies;
 * the 16 MiB frame cap, enforced while a line is read;
 * a 64-client concurrent mixed optimize/sweep workload whose replies
   are bit-identical to direct ``repro.api`` calls with nonzero
@@ -416,6 +419,38 @@ class TestErrors:
         assert server.metrics.counter_value("service.errors") == 1
 
 
+    def test_malformed_instance_payloads_get_error_replies(
+        self, make_server, qon_instance
+    ):
+        def corrupt(change):
+            payload = api.OptimizeRequest.build(qon_instance).to_dict()
+            change(payload)
+            return payload
+
+        payloads = [
+            corrupt(lambda p: p["instance"].update(selectivities=[])),
+            corrupt(lambda p: p["instance"].update(access_costs=[])),
+            corrupt(lambda p: p["instance"].update(graph="chain")),
+            corrupt(lambda p: p["instance"]["sizes"].__setitem__(0, 7)),
+            corrupt(lambda p: p["instance"]["sizes"].__setitem__(0, "1/0")),
+            corrupt(lambda p: p.update(
+                params=[["rng", {"$kind": "fraction", "value": 5}]]
+            )),
+        ]
+        server, address = make_server()
+        with ServiceClient(address) as client:
+            replies = [client.call("optimize", p) for p in payloads]
+            counters = client.metrics()["counters"]
+        assert [reply.status for reply in replies] == ["error"] * 6
+        assert [reply.error for reply in replies[:3]] == [
+            "qon.selectivities: expected <class 'dict'>, got list",
+            "qon.access_costs: expected <class 'dict'>, got list",
+            "qon.graph: expected <class 'dict'>, got str",
+        ]
+        assert counters["service.errors"] == 6
+        assert counters["service.received"] == answered(counters) == 6
+
+
 # ---------------------------------------------------------------------
 # Sweeps through the service
 # ---------------------------------------------------------------------
@@ -437,6 +472,29 @@ class TestSweepService:
         assert len(served) == len(direct)
         for got, want in zip(served, direct):
             assert got.ok and want.ok
+            assert_bit_identical(got.result, want.result)
+            assert_bit_identical(got.result.cost, want.result.cost)
+
+    def test_served_parallel_sweep_matches_direct_execution(
+        self, make_server, qon_instance
+    ):
+        # A compute process is not daemonic, so the sweep forks its own
+        # pool inside it.
+        spec = api.SweepSpec.build(
+            ["dp", "greedy-cost", "iterative"],
+            [("q5", qon_instance), ("c6", api.generate("cycle", 6, seed=2))],
+            workers=2,
+        )
+        direct = api.execute_request(spec)
+        _server, address = make_server()
+        with ServiceClient(address) as client:
+            reply = client.sweep(spec)
+        assert reply.ok
+        assert direct.mode == reply.result.mode == "parallel"
+        assert len(reply.result) == len(direct) == 6
+        for got, want in zip(reply.result, direct):
+            assert got.ok and want.ok
+            assert (got.optimizer, got.label) == (want.optimizer, want.label)
             assert_bit_identical(got.result, want.result)
             assert_bit_identical(got.result.cost, want.result.cost)
 
@@ -531,7 +589,8 @@ class TestShutdown:
 
         monkeypatch.setitem(OPTIMIZERS, "stuck", stuck)
         server, address = make_server(workers=1)
-        workers = list(server._pool._processes)
+        workers = compute_pids(server)
+        assert len(workers) == 1
         request = api.OptimizeRequest.build(qon_instance, "stuck")
 
         def submit():
@@ -710,7 +769,7 @@ class TestFrameCap:
 
 
 # ---------------------------------------------------------------------
-# Worker processes: death, telemetry parity, the no-pool fallback
+# Compute processes: death, telemetry parity, the no-process fallback
 # ---------------------------------------------------------------------
 
 _TEST_PID = os.getpid()
@@ -723,12 +782,42 @@ def _die_in_worker(instance, **_kwargs):
     os._exit(3)
 
 
+def _unpicklable_result(instance, **_kwargs):
+    """An optimizer whose result cannot travel back over the pipe."""
+    return PlanResult(
+        cost=1, sequence=(0,), optimizer="unpicklable", explored=1,
+        is_exact=False, trace={"hook": lambda: None},
+    )
+
+
 class TestWorkerProcesses:
-    def test_dead_worker_gives_an_error_reply_and_a_fresh_pool(
+    def test_a_result_that_cannot_pickle_gets_an_error_reply(
+        self, make_server, monkeypatch, qon_instance
+    ):
+        monkeypatch.setitem(OPTIMIZERS, "unpicklable", _unpicklable_result)
+        server, address = make_server(workers=1)
+        (pid,) = compute_pids(server)
+        with ServiceClient(address) as client:
+            failed = client.optimize(
+                api.OptimizeRequest.build(qon_instance, "unpicklable")
+            )
+            after = client.optimize(
+                api.OptimizeRequest.build(qon_instance, "dp")
+            )
+            counters = client.metrics()["counters"]
+        assert failed.status == "error" and "pickle" in (failed.error or "")
+        assert after.ok
+        # The process survived: no death, no replacement.
+        assert compute_pids(server) == [pid]
+        assert "service.worker_recoveries" not in counters
+        assert counters["service.received"] == answered(counters) == 2
+
+    def test_dead_worker_gives_an_error_reply_and_a_fresh_process(
         self, make_server, monkeypatch, qon_instance
     ):
         monkeypatch.setitem(OPTIMIZERS, "die", _die_in_worker)
         server, address = make_server(workers=1)
+        (dead_pid,) = compute_pids(server)
         request = api.OptimizeRequest.build(qon_instance, "dp")
         with ServiceClient(address) as client:
             died = client.optimize(
@@ -737,14 +826,73 @@ class TestWorkerProcesses:
             after = client.optimize(request)
             counters = client.metrics()["counters"]
         assert died.status == "error"
-        assert "BrokenProcessPool" in (died.error or "")
+        assert (died.error or "").startswith(
+            f"compute process {dead_pid} died (exit code 3)"
+        )
         assert after.ok and not after.cached
         assert_bit_identical(after.result, api.execute_request(request))
         assert counters["service.errors"] == 1
         assert counters["service.computed"] == 1
         assert counters["service.worker_recoveries"] == 1
         assert counters["service.received"] == answered(counters) == 2
-        assert server._pool is not None
+        (fresh_pid,) = compute_pids(server)
+        assert fresh_pid != dead_pid and exited(dead_pid)
+
+    def test_a_process_dead_between_jobs_fails_no_job(
+        self, make_server, qon_instance
+    ):
+        server, address = make_server(workers=1)
+        (dead_pid,) = compute_pids(server)
+        os.kill(dead_pid, signal.SIGKILL)
+        wait_until(lambda: exited(dead_pid))
+        request = api.OptimizeRequest.build(qon_instance, "dp")
+        with ServiceClient(address) as client:
+            reply = client.optimize(request)
+            counters = client.metrics()["counters"]
+        assert reply.ok
+        assert_bit_identical(reply.result, api.execute_request(request))
+        assert counters["service.worker_recoveries"] == 1
+        assert counters["service.computed"] == 1
+        assert counters["service.received"] == answered(counters) == 1
+        (fresh_pid,) = compute_pids(server)
+        assert fresh_pid != dead_pid
+
+    def test_a_death_fails_only_its_own_job(
+        self, make_server, monkeypatch
+    ):
+        # About a second of dp on one compute process while the job on
+        # the other kills its process.
+        slow = api.OptimizeRequest.build(
+            api.generate("random", 16, seed=3), "dp"
+        )
+        monkeypatch.setitem(OPTIMIZERS, "die", _die_in_worker)
+        server, address = make_server(workers=2)
+        replies = []
+
+        def submit():
+            with ServiceClient(address, handshake=False) as client:
+                replies.append(client.optimize(slow))
+
+        submitter = threading.Thread(target=submit)
+        submitter.start()
+        with ServiceClient(address) as client:
+            wait_until(
+                lambda: client.metrics()["gauges"]["service.in_flight"] == 1
+            )
+            died = client.optimize(api.OptimizeRequest.build(
+                api.generate("chain", 5, seed=1), "die"
+            ))
+            # The dp was in flight when its neighbour died.
+            assert client.metrics()["gauges"]["service.in_flight"] == 1
+            submitter.join(DRAIN_TIMEOUT)
+            counters = client.metrics()["counters"]
+        assert died.status == "error" and "died" in (died.error or "")
+        assert len(replies) == 1 and replies[0].ok
+        assert_bit_identical(replies[0].result, api.execute_request(slow))
+        assert counters["service.errors"] == 1
+        assert counters["service.worker_recoveries"] == 1
+        assert counters["service.computed"] == 1
+        assert counters["service.received"] == answered(counters) == 2
 
     def test_worker_counters_equal_in_process_counts(
         self, make_server, monkeypatch
@@ -782,43 +930,90 @@ class TestWorkerProcesses:
             counts = {name: counted.get(name, 0) for name in names}
             return [reply.result for reply in replies], counts
 
-        pooled, pooled_counts = serve_all(*make_server(workers=1))
-        # No pool can be created: the worker thread computes in the
-        # daemon's own process, through the same job function.
-        monkeypatch.setattr(server_module, "_start_pool", lambda *_: None)
+        forked, forked_counts = serve_all(*make_server(workers=1))
+        # No compute process can be started: the worker thread computes
+        # in the daemon's own process, through the same job function.
+        monkeypatch.setattr(server_module, "_spawn_worker", lambda *_: None)
         threaded_server, address = make_server(workers=1)
-        assert threaded_server._pool is None
+        assert compute_pids(threaded_server) == []
         threaded, threaded_counts = serve_all(threaded_server, address)
 
-        assert pooled_counts == threaded_counts
+        assert forked_counts == threaded_counts
         # No instance or kernel outlives its request: each optimize
         # request compiles the chain's kernel, and the sweep compiles
         # it once for its two tasks.
-        assert pooled_counts["perf.kernel_compiles"] == 5
+        assert forked_counts["perf.kernel_compiles"] == 5
         direct_evaluations = 0
-        for request, got_pooled, got_threaded in zip(
-            requests, pooled, threaded
+        for request, got_forked, got_threaded in zip(
+            requests, forked, threaded
         ):
             # As the daemon computes a job: with no cost cache.
             with api.use_cache(None):
                 want = api.execute_request(request)
             if isinstance(want, PlanResult):
-                assert_bit_identical(got_pooled, want)
+                assert_bit_identical(got_forked, want)
                 assert_bit_identical(got_threaded, want)
                 continue
             direct_evaluations += want.evaluations
-            for pooled_outcome, threaded_outcome, want_outcome in zip(
-                got_pooled, got_threaded, want
+            for forked_outcome, threaded_outcome, want_outcome in zip(
+                got_forked, got_threaded, want
             ):
                 assert_bit_identical(
-                    pooled_outcome.result, want_outcome.result
+                    forked_outcome.result, want_outcome.result
                 )
                 assert_bit_identical(
                     threaded_outcome.result, want_outcome.result
                 )
-        assert pooled_counts["runtime.cost_evaluations"] == (
+        assert forked_counts["runtime.cost_evaluations"] == (
             direct_evaluations
         )
+
+    @pytest.mark.skipif(
+        not os.path.isdir(f"/proc/{os.getpid()}/fd"),
+        reason="reads open files from /proc",
+    )
+    def test_no_compute_process_holds_a_daemon_pipe_end(self, make_server):
+        # A later fork inherits the daemon's ends of the earlier pipes;
+        # one still open there would keep that pipe from closing.
+        server, _address = make_server(workers=3)
+        ends = {
+            os.fstat(worker.conn.fileno()).st_ino
+            for worker in server._workers
+        }
+
+        def sockets_held(pid):
+            held = set()
+            for fd in os.listdir(f"/proc/{pid}/fd"):
+                try:
+                    target = os.readlink(f"/proc/{pid}/fd/{fd}")
+                except OSError:
+                    continue  # closed while listed
+                if target.startswith("socket:["):
+                    held.add(int(target[len("socket:["):-1]))
+            return held
+
+        assert len(ends) == 3
+        for pid in compute_pids(server):
+            wait_until(lambda: not sockets_held(pid) & ends, 10.0)
+
+    def test_interpreter_exit_without_shutdown_ends_them(self, tmp_path):
+        # Compute processes are not daemonic: multiprocessing joins them
+        # at interpreter exit, so their pipes must close first.
+        script = (
+            "from repro import api\n"
+            "from repro.service import OptimizationServer, ServerConfig, "
+            "ServiceClient\n"
+            "server = OptimizationServer(ServerConfig(workers=2))\n"
+            "with ServiceClient(server.start()) as client:\n"
+            "    assert client.optimize(api.OptimizeRequest.build(\n"
+            "        api.generate('chain', 5, seed=1), 'dp')).ok\n"
+        )
+        finished = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")),
+            timeout=DRAIN_TIMEOUT,
+        )
+        assert finished.returncode == 0
 
     def test_served_sweep_counts_reach_the_daemon_metrics(
         self, make_server, qon_instance
@@ -901,6 +1096,14 @@ def kill_daemon(process):
     process.stdout.close()
 
 
+def compute_pids(server):
+    """The pids of ``server``'s live compute processes."""
+    return [
+        worker.process.pid for worker in server._workers
+        if worker is not None
+    ]
+
+
 def exited(pid):
     """Whether process ``pid`` is gone or a zombie."""
     try:
@@ -925,7 +1128,7 @@ class TestSignals:
         finally:
             kill_daemon(process)
         assert len(workers) == 2
-        # They ignore SIGTERM, and nobody is left to shut the pool.
+        # They ignore SIGTERM, and nobody is left to close their pipes.
         wait_until(lambda: all(exited(pid) for pid in workers), 10.0)
 
     def test_sigint_to_the_process_group_drains(self, tmp_path):

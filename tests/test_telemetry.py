@@ -100,11 +100,9 @@ class TestMetricsRegistry:
         bounds = (1.0, 5.0, 10.0)
         for value in [0.5] * 50 + [4.0] * 45 + [9.0] * 5:
             registry.observe("test.h", value, boundaries=bounds)
-        assert registry.histogram_percentile("test.h", 50) == 1.0
-        assert registry.histogram_percentile("test.h", 90) == 5.0
-        assert registry.histogram_percentile("test.h", 99) == 10.0
         hist = registry.snapshot()["histograms"]["test.h"]
         assert snapshot_percentile(hist, 50) == 1.0
+        assert snapshot_percentile(hist, 90) == 5.0
         assert snapshot_percentile(hist, 99) == 10.0
 
     def test_histogram_boundary_conflict_rejected(self):
