@@ -264,7 +264,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(
             f"resilience: {result.resumed} tasks resumed from journal | "
             f"{result.retries} retries | "
-            f"{result.recovered_workers} worker pools respawned"
+            f"{result.recovered_workers} dead workers replaced"
         )
     if args.journal is not None:
         print(f"journal at {args.journal}")

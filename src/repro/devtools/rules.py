@@ -621,7 +621,7 @@ def _check_unknown_suppression(
 # ---------------------------------------------------------------------
 
 #: The package allowed to construct InstanceRegistry: the sweep
-#: executor (its parent side and pool initializers).  Anywhere else, a
+#: executor (its parent side and its worker processes).  Anywhere else, a
 #: private registry would fork the content-addressed store the
 #: executor reasons about — ship-bytes accounting and
 #: journal-fingerprint agreement both assume one registry per sweep

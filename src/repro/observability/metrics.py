@@ -178,26 +178,6 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[name] = float(value)
 
-    def declare_histogram(
-        self, name: str, boundaries: Sequence[float]
-    ) -> None:
-        """Pre-declare histogram ``name`` with fixed ``boundaries``.
-
-        Idempotent for identical boundaries; redeclaring with different
-        boundaries is an error (bucket counts would become meaningless).
-        """
-        require(_valid_name(name), f"bad metric name: {name!r}")
-        wanted = tuple(float(bound) for bound in boundaries)
-        with self._lock:
-            existing = self._histograms.get(name)
-            if existing is not None:
-                require(
-                    existing.boundaries == wanted,
-                    f"histogram {name!r} redeclared with different boundaries",
-                )
-                return
-            self._histograms[name] = _Histogram(wanted)
-
     def observe(
         self,
         name: str,

@@ -589,16 +589,16 @@ _QOH_CACHE: "weakref.WeakValueDictionary[int, CompiledQOH]" = (
 # the instance object itself lived on.  A retention scope fixes that:
 # while one is open, every kernel compiled or looked up on the calling
 # thread stays alive until the scope closes.  The sweep executor opens
-# one for each serial sweep and one for each pool worker's life, so a
+# one for each serial sweep and one for each worker process's life, so a
 # sweep compiles each distinct instance at most once in each process
 # that runs its tasks.  Retention changes only
 # how long a kernel stays warm — lookups still go through the weak memo
 # with its identity check — never which kernel a caller sees.
 #
 # Scopes are per thread: threads running serial sweeps at once (the
-# service daemon's worker threads, when it has no process pool) must
-# not release one another's kernels.  A pool worker runs its
-# initializer and its jobs on one thread, so its scope covers them all.
+# service daemon's worker threads, when they have no compute process)
+# must not release one another's kernels.  A sweep's worker process
+# runs all its jobs on its main thread, inside its one scope.
 class _Retained(threading.local):
     def __init__(self) -> None:
         self.depth = 0
@@ -615,7 +615,7 @@ def retain_kernels() -> Iterator[None]:
 
     A retained kernel keeps its instance alive too, so open a scope
     only around work whose instances live as long anyway (a sweep's
-    tasks, a pool worker's shipped instances).
+    tasks, a worker process's shipped instances).
     """
     retained = _RETAINED
     retained.depth += 1

@@ -168,14 +168,6 @@ class CostCache:
         self.evictions = 0
         self.peak_size = 0
 
-    @property
-    def maxsize(self) -> Optional[int]:
-        return self._maxsize
-
-    @property
-    def is_passthrough(self) -> bool:
-        return self._maxsize == 0
-
     def __len__(self) -> int:
         return len(self._entries)
 

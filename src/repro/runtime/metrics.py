@@ -23,7 +23,7 @@ Payload layout::
         "cache_evictions": int,
         "peak_subproblems": int,      # peak memoized-entry count
         "retries": int,               # attempts beyond each task's first
-        "recovered_workers": int,     # pools respawned after worker death
+        "recovered_workers": int,     # worker processes replaced, one per death
         "resumed_tasks": int,         # outcomes restored from a journal
         "ship_bytes": int,            # pickled instance bytes shipped
         "registry_hits": int,         # worker-side live-instance reuses

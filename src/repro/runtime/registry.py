@@ -10,11 +10,12 @@ memoized per *live object* — would be rebuilt for every task.
 :class:`InstanceRegistry` stores one pickled payload per *distinct*
 instance, keyed by :func:`instance_key` (the same codec fingerprint
 the journal and service fingerprints build on).  The sweep runner
-registers every task's instance, ships the payload map to each pool
-worker once, in the pool initializer, and dispatches tasks carrying an
-:class:`InstanceRef` instead of a payload.  A worker's registry decodes
-each payload the first time a task asks for it and keeps the decoded
-object for the pool's life, so every task of one instance gets the
+registers every task's instance, ships the payload map to each worker
+process once, through the fork that starts it, and dispatches tasks
+carrying an :class:`InstanceRef` instead of a payload.  A worker's
+registry decodes each payload the first time a task asks for it and
+keeps the decoded object for the worker's life, so every task of one
+instance gets the
 same object and, under the worker's kernel retention scope
 (:func:`repro.perf.kernels.retain_kernels`), the same compiled kernel.
 
@@ -60,7 +61,7 @@ class InstanceRef:
 
     Tasks dispatched through the registry path carry one of these in
     their ``instance`` slot; the worker swaps it back for the decoded
-    instance before execution (``runner._worker_run_chunk``).
+    instance before execution (``runner._run_chunk``).
     """
 
     key: str
@@ -71,7 +72,7 @@ class InstanceRegistry:
     payload per distinct instance, each decoded at most once.
 
     A registry belongs to one thread: the sweep's parent registers and
-    ships, a pool worker decodes.
+    ships, a worker process decodes.
     """
 
     __slots__ = ("_payloads", "_decoded")

@@ -115,10 +115,10 @@ def apply_fault(
 
     ``timeout`` raises :class:`SweepTimeout` (classified exactly like a
     real alarm); ``error`` raises :class:`FaultInjected`; a
-    ``worker-kill`` exits a real pool worker (``in_worker``) with
-    ``os._exit`` — the parent sees ``BrokenProcessPool`` — and raises
-    :class:`WorkerDied` in serial mode so the recovery path is testable
-    in-process.
+    ``worker-kill`` exits a real worker process (``in_worker``) with
+    ``os._exit`` — the parent sees end of file on the worker's pipe —
+    and raises :class:`WorkerDied` in serial mode so the recovery path
+    is testable in-process.
     """
     if kind == "timeout":
         raise SweepTimeout()

@@ -5,19 +5,21 @@ sweeping many reduction instances through many optimizers.  This module
 turns such a grid into a list of :class:`SweepTask` and runs it through
 one executor, :func:`run_sweep`:
 
-* over a ``ProcessPoolExecutor`` when ``workers > 1``.  Dispatch is
-  *chunked* (deterministic :func:`auto_chunksize` heuristic) and
-  instances travel through the content-addressed
+* over ``workers`` forked worker processes when ``workers > 1``
+  (:mod:`repro.utils.process`, which also makes the service daemon's
+  compute processes).  Dispatch is *chunked* (deterministic
+  :func:`auto_chunksize` heuristic), one chunk in flight per worker,
+  and instances travel through the content-addressed
   :class:`~repro.runtime.registry.InstanceRegistry`: each *distinct*
-  instance payload is shipped to each worker exactly once in the pool
-  initializer, tasks carry lightweight
+  instance payload reaches each worker exactly once, through the
+  fork, tasks carry lightweight
   :class:`~repro.runtime.registry.InstanceRef` markers, and each
   worker decodes an instance once and keeps it, with its compiled
-  kernels (:mod:`repro.perf.kernels`), for the pool's life.  Chunks
-  complete in arbitrary order; :func:`_reassemble` restores exact task
-  order from the per-outcome task index;
+  kernels (:mod:`repro.perf.kernels`), for its life.  Chunks complete
+  in arbitrary order; :func:`_reassemble` restores exact task order
+  from the per-outcome task index;
 * serially — with identical outcome semantics — when ``workers <= 1``
-  or no pool can be created.  The tasks' own instance objects are
+  or no worker can be forked.  The tasks' own instance objects are
   shared, and their compiled kernels live until the sweep ends.
 
 Either way each task runs under a per-task wall-clock timeout
@@ -25,10 +27,11 @@ Either way each task runs under a per-task wall-clock timeout
 outcome instead of hanging the sweep) and a
 :class:`~repro.runtime.costcache.CostCache`.  Failures are survivable:
 a :class:`RetryPolicy` re-runs failed tasks with deterministic backoff,
-a dead worker takes down the pool, which is respawned with every
-in-flight task charged a ``worker-died`` attempt, and an optional
-journal (:mod:`repro.runtime.journal`) durably records each finished
-task so ``run_sweep(..., resume=True)`` can skip it after a crash.
+a dead worker is replaced and costs only the chunk it was running
+(each of its tasks is charged a ``worker-died`` attempt), and an
+optional journal (:mod:`repro.runtime.journal`) durably records each
+finished task so ``run_sweep(..., resume=True)`` can skip it after a
+crash.
 
 **Cache scope** is derived, not configured.  An attempt gets a *fresh*
 cache whenever its outcome may be journaled, replayed or retried —
@@ -36,7 +39,7 @@ a journal (or resume), ``retry.attempts > 1``, ``retry.backoff > 0``
 or a fault plan — because only then is every outcome a pure function
 of its task, which is what makes a resumed sweep bit-identical to an
 uninterrupted one.  Otherwise the serial loop shares one cache across
-the sweep and each pool worker keeps one cache for its lifetime, so
+the sweep and each worker process keeps one cache for its lifetime, so
 cross-task reuse (e.g. three exact optimizers walking the same subset
 lattice) is captured.
 
@@ -54,8 +57,8 @@ the one plain-data form of an outcome: ``repro.sweep/1``
 and sweep replies extend it.  What the executor itself did to move the
 work is counted in :class:`~repro.observability.metrics.MetricsRegistry`
 scopes: each sweep keeps one tally that the executor runs under, and
-each pool chunk counts into a registry of its own whose counters the
-parent adds to it.  The tally is the one source of the sweep-level
+each dispatched chunk counts into a registry of its own whose counters
+the parent adds to it.  The tally is the one source of the sweep-level
 :class:`ExecutorStats` (``ship_bytes``, ``registry_hits``,
 ``kernels_compiled``, ``chunks``) and of every counter the sweep
 publishes to the caller's registry.
@@ -67,15 +70,8 @@ import os
 import signal
 import time
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -119,7 +115,7 @@ from repro.runtime.costcache import CacheStats, CostCache, use_cache
 from repro.runtime.registry import InstanceRef, InstanceRegistry
 from repro.starqo.dp import sqocp_dp
 from repro.starqo.optimizer import sqocp_optimal
-from repro.utils.process import exit_with_parent
+from repro.utils.process import Worker, serve_jobs, spawn_worker, stop_workers
 from repro.utils.validation import (
     FieldType,
     ValidationError,
@@ -322,8 +318,8 @@ class ExecutorStats:
     read from the sweep's counter tally (see the module docstring).
 
     ``ship_bytes`` (``runtime.ship_bytes``) — pickled instance bytes
-    shipped to workers: each distinct payload travels once per worker
-    per pool (respawns ship again).  ``registry_hits``
+    shipped to workers: each distinct payload travels once per forked
+    worker (a successor ships again).  ``registry_hits``
     (``runtime.registry_hits``) — worker-side registry hits (a decoded
     instance was reused across tasks).  ``kernels_compiled``
     (``perf.kernel_compiles``) — actual :mod:`repro.perf.kernels`
@@ -361,7 +357,7 @@ class SweepResult:
     wall_time: float
     #: Resilience counters — all zero for a clean, unjournaled sweep.
     #: ``retries`` = extra attempts consumed beyond each task's first,
-    #: ``recovered_workers`` = worker pools respawned after a death,
+    #: ``recovered_workers`` = worker processes replaced, one per death,
     #: ``resumed`` = outcomes restored from a journal by a resumed
     #: :func:`run_sweep`.
     retries: int = 0
@@ -486,8 +482,8 @@ class WorkerDied(Exception):
 
     The chaos layer raises this in serial mode so the worker-death
     recovery path is exercisable without killing the test process; in
-    a pool worker an injected kill exits the process for real and the
-    parent sees ``BrokenProcessPool`` instead.
+    a worker process an injected kill exits the process for real and
+    the parent sees end of file on its pipe instead.
     """
 
 
@@ -657,7 +653,8 @@ class _CacheScope:
 
     ``per_attempt`` hands every attempt a fresh cache; otherwise one
     cache lives as long as the scope — the whole serial sweep, or one
-    pool worker's lifetime.
+    worker process's lifetime (each fork copies the parent's unused
+    scope).
     """
 
     def __init__(
@@ -672,17 +669,10 @@ class _CacheScope:
         return CostCache(self._maxsize)
 
 
-# -- pool worker side --------------------------------------------------
-#: True inside a pool worker: an injected worker-kill then exits the
+# -- worker side --------------------------------------------------------
+#: True inside a worker process: an injected worker-kill then exits the
 #: process for real instead of raising :class:`WorkerDied`.
 _IN_POOL_WORKER = False
-#: The worker's cache scope and instance registry, built by the pool
-#: initializer from the shipped settings and payload map.
-_WORKER_CACHE = _CacheScope(True, None, per_attempt=True)
-_WORKER_REGISTRY = InstanceRegistry()
-#: The worker's kernel retention scope: entered by the pool
-#: initializer, left only when the worker process exits.
-_WORKER_KERNELS = ExitStack()
 
 #: One dispatched chunk: ``(index, task, attempt)`` triples — each
 #: task's ``instance`` slot holding an :class:`InstanceRef` — plus the
@@ -695,27 +685,29 @@ _ChunkPayload = Tuple[
 _ChunkResult = Tuple[Tuple[TaskOutcome, ...], Dict[str, int]]
 
 
-def _worker_init(
-    cache: bool,
-    cache_maxsize: Optional[int],
-    per_attempt: bool,
-    payloads: Dict[str, bytes],
+def _serve_chunks(
+    conn: Connection, scope: _CacheScope, payloads: Dict[str, bytes]
 ) -> None:
+    """A worker process's life: run each chunk the sweep sends on
+    ``conn`` until the sweep closes the pipe.
+
+    The worker decodes each shipped instance once and keeps it, and
+    its compiled kernels, for its life; ``scope`` is its own copy of
+    the parent's cache scope.
+    """
     from repro.perf.kernels import retain_kernels
 
-    global _IN_POOL_WORKER, _WORKER_CACHE, _WORKER_REGISTRY
+    global _IN_POOL_WORKER
     _IN_POOL_WORKER = True
-    # A sweep killed outright never shuts its pool down.
-    exit_with_parent()
-    _WORKER_CACHE = _CacheScope(cache, cache_maxsize, per_attempt)
-    _WORKER_REGISTRY = InstanceRegistry.from_payloads(payloads)
-    # The registry keeps each decoded instance for the pool's life;
-    # keep its compiled kernels as long.
-    _WORKER_KERNELS.enter_context(retain_kernels())
+    registry = InstanceRegistry.from_payloads(payloads)
+    with retain_kernels():
+        serve_jobs(conn, lambda chunk: _run_chunk(chunk, registry, scope))
 
 
-def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
-    """Run one chunk of tasks inside a pool worker.
+def _run_chunk(
+    payload: _ChunkPayload, registry: InstanceRegistry, scope: _CacheScope
+) -> _ChunkResult:
+    """Run one chunk of tasks inside a worker process.
 
     The registry hands every task of a repeated instance the *same*
     decoded object, so the per-instance kernel memo in
@@ -725,7 +717,6 @@ def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
     parent sees how much reuse actually happened in this chunk.
     """
     entries, default_timeout, trace, fault_plan = payload
-    registry = _WORKER_REGISTRY
     counters = MetricsRegistry()
     with use_metrics(counters):
         outcomes = tuple(
@@ -737,27 +728,12 @@ def _worker_run_chunk(payload: _ChunkPayload) -> _ChunkResult:
                         cast(InstanceRef, task.instance).key
                     ),
                 ),
-                _WORKER_CACHE.for_attempt(), default_timeout,
+                scope.for_attempt(), default_timeout,
                 trace=trace, attempt=attempt, fault_plan=fault_plan,
             )
             for index, task, attempt in entries
         )
     return outcomes, counters.snapshot()["counters"]
-
-
-def _make_executor(
-    workers: int,
-    cache: bool,
-    cache_maxsize: Optional[int],
-    per_attempt: bool,
-    payloads: Dict[str, bytes],
-) -> ProcessPoolExecutor:
-    """Create the pool (split out so tests can force creation failure)."""
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_worker_init,
-        initargs=(cache, cache_maxsize, per_attempt, payloads),
-    )
 
 
 def default_workers() -> int:
@@ -785,7 +761,7 @@ def _reassemble(
 ) -> List[TaskOutcome]:
     """Restore task order after unordered completion.
 
-    Pool chunks finish in *completion* order, retries and resumed
+    Chunks finish in *completion* order, retries and resumed
     journal records land whenever they land; every outcome carries the
     task index it was dispatched with, so sorting on that index
     restores the exact task order.  Anything but exactly one outcome
@@ -801,7 +777,7 @@ def _reassemble(
 
 
 class _Ledger:
-    """Bookkeeping shared by the serial and pool loops: final outcomes,
+    """Bookkeeping shared by the serial and parallel loops: final outcomes,
     per-task attempt numbers, retry accounting and the journal."""
 
     def __init__(
@@ -876,7 +852,7 @@ def _run_serial(
 
     # In-process tasks already share live instances; keep their kernels
     # until the sweep ends so compilation is per instance, matching
-    # what a pool worker sees.
+    # what a worker process sees.
     position = 0
     with retain_kernels():
         try:
@@ -903,21 +879,23 @@ def _run_parallel(
     ledger: _Ledger,
     tally: MetricsRegistry,
     workers: int,
-    cache: bool,
-    cache_maxsize: Optional[int],
-    per_attempt: bool,
+    scope: _CacheScope,
     timeout: Optional[float],
     trace: bool,
     fault_plan: Optional["FaultPlan"],
 ) -> bool:
-    """Pool-backed loop; returns False when no pool can be created.
+    """Run ``pending`` on forked workers; returns False when not one
+    can be forked.
 
-    Each chunk's counters, the bytes shipped per pool and the chunks
-    dispatched are added to ``tally``.  Dispatch is chunked
-    (:func:`auto_chunksize`), but recovery stays at *task* granularity:
-    retry accounting, journal records and resume fingerprints are all
-    per task, and a chunk lost to a worker death re-queues each of its
-    tasks individually with one ``worker-died`` attempt charged.
+    Each chunk's counters, the bytes shipped to each forked worker and
+    the chunks dispatched are added to ``tally``.  Dispatch is chunked
+    (:func:`auto_chunksize`), one chunk in flight per worker, but
+    recovery stays at *task* granularity: retry accounting, journal
+    records and resume fingerprints are all per task.  A worker that
+    dies costs only its own chunk, each of whose tasks is charged one
+    ``worker-died`` attempt and re-queued on its own, and a successor
+    takes its place.  The sweep goes on with the workers it has; once
+    none is left, the unfinished tasks fail ``worker-died``.
     """
     registry = InstanceRegistry()
     # Content-hash each instance *object* once, not once per task: a
@@ -936,102 +914,98 @@ def _run_parallel(
     payloads = registry.payloads()
     per_chunk = auto_chunksize(len(pending), workers)
 
-    def spawn() -> ProcessPoolExecutor:
-        pool = _make_executor(
-            workers, cache, cache_maxsize, per_attempt, payloads
-        )
-        tally.inc("runtime.ship_bytes", registry.payload_bytes() * workers)
-        return pool
+    def spawn() -> Optional[Worker]:
+        worker = spawn_worker(_serve_chunks, (scope, payloads))
+        if worker is not None:
+            tally.inc("runtime.ship_bytes", registry.payload_bytes())
+        return worker
 
-    try:
-        executor = spawn()
-    except Exception:  # no semaphores / sandboxed: degrade quietly
+    idle = [w for w in (spawn() for _ in range(workers)) if w is not None]
+    if not idle:
         return False
-
     queue: Deque[int] = deque(pending)
-    futures: Dict["Future[_ChunkResult]", Tuple[int, ...]] = {}
+    #: Each busy worker and the chunk it runs, by its pipe end.
+    busy: Dict[Connection, Tuple[Worker, Tuple[int, ...]]] = {}
 
     def requeue_unless_final(index: int, outcome: TaskOutcome) -> None:
         if ledger.settle(index, outcome):
             queue.append(index)
 
+    def fail(chunk: Tuple[int, ...], failure: str, error: str) -> None:
+        for index in chunk:
+            requeue_unless_final(index, ledger.failed(index, failure, error))
+
+    def replace_dead(worker: Worker) -> None:
+        ledger.recovered += 1
+        stop_workers([worker], drained=False)
+        successor = spawn()
+        if successor is not None:
+            idle.append(successor)
+
     finished = False
     try:
-        while queue or futures:
-            try:
-                while queue:
-                    chunk = tuple(
-                        queue.popleft()
-                        for _ in range(min(per_chunk, len(queue)))
-                    )
-                    payload: _ChunkPayload = (
+        while True:
+            while queue and idle:
+                worker = idle.pop()
+                chunk = tuple(
+                    queue.popleft() for _ in range(min(per_chunk, len(queue)))
+                )
+                try:
+                    worker.conn.send((
                         tuple(
                             (index, shipped[index], ledger.attempt[index])
                             for index in chunk
                         ),
                         timeout, trace, fault_plan,
-                    )
-                    try:
-                        future = executor.submit(_worker_run_chunk, payload)
-                    except BrokenExecutor:
-                        queue.extendleft(reversed(chunk))  # unsubmitted
-                        raise
-                    futures[future] = chunk
-                    tally.inc("runtime.sweep_chunks")
-                done, _ = wait(set(futures), return_when=FIRST_COMPLETED)
-                for future in done:
-                    indices = futures.pop(future)
-                    try:
-                        outcomes, counters = future.result()
-                    except BrokenExecutor:
-                        futures[future] = indices  # recover below, in-flight
-                        raise
-                    except Exception as exc:  # noqa: BLE001
-                        for index in indices:
-                            requeue_unless_final(index, ledger.failed(
-                                index, "error", f"{type(exc).__name__}: {exc}"
-                            ))
-                        continue
-                    _add_counters(tally, counters)
-                    for outcome in outcomes:
-                        requeue_unless_final(outcome.index, outcome)
-            except BrokenExecutor:
-                # A worker died and took the pool with it.  Respawn,
-                # charge every in-flight task a worker-died attempt,
-                # and re-queue the ones with retry budget left — task
-                # by task, even when they were dispatched as a chunk.
-                ledger.recovered += 1
-                inflight = sorted(
-                    index for indices in futures.values() for index in indices
-                )
-                futures.clear()
-                executor.shutdown(wait=False, cancel_futures=True)
-                try:
-                    executor = spawn()
-                except Exception:
-                    # Can't respawn: everything unfinished is lost.
-                    for index in inflight + sorted(queue):
-                        ledger.finalize(index, ledger.failed(
-                            index, "worker-died",
-                            "worker process died; pool respawn failed",
-                        ))
-                    queue.clear()
-                    break
-                for index in inflight:
-                    requeue_unless_final(index, ledger.failed(
-                        index, "worker-died", "worker process died mid-task"
                     ))
+                except OSError:  # the worker died between chunks
+                    queue.extendleft(reversed(chunk))
+                    replace_dead(worker)
+                    continue
+                except Exception as exc:  # noqa: BLE001 - cannot pickle
+                    idle.append(worker)
+                    fail(chunk, "error", f"{type(exc).__name__}: {exc}")
+                    continue
+                busy[worker.conn] = (worker, chunk)
+                tally.inc("runtime.sweep_chunks")
+            if not busy:
+                break
+            for conn in wait(list(busy)):
+                worker, chunk = busy.pop(cast(Connection, conn))
+                try:
+                    reply = worker.conn.recv()
+                except (EOFError, OSError):
+                    replace_dead(worker)
+                    fail(chunk, "worker-died", "worker process died mid-task")
+                    continue
+                idle.append(worker)
+                if isinstance(reply, Exception):
+                    fail(chunk, "error", f"{type(reply).__name__}: {reply}")
+                    continue
+                outcomes, counters = reply
+                _add_counters(tally, counters)
+                for outcome in outcomes:
+                    requeue_unless_final(outcome.index, outcome)
+        # Anything still queued has no worker left to run it.
+        for index in queue:
+            ledger.finalize(index, ledger.failed(
+                index, "worker-died",
+                "worker process died; no successor could be forked",
+            ))
         finished = True
     except KeyboardInterrupt:
+        # Wherever it landed: a chunk's reply may be half settled.
         ledger.cancel(
-            [index for indices in futures.values() for index in indices]
-            + list(queue),
+            [index for index in pending if index not in ledger.outcomes],
             "cancelled by interrupt",
         )
     finally:
         # Leaving by an interrupt or an error (a journal refusing a
-        # result, say) must not leave the pool and its chunks running.
-        executor.shutdown(wait=finished, cancel_futures=not finished)
+        # result, say) must not leave workers and their chunks running.
+        stop_workers(
+            [*idle, *(worker for worker, _ in busy.values())],
+            drained=finished,
+        )
     return True
 
 
@@ -1083,8 +1057,9 @@ def run_sweep(
 
     Args:
         tasks: the grid, already flattened (order defines output order).
-        workers: pool size; ``None`` picks a machine default, ``<= 1``
-            runs serially.  Pool creation failure falls back to serial.
+        workers: worker processes; ``None`` picks a machine default,
+            ``<= 1`` runs serially, and so does a sweep that cannot fork
+            a single worker.
         cache: memoize cost evaluations.  When False a pass-through
             cache still *counts* evaluations, so cached and uncached
             sweeps are comparable on the same instrumentation.
@@ -1135,19 +1110,18 @@ def run_sweep(
         )
     ledger = _Ledger(tasks, pending, retry, sleep, writer)
     tally = MetricsRegistry()
+    scope = _CacheScope(cache, cache_maxsize, per_attempt)
     mode = "serial"
     try:
         with use_metrics(tally):
             if workers > 1 and len(pending) > 1 and _run_parallel(
-                tasks, pending, ledger, tally, workers, cache,
-                cache_maxsize, per_attempt, timeout, trace, fault_plan,
+                tasks, pending, ledger, tally, workers, scope,
+                timeout, trace, fault_plan,
             ):
                 mode = "parallel"
             else:
                 _run_serial(
-                    tasks, pending, ledger,
-                    _CacheScope(cache, cache_maxsize, per_attempt),
-                    timeout, trace, fault_plan,
+                    tasks, pending, ledger, scope, timeout, trace, fault_plan,
                 )
     finally:
         if writer is not None:

@@ -77,7 +77,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
     """Parse one wire line into a frame dict.
 
     Raises :class:`ValidationError` on anything that is not a JSON
-    object — the caller decides whether that kills the connection.
+    object, or one nested deeper than the interpreter's recursion limit
+    — the caller decides whether that kills the connection.
     """
     if len(line) > MAX_FRAME_BYTES:
         raise ValidationError(f"frame exceeds {MAX_FRAME_BYTES} bytes")
@@ -85,6 +86,8 @@ def decode_line(line: bytes) -> Dict[str, Any]:
         frame = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"undecodable frame: {exc}")
+    except RecursionError:
+        raise ValidationError("frame nested too deeply")
     require(isinstance(frame, dict), "frame must be a JSON object")
     return frame
 

@@ -26,17 +26,18 @@ What the admission path guarantees, in order:
 
 Computation runs in compute processes, so requests compute in
 parallel instead of taking turns on one interpreter lock.  Each of
-``config.workers`` worker threads owns one compute process and reaches
-it over its own ``multiprocessing.Pipe``: the thread takes an admitted
+``config.workers`` worker threads owns one compute process, forked by
+:mod:`repro.utils.process` (which also makes the sweep runner's
+workers) and reached over its own pipe: the thread takes an admitted
 job off the queue, sends ``(op, request, fingerprint)`` down the pipe
 and blocks until the :class:`_Computed` comes back, so a job passes
 through no executor thread.  ``start()`` forks the processes before it
 binds the listener or starts a thread, so none inherits a socket or a
-lock held by another thread; each closes every daemon-side pipe end it
-inherited.  On the process's main thread :func:`_compute` runs the job
-through :func:`repro.api.execute_request` — the only optimization
-entry point this package may touch (lint rule RPR011) — with no cost
-cache active, exactly as a direct call, under a fresh
+lock held by another thread.  On the process's main thread
+:func:`_compute` runs the job through
+:func:`repro.api.execute_request` — the only optimization entry point
+this package may touch (lint rule RPR011) — with no cost cache
+active, exactly as a direct call, under a fresh
 :class:`~repro.observability.tracer.Tracer` and metrics registry, and
 returns the result or error with everything those recorded.  The
 thread publishes the counters into the daemon's registry and builds
@@ -64,8 +65,6 @@ parent without killing a job mid-flight.
 from __future__ import annotations
 
 import dataclasses
-import multiprocessing
-import multiprocessing.util
 import os
 import signal
 import socket
@@ -74,21 +73,22 @@ import time
 import traceback
 from collections import OrderedDict, deque
 from dataclasses import dataclass
-from multiprocessing.connection import Connection
-from multiprocessing.process import BaseProcess
-from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, List, Optional, Tuple, Union
 
 from repro import api
 from repro.observability.export import TelemetryExporter
 from repro.observability.metrics import MetricsRegistry, use_metrics
 from repro.observability.tracer import Tracer, counter_totals, use_tracer
 from repro.service import protocol
-from repro.utils.process import exit_with_parent
+from repro.utils.process import Worker, serve_jobs, spawn_worker, stop_workers
 from repro.utils.validation import ValidationError, require
 
 Address = Union[str, Tuple[str, int]]
 
 RequestLike = Union[api.OptimizeRequest, api.SweepSpec]
+
+#: What a compute process is sent: ``(op, request, fingerprint)``.
+_JobArgs = Tuple[str, RequestLike, str]
 
 
 @dataclass(frozen=True)
@@ -154,21 +154,7 @@ class _Computed:
     counters: Dict[str, int] = dataclasses.field(default_factory=dict)
 
 
-def _init_worker() -> None:
-    """Set up a compute process before its first job.
-
-    SIGINT and SIGTERM are the parent's: its drain lets a running job
-    finish, so a signal sent to the whole process group must not kill
-    the process.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    # A daemon killed outright never closes the pipes, and these
-    # processes ignore SIGTERM.
-    exit_with_parent()
-
-
-def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
+def _compute(job: _JobArgs) -> _Computed:
     """Compute one job: in a compute process, or on a worker thread
     that has none.
 
@@ -181,6 +167,7 @@ def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
     call publish their memo's counts themselves.  Nothing is retained
     between requests (the result cache answers repeats).
     """
+    op, request, fingerprint = job
     trace_id = getattr(request, "trace_id", None)
     tracer = Tracer(root_name=f"service.{op}")
     if trace_id is not None:
@@ -206,74 +193,6 @@ def _compute(op: str, request: RequestLike, fingerprint: str) -> _Computed:
         records=tuple(tracer.finish()),
         counters=counters.snapshot()["counters"],
     )
-
-
-def _serve_jobs(jobs: Connection, inherited: Sequence[Connection]) -> None:
-    """A compute process's life: compute each ``(op, request,
-    fingerprint)`` the daemon sends on ``jobs`` on this main thread and
-    send back its :class:`_Computed`, until the daemon closes the pipe.
-
-    ``inherited`` holds every daemon-side pipe end the fork copied,
-    this process's own included: it closes them all, or closing one of
-    those pipes at drain would never reach its process.
-    """
-    _init_worker()
-    for end in inherited:
-        end.close()
-    while True:
-        try:
-            job = jobs.recv()
-        except EOFError:
-            return  # the daemon closed the pipe: drained
-        computed = _compute(*job)
-        try:
-            jobs.send(computed)
-        except OSError:
-            return  # the daemon is gone
-        except Exception as exc:  # a result that cannot pickle
-            jobs.send(_Computed(
-                error=f"{type(exc).__name__}: {exc}",
-                wall_time_s=computed.wall_time_s,
-            ))
-
-
-@dataclass(frozen=True)
-class _Worker:
-    """One compute process and the daemon's end of its pipe."""
-
-    process: BaseProcess
-    conn: Connection
-
-
-def _spawn_worker(inherited: Sequence[Connection]) -> Optional[_Worker]:
-    """Fork one compute process, or None when none can be started (no
-    ``fork``, no file descriptors, a sandbox).
-
-    Not daemonic: a served sweep with ``workers > 1`` forks its own
-    pool inside it.  Should the daemon's interpreter exit without
-    :meth:`OptimizationServer.shutdown`, the pipe closes before
-    ``multiprocessing`` joins its children, so the process ends.
-    """
-    try:
-        context = multiprocessing.get_context("fork")
-        conn, child_conn = context.Pipe()
-    except Exception:
-        return None
-    try:
-        process = context.Process(
-            target=_serve_jobs,
-            args=(child_conn, (*inherited, conn)),
-            name="repro-compute",
-        )
-        process.start()
-    except Exception:
-        conn.close()
-        return None
-    finally:
-        child_conn.close()
-    worker = _Worker(process, conn)
-    multiprocessing.util.Finalize(worker, conn.close, exitpriority=0)
-    return worker
 
 
 class _Connection:
@@ -333,9 +252,9 @@ class OptimizationServer:
         # Worker thread i computes on compute process _workers[i]; None
         # before start(), after shutdown() and when none can be started
         # (then the thread computes itself).  Only thread i replaces
-        # entry i, under _spawn_lock, so each fork sees every pipe end
-        # it must close.
-        self._workers: List[Optional[_Worker]] = [None] * self.config.workers
+        # entry i, under _spawn_lock, which _stop_workers also takes, so
+        # no process is forked into a slot that was already emptied.
+        self._workers: List[Optional[Worker]] = [None] * self.config.workers
         self._spawn_lock = threading.Lock()
         self._connections: List[_Connection] = []
         self._threads: List[threading.Thread] = []
@@ -599,7 +518,10 @@ class OptimizationServer:
         try:
             request = self._decode_request(op, payload)
             fingerprint = request.fingerprint()
-        except (ValidationError, KeyError, TypeError, ValueError) as exc:
+        except (
+            ValidationError, KeyError, TypeError, ValueError,
+            RecursionError,  # a payload nested too deeply to walk
+        ) as exc:
             self.metrics.inc("service.errors")
             self._send_reply(
                 connection, frame_id,
@@ -729,24 +651,29 @@ class OptimizationServer:
         thread when it has none; every failure comes back as a
         :class:`_Computed` error."""
         # The waiters hold sockets: only what computing needs travels.
-        args = (job.op, job.request, job.fingerprint)
+        args: _JobArgs = (job.op, job.request, job.fingerprint)
         with self._spawn_lock:
             worker = self._workers[slot]
         if worker is not None and not worker.process.is_alive():
             worker = self._replace(slot, worker)  # it died between jobs
         if worker is None:
-            return _compute(*args)
+            return _compute(args)
         started = time.perf_counter()
+        computed: Union[_Computed, Exception, None]
         try:
             worker.conn.send(args)
-            return worker.conn.recv()
+            computed = worker.conn.recv()
         except (EOFError, OSError):
-            pass  # the process died with the job
-        except Exception as exc:  # a job or result the pipe cannot carry
+            computed = None  # the process died with the job
+        except Exception as exc:  # noqa: BLE001 - a job that cannot pickle
+            computed = exc
+        if isinstance(computed, Exception):  # or a result that cannot
             return _Computed(
-                error=f"{type(exc).__name__}: {exc}",
+                error=f"{type(computed).__name__}: {computed}",
                 wall_time_s=time.perf_counter() - started,
             )
+        if computed is not None:
+            return computed
         self._replace(slot, worker)
         return _Computed(
             error=f"compute process {worker.process.pid} died (exit code "
@@ -754,15 +681,13 @@ class OptimizationServer:
             wall_time_s=time.perf_counter() - started,
         )
 
-    def _replace(self, slot: int, dead: _Worker) -> Optional[_Worker]:
+    def _replace(self, slot: int, dead: Worker) -> Optional[Worker]:
         """Reap slot ``slot``'s dead compute process and fork its
         successor."""
-        dead.process.kill()  # in case it is only wedged
-        dead.process.join()
-        dead.conn.close()
+        stop_workers([dead], drained=False)  # killed, in case it is wedged
         return self._spawn(slot, replacing=True)
 
-    def _spawn(self, slot: int, replacing: bool = False) -> Optional[_Worker]:
+    def _spawn(self, slot: int, replacing: bool = False) -> Optional[Worker]:
         """Fork slot ``slot``'s compute process; None when none can be
         started or the server is stopping.  A replacement counts one
         ``service.worker_recoveries``."""
@@ -771,26 +696,18 @@ class OptimizationServer:
                 return None  # _stop_workers empties the slots
             if replacing:
                 self.metrics.inc("service.worker_recoveries")
-            worker = _spawn_worker([
-                other.conn for other in self._workers if other is not None
-            ])
+            worker = spawn_worker(serve_jobs, (_compute,))
             self._workers[slot] = worker
         return worker
 
     def _stop_workers(self, drained: bool) -> None:
         """End every compute process: a drained one exits when its pipe
-        closes; one that outlived the drain is killed (it ignores
-        SIGTERM), and its thread, woken by the death, closes the pipe."""
+        closes; one that outlived the drain is killed, and its thread,
+        woken by the death, finds its slot empty."""
         with self._spawn_lock:
             workers = [w for w in self._workers if w is not None]
             self._workers = [None] * len(self._workers)
-        for worker in workers:
-            if drained:
-                worker.conn.close()
-            else:
-                worker.process.kill()
-        for worker in workers:
-            worker.process.join()
+        stop_workers(workers, drained)
 
     # -- replies ------------------------------------------------------
 

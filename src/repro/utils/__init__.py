@@ -16,20 +16,12 @@ cost function in the library is written once and works for either.
 
 from repro.utils.lognum import LogNumber, as_log, log2_of
 from repro.utils.rng import make_rng
-from repro.utils.validation import (
-    check_fraction,
-    check_positive,
-    check_probability,
-    require,
-)
+from repro.utils.validation import require
 
 __all__ = [
     "LogNumber",
     "as_log",
     "log2_of",
     "make_rng",
-    "check_fraction",
-    "check_positive",
-    "check_probability",
     "require",
 ]

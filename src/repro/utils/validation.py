@@ -15,10 +15,7 @@ whose f-string is formatted on every call.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Any, Mapping, Tuple, Union
-
-Real = Union[int, float, Fraction]
 
 #: A payload field's expected type(s), as ``isinstance`` takes them.
 FieldType = Union[type, Tuple[type, ...]]
@@ -54,26 +51,6 @@ def require_fields(
                 f"{where}.{name}: expected {kind}, "
                 f"got {type(value).__name__}"
             )
-
-
-def check_positive(value: Real, name: str) -> None:
-    """Require ``value > 0``."""
-    require(value > 0, f"{name} must be positive, got {value!r}")
-
-
-def check_nonnegative(value: Real, name: str) -> None:
-    """Require ``value >= 0``."""
-    require(value >= 0, f"{name} must be non-negative, got {value!r}")
-
-
-def check_probability(value: Real, name: str) -> None:
-    """Require ``0 <= value <= 1``."""
-    require(0 <= value <= 1, f"{name} must lie in [0, 1], got {value!r}")
-
-
-def check_fraction(value: Real, name: str) -> None:
-    """Require ``0 < value <= 1`` (selectivities, fractions of clauses)."""
-    require(0 < value <= 1, f"{name} must lie in (0, 1], got {value!r}")
 
 
 def check_index(index: int, size: int, name: str) -> None:

@@ -268,10 +268,8 @@ class TestWorkerKillRecovery:
     def test_pool_creation_failure_falls_back_to_serial(self, monkeypatch):
         from repro.runtime import runner as runner_mod
 
-        def explode(*_args, **_kwargs):
-            raise OSError("no semaphores in this sandbox")
-
-        monkeypatch.setattr(runner_mod, "_make_executor", explode)
+        # No worker can be forked (no fork, no descriptors, a sandbox).
+        monkeypatch.setattr(runner_mod, "spawn_worker", lambda *_: None)
         result = run_sweep(
             _tasks(), workers=4, retry=RetryPolicy(attempts=2)
         )
@@ -456,21 +454,15 @@ class TestResume:
     ):
         from repro.runtime import runner as runner_mod
 
-        pools = []
-        make_executor = runner_mod._make_executor
+        spawned = []
+        spawn_worker = runner_mod.spawn_worker
 
         def recording(*args):
-            pool = make_executor(*args)
-            shutdown = pool.shutdown
+            worker = spawn_worker(*args)
+            spawned.append(worker)
+            return worker
 
-            def record_shutdown(wait=True, *, cancel_futures=False):
-                pools.append((wait, cancel_futures))
-                shutdown(wait=wait, cancel_futures=cancel_futures)
-
-            pool.shutdown = record_shutdown
-            return pool
-
-        monkeypatch.setattr(runner_mod, "_make_executor", recording)
+        monkeypatch.setattr(runner_mod, "spawn_worker", recording)
         tasks = [
             SweepTask(
                 optimizer=_not_a_plan, instance=random_query(4, rng=seed),
@@ -481,8 +473,12 @@ class TestResume:
         with pytest.raises(ValidationError, match="PlanResult"):
             run_sweep(tasks, workers=workers, journal=tmp_path / "s.jsonl")
         if workers > 1:
-            # The error leaves the sweep; the pool must not outlive it.
-            assert pools == [(False, True)]
+            # The error leaves the sweep; its workers must not outlive it.
+            assert len(spawned) == workers
+            assert all(
+                worker is not None and worker.process.exitcode is not None
+                for worker in spawned
+            )
 
     def test_resumed_metrics_validate(self, tmp_path):
         tasks = _tasks()

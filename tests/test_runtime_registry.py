@@ -14,7 +14,8 @@ Four contracts, per ISSUE requirements:
   outcome order (the module-docstring guarantee), and an inconsistent
   outcome set is rejected rather than silently returned;
 * resilience under chunking — a worker killed mid-chunk re-queues at
-  *task* granularity and the recovered sweep stays bit-identical.
+  *task* granularity, costs only its own chunk, and the recovered
+  sweep stays bit-identical.
 
 Executor stats (``ship_bytes``/``registry_hits``/``kernels_compiled``/
 ``chunks``) describe scheduling, not results: the tests assert they
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import pickle
 import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -43,8 +45,10 @@ from repro.runtime.registry import (
 from repro.runtime import runner as runner_mod
 from repro.runtime.resilience import FaultInjection, FaultPlan
 from repro.runtime.runner import (
+    OPTIMIZERS,
     ExecutorStats,
     RetryPolicy,
+    SweepTask,
     TaskOutcome,
     auto_chunksize,
     grid_tasks,
@@ -77,6 +81,11 @@ def _tasks(optimizers=("dp", "greedy-cost", "iterative"), seeds=2, n=5):
         list(optimizers), instances,
         kwargs_for=lambda name, label: kwargs.get((name, label), {}),
     )
+
+
+def _sleepy(instance, **_kwargs):
+    time.sleep(0.5)
+    return OPTIMIZERS["greedy-cost"](instance)
 
 
 def pin_chunksize(monkeypatch, size):
@@ -411,6 +420,33 @@ class TestWorkerDeathMidChunk:
         # The killed task burned at least one attempt before recovery.
         assert result.outcomes[2].attempts >= 2
         assert_bit_identical(result, run_sweep(tasks, **settings))
+
+    def test_a_death_costs_only_its_own_chunk(self, monkeypatch):
+        """One worker dies in one chunk while the other worker is half
+        a second into the other chunk: only the dead worker's chunk is
+        charged, and one successor is forked."""
+        pin_chunksize(monkeypatch, 2)
+        instance = random_query(5, rng=0)
+        tasks = [
+            SweepTask(optimizer=_sleepy, instance=instance, label="slow"),
+            SweepTask(optimizer="dp", instance=instance, label="after"),
+            SweepTask(optimizer="dp", instance=instance, label="before"),
+            SweepTask(optimizer="greedy-cost", instance=instance, label="k"),
+        ]
+        plan = FaultPlan(
+            faults=(FaultInjection(index=3, attempt=0, kind="worker-kill"),)
+        )
+        result = run_sweep(
+            tasks, workers=2, retry=RetryPolicy(attempts=1), fault_plan=plan,
+        )
+        if result.mode != "parallel":
+            pytest.skip("no process pool available here")
+        slow_chunk, killed_chunk = result.outcomes[:2], result.outcomes[2:]
+        assert all(o.ok and o.attempts == 1 for o in slow_chunk)
+        assert [(o.failure, o.attempts) for o in killed_chunk] == [
+            ("worker-died", 1), ("worker-died", 1),
+        ]
+        assert result.recovered_workers == 1
 
     def test_resilient_chunked_clean_run_matches_serial(self, monkeypatch):
         """With per-attempt caches (a retry policy) even *cached*

@@ -6,11 +6,13 @@ order, regardless of worker completion order.
 """
 
 import json
+import threading
 import time
 from fractions import Fraction
 
 import pytest
 
+from repro.core.results import PlanResult
 from repro.graphs.graph import Graph
 from repro.hashjoin.instance import QOHInstance
 from repro.joinopt.instance import QONInstance
@@ -96,6 +98,19 @@ def _grid():
 def _slow_optimizer(instance, **_kwargs):
     time.sleep(5.0)
     return OPTIMIZERS["greedy-cost"](instance)
+
+
+def _sleep_then_greedy(instance, seconds=0.0, **_kwargs):
+    time.sleep(seconds)
+    return OPTIMIZERS["greedy-cost"](instance)
+
+
+def _unpicklable_result(instance, **_kwargs):
+    """A result that cannot travel back from a worker process."""
+    return PlanResult(
+        cost=1, sequence=(0,), optimizer="unpicklable", explored=1,
+        trace={"hook": lambda: None},
+    )
 
 
 def _broken_optimizer(instance, **_kwargs):
@@ -213,14 +228,102 @@ class TestParallelSweep:
     def test_pool_failure_falls_back_to_serial(self, monkeypatch):
         from repro.runtime import runner as runner_mod
 
-        def explode(*_args, **_kwargs):
-            raise OSError("no semaphores in this sandbox")
-
-        monkeypatch.setattr(runner_mod, "_make_executor", explode)
+        # No worker can be forked (no fork, no descriptors, a sandbox).
+        monkeypatch.setattr(runner_mod, "spawn_worker", lambda *_: None)
         tasks = _grid()
         result = run_sweep(tasks, workers=4)
         assert result.mode == "serial"
         assert all(o.ok for o in result)
+
+    def test_concurrent_sweeps_end_independently(self, monkeypatch):
+        """A fast sweep and a slow one run at once from two threads.
+        The slow one forks while the fast one's workers run, so each of
+        its workers gets a copy of the fast sweep's pipe ends: unless it
+        closes them, the fast sweep's workers never see their pipes
+        close, and the fast sweep returns only when the slow one ends."""
+        from repro.runtime import runner as runner_mod
+
+        spawned = []
+        fast_forked = threading.Event()
+        spawn_worker = runner_mod.spawn_worker
+
+        def recording(*args):
+            worker = spawn_worker(*args)
+            spawned.append((threading.current_thread().name, worker))
+            if [name for name, _ in spawned].count("fast") == 2:
+                fast_forked.set()
+            return worker
+
+        monkeypatch.setattr(runner_mod, "spawn_worker", recording)
+        instance = random_query(5, rng=0)
+
+        def sleeping(seconds, count):
+            return [
+                SweepTask(
+                    optimizer=_sleep_then_greedy, instance=instance,
+                    label=f"s{index}", kwargs=(("seconds", seconds),),
+                )
+                for index in range(count)
+            ]
+
+        results, ended = {}, {}
+
+        def sweep(name, tasks, after=None):
+            if after is not None:
+                after.wait(30)
+            results[name] = run_sweep(tasks, workers=2)
+            ended[name] = time.monotonic()
+
+        threads = [
+            threading.Thread(
+                target=sweep, name="fast", args=("fast", sleeping(0.2, 4)),
+            ),
+            # 4 one-second tasks on 2 workers: at least 2 s.
+            threading.Thread(
+                target=sweep, name="slow",
+                args=("slow", sleeping(1.0, 4), fast_forked),
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        if results["fast"].mode != "parallel":
+            pytest.skip("no process pool available here")
+        assert all(o.ok for name in results for o in results[name])
+        assert ended["slow"] - ended["fast"] > 1.0
+        assert len(spawned) == 4
+        assert all(
+            worker.process.exitcode is not None for _, worker in spawned
+        )
+
+    def test_what_the_pipe_cannot_carry_fails_its_chunk(self, monkeypatch):
+        """A chunk that cannot be sent, and a reply that cannot be sent
+        back, fail that chunk's tasks with ``error``; no worker dies."""
+        from repro.runtime import runner as runner_mod
+
+        monkeypatch.setattr(runner_mod, "auto_chunksize", lambda *_: 1)
+        instance = random_query(4, rng=0)
+        tasks = [
+            SweepTask(optimizer="dp", instance=instance, label="before"),
+            SweepTask(
+                optimizer=_sleep_then_greedy, instance=instance,
+                label="lambda-kwarg", kwargs=(("hook", lambda: None),),
+            ),
+            SweepTask(
+                optimizer=_unpicklable_result, instance=instance,
+                label="lambda-result",
+            ),
+            SweepTask(optimizer="dp", instance=instance, label="after"),
+        ]
+        result = run_sweep(tasks, workers=2)
+        if result.mode != "parallel":
+            pytest.skip("no process pool available here")
+        assert [o.failure for o in result] == [None, "error", "error", None]
+        assert all("pickle" in o.error for o in result.outcomes[1:3])
+        assert result.recovered_workers == 0
+        assert result.outcomes[0].result == result.outcomes[3].result
 
     def test_default_workers_is_sane(self):
         workers = default_workers()

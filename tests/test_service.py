@@ -23,7 +23,8 @@ Covers, per ISSUE requirements:
   dead between jobs, the no-process fallback, a served parallel sweep,
   processes that exit with a killed daemon or an interpreter that
   never shut the server down;
-* malformed instance payloads answered with error replies;
+* malformed instance payloads answered with error replies, and frames
+  nested too deeply to decode refused without killing a thread;
 * the 16 MiB frame cap, enforced while a line is read;
 * a 64-client concurrent mixed optimize/sweep workload whose replies
   are bit-identical to direct ``repro.api`` calls with nonzero
@@ -449,6 +450,38 @@ class TestErrors:
         ]
         assert counters["service.errors"] == 6
         assert counters["service.received"] == answered(counters) == 6
+
+    def test_deeply_nested_frames_are_refused(
+        self, make_server, monkeypatch, qon_instance
+    ):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        server, address = make_server()
+        # A frame too deep for the JSON decoder: a hang-up, as for any
+        # undecodable line.
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(b"[" * 100_000 + b"]" * 100_000 + b"\n")
+            try:
+                tail = sock.recv(1)
+            except ConnectionResetError:
+                tail = b""
+            assert tail == b""
+        # A frame that decodes, but whose params are too deep for the
+        # request decoder: an error reply.
+        nested = []
+        for _ in range(600):
+            nested = [nested]
+        payload = api.OptimizeRequest.build(qon_instance, "dp").to_dict()
+        payload["params"] = [["rng", nested]]
+        with ServiceClient(address) as client:
+            reply = client.call("optimize", payload)
+            counters = client.metrics()["counters"]
+        assert reply.status == "error"
+        assert "recursion" in (reply.error or "")
+        assert uncaught == []
+        assert counters["service.errors"] == 1
+        assert counters["service.received"] == answered(counters) == 1
+        assert server.metrics.counter_value("service.computed") == 0
 
 
 # ---------------------------------------------------------------------
@@ -933,7 +966,7 @@ class TestWorkerProcesses:
         forked, forked_counts = serve_all(*make_server(workers=1))
         # No compute process can be started: the worker thread computes
         # in the daemon's own process, through the same job function.
-        monkeypatch.setattr(server_module, "_spawn_worker", lambda *_: None)
+        monkeypatch.setattr(server_module, "spawn_worker", lambda *_: None)
         threaded_server, address = make_server(workers=1)
         assert compute_pids(threaded_server) == []
         threaded, threaded_counts = serve_all(threaded_server, address)

@@ -8,14 +8,7 @@ import pytest
 from repro.graphs.clique import max_clique_size
 from repro.starqo.partition import has_partition
 from repro.utils.rng import make_rng, random_permutation, sample_distinct_pairs, spawn
-from repro.utils.validation import (
-    ValidationError,
-    check_fraction,
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import ValidationError, check_index
 from repro.workloads.gaps import (
     partition_suite,
     qoh_gap_pair,
@@ -64,27 +57,6 @@ class TestRngHelpers:
 
 
 class TestValidationHelpers:
-    def test_check_positive(self):
-        check_positive(1, "x")
-        with pytest.raises(ValidationError):
-            check_positive(0, "x")
-
-    def test_check_nonnegative(self):
-        check_nonnegative(0, "x")
-        with pytest.raises(ValidationError):
-            check_nonnegative(-1, "x")
-
-    def test_check_probability(self):
-        check_probability(0, "x")
-        check_probability(1, "x")
-        with pytest.raises(ValidationError):
-            check_probability(1.5, "x")
-
-    def test_check_fraction(self):
-        check_fraction(Fraction(1, 2), "x")
-        with pytest.raises(ValidationError):
-            check_fraction(0, "x")
-
     def test_check_index(self):
         check_index(0, 3, "x")
         with pytest.raises(ValidationError):
